@@ -570,14 +570,20 @@ def leaky_ash(x, z_k=0.0, leak=0.01, alpha=1.0, stats_mode: str = "per-sample",
     return _ash_op(x, z_k, alpha, leak, stats_mode, grad_mode, "leaky_ash")
 
 
+@functools.lru_cache(maxsize=64)
+def _fixed_z(k: float) -> float:
+    # z(k) is a pure function of k, and a model applies the same few k on
+    # every forward, so each distinct k is resolved once.
+    return st.z_from_percentile(min(k, 100.0 - 1e-12))
+
+
 @_accepts_tensor
 def fixed_ash(x, k=50.0, alpha=1.0, stats_mode: str = "per-sample",
               grad_mode: str = "through-stats"):
     """Smooth form with the percentile k frozen: z = z(k) is a constant."""
     if not 0.0 < k <= 100.0:
         raise ValueError(f"k must lie in (0, 100], got {k}")
-    z = st.z_from_percentile(min(k, 100.0 - 1e-12))
-    return _ash_op(x, z, alpha, 0.0, stats_mode, grad_mode, "fixed_ash")
+    return _ash_op(x, _fixed_z(float(k)), alpha, 0.0, stats_mode, grad_mode, "fixed_ash")
 
 
 def smooth_ash_tanh(x: Tensor, z_k: float = 0.0, alpha: float = 1.0,

@@ -32,22 +32,32 @@ class TapeMixError(ValueError):
 class Variable:
     """Autodiff node: a value Tensor plus an accumulated gradient Tensor."""
 
-    __slots__ = ("value", "grad", "tape", "node_id", "requires_grad", "name")
+    __slots__ = ("value", "_grad", "tape", "node_id", "requires_grad", "name")
 
     def __init__(self, value: Tensor, tape: "Tape", node_id: int,
                  requires_grad: bool, name: str | None = None):
         self.value = value
-        self.grad = Tensor._wrap(np.zeros(value.shape))
+        self._grad: Tensor | None = None  # allocated by the first accumulation
         self.tape = tape
         self.node_id = node_id
         self.requires_grad = requires_grad
         self.name = name
 
+    @property
+    def grad(self) -> Tensor:
+        """Accumulated gradient; zeros of the value's shape until one arrives."""
+        if self._grad is None:
+            return Tensor._wrap(np.zeros(self.value.shape))
+        return self._grad
+
     def _accumulate(self, g: np.ndarray) -> None:
-        self.grad = Tensor._wrap(self.grad.data + g)
+        # The first contribution lands on 0.0, as if added to a zero grad:
+        # 0.0 + g turns a -0.0 into +0.0.
+        base = 0.0 if self._grad is None else self._grad.data
+        self._grad = Tensor._wrap(base + g)
 
     def zero_grad(self) -> None:
-        self.grad = Tensor._wrap(np.zeros(self.value.shape))
+        self._grad = None
 
     def __repr__(self) -> str:
         tag = f" {self.name!r}" if self.name else ""
@@ -333,14 +343,18 @@ def mean_all(a) -> Variable:
                   (lambda g: np.full(shape, g.reshape(-1)[0] / n),))
 
 
+def matmul_vjps(ad: np.ndarray, bd: np.ndarray) -> tuple:
+    """VJPs of ad @ bd for (ad, bd): g @ bd.T and ad.T @ g, in the ordered kernel."""
+    return (
+        lambda g: tensor._matmul_arrays(g, np.ascontiguousarray(bd.T)),
+        lambda g: tensor._matmul_arrays(np.ascontiguousarray(ad.T), g),
+    )
+
+
 def matmul(a, b) -> Variable:
     a, b = _binary_operands(a, b)
     out = tensor.matmul(a.value, b.value)
-    ad, bd = a.value.data, b.value.data
-    return record(a.tape, "matmul", (a, b), out, (
-        lambda g: tensor._matmul_arrays(g, np.ascontiguousarray(bd.T)),
-        lambda g: tensor._matmul_arrays(np.ascontiguousarray(ad.T), g),
-    ))
+    return record(a.tape, "matmul", (a, b), out, matmul_vjps(a.value.data, b.value.data))
 
 
 def reshape(a, shape) -> Variable:

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import activations as act
 from . import autodiff as ad
+from . import tensor
 from .autodiff import Variable
 from .tensor import RngState, ShapeError, Tensor
 
@@ -27,19 +28,26 @@ LOSS_KINDS = ("softmax_xent", "mse")
 
 
 class DivergenceError(RuntimeError):
-    """Training hit a non-finite value; carries (epoch, batch, where)."""
+    """Training hit a non-finite value; carries (epoch, batch, where, phase).
 
-    def __init__(self, epoch: int, batch: int, where: str):
-        super().__init__(f"non-finite value at epoch {epoch}, batch {batch}, in {where}")
+    `phase` is "training" for an optimizer step and "validation" for the
+    evaluation pass that closes each epoch.
+    """
+
+    def __init__(self, epoch: int, batch: int, where: str, phase: str = "training"):
+        super().__init__(
+            f"non-finite value at epoch {epoch}, batch {batch}, in {where} ({phase})")
         self.epoch = epoch
         self.batch = batch
         self.where = where
+        self.phase = phase
 
 
 class _NonFinite(Exception):
-    def __init__(self, where: str):
+    def __init__(self, where: str, batch: int = 0):
         super().__init__(where)
         self.where = where
+        self.batch = batch
 
 
 # ---------------------------------------------------------------------------
@@ -104,13 +112,17 @@ def _init_layer_params(layer: Layer, name: str, rng: RngState) -> dict[str, Tens
 # Structured primitives used by the layers.
 # ---------------------------------------------------------------------------
 
-def add_bias(x: Variable, b: Variable) -> Variable:
-    """Row-broadcast bias add: (B, n) + (n,)."""
-    if len(x.value.shape) != 2 or b.value.shape != (x.value.shape[1],):
-        raise ShapeError(f"add_bias needs (B, n) + (n,), got {x.value.shape} + {b.value.shape}")
-    out = Tensor._wrap(x.value.data + b.value.data)
-    return ad.record(x.tape, "add_bias", (x, b), out,
-                     (lambda g: g, lambda g: g.sum(axis=0)))
+def dense(x: Variable, w: Variable, b: Variable) -> Variable:
+    """Affine map x @ w + b, (B, i) x (i, o) + (o,), as one tape record.
+
+    Bitwise equal to recording the matmul and the row-broadcast bias add
+    as two primitives, in value and in all three gradients.
+    """
+    if b.value.shape != (w.value.shape[-1],):
+        raise ShapeError(f"dense bias must be ({w.value.shape[-1]},), got {b.value.shape}")
+    out = Tensor._wrap(tensor.matmul(x.value, w.value).data + b.value.data)
+    vjps = ad.matmul_vjps(x.value.data, w.value.data) + (lambda g: g.sum(axis=0),)
+    return ad.record(x.tape, "dense", (x, w, b), out, vjps)
 
 
 def conv_patches(x: Variable, kh: int, kw: int) -> Variable:
@@ -148,7 +160,7 @@ def _apply_layer(layer: Layer, name: str, x: Variable,
     if isinstance(layer, Dense):
         if len(x.value.shape) != 2 or x.value.shape[1] != layer.in_dim:
             raise ShapeError(f"{name}: expected (B, {layer.in_dim}), got {x.value.shape}")
-        return add_bias(ad.matmul(x, pvars[f"{name}.W"]), pvars[f"{name}.b"])
+        return dense(x, pvars[f"{name}.W"], pvars[f"{name}.b"])
     if isinstance(layer, Conv2d):
         if len(x.value.shape) == 3 and layer.cin == 1:
             # Channelless image stacks (e.g. IDX) get an implicit C=1 axis.
@@ -159,7 +171,7 @@ def _apply_layer(layer: Layer, name: str, x: Variable,
         b, h, w, _ = x.value.shape
         oh, ow = h - layer.kh + 1, w - layer.kw + 1
         patches = conv_patches(x, layer.kh, layer.kw)
-        pre = add_bias(ad.matmul(patches, pvars[f"{name}.W"]), pvars[f"{name}.b"])
+        pre = dense(patches, pvars[f"{name}.W"], pvars[f"{name}.b"])
         return ad.reshape(pre, (b, oh, ow, layer.cout))
     if isinstance(layer, Flatten):
         shape = x.value.shape
@@ -394,14 +406,25 @@ class EpochRecord:
 
 def evaluate(model: Model, x: Tensor, labels: np.ndarray, loss_kind: str = "softmax_xent",
              batch_size: int = 256) -> tuple[float, float]:
-    """Forward-only loss and accuracy over a dataset."""
+    """Forward-only loss and accuracy over a dataset.
+
+    A non-finite activation or loss raises _NonFinite naming the layer
+    (or "loss") and the batch.
+    """
     n = x.shape[0]
     total, correct = 0.0, 0.0
-    for start in range(0, n, batch_size):
+    for bi, start in enumerate(range(0, n, batch_size)):
         xb = Tensor._wrap(np.ascontiguousarray(x.data[start:start + batch_size]))
         yb = np.asarray(labels)[start:start + batch_size]
-        logits, _ = model.forward(xb, trainable=False)
-        total += loss_fn(loss_kind, logits, yb).value.item() * xb.shape[0]
+        try:
+            logits, _ = model.forward(xb, trainable=False)
+            total += loss_fn(loss_kind, logits, yb).value.item() * xb.shape[0]
+        except _NonFinite as exc:
+            raise _NonFinite(exc.where, bi) from exc
+        except ShapeError:
+            raise
+        except ValueError as exc:
+            raise _NonFinite("loss", bi) from exc
         correct += accuracy(logits.value, yb) * xb.shape[0]
     return total / n, correct / n
 
@@ -413,8 +436,10 @@ def train(model: Model, config: TrainConfig, dataset: tuple[Tensor, np.ndarray],
     Deterministic for a given config seed: the initial split shuffle and
     every epoch's batch order come from one counter-based stream. A
     non-finite loss, activation or update aborts with DivergenceError
-    naming the epoch, batch and layer. With val_split = 0 the validation
-    metrics are computed on the training split.
+    naming the epoch, batch, layer and phase (training or validation).
+    A ShapeError (model and data do not fit) propagates unchanged. With
+    val_split = 0 the validation metrics are computed on the training
+    split.
     """
     x, labels = dataset
     labels = np.asarray(labels).reshape(-1)
@@ -447,6 +472,8 @@ def train(model: Model, config: TrainConfig, dataset: tuple[Tensor, np.ndarray],
                 model.params = opt.step(model.params, grads)
             except _NonFinite as exc:
                 raise DivergenceError(epoch, bi, exc.where) from exc
+            except ShapeError:
+                raise
             except ValueError as exc:
                 raise DivergenceError(epoch, bi, "loss") from exc
             for pname, lo in model.param_bounds.items():
@@ -461,7 +488,10 @@ def train(model: Model, config: TrainConfig, dataset: tuple[Tensor, np.ndarray],
         else:
             xv = Tensor._wrap(x.data[train_idx])
             yv = labels[train_idx]
-        val_loss, val_acc = evaluate(model, xv, yv, config.loss, config.batch_size)
+        try:
+            val_loss, val_acc = evaluate(model, xv, yv, config.loss, config.batch_size)
+        except _NonFinite as exc:
+            raise DivergenceError(epoch, exc.batch, exc.where, "validation") from exc
 
         record = EpochRecord(
             epoch=epoch,

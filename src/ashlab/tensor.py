@@ -4,6 +4,22 @@ Tensors are immutable, row-major, rank <= 4, and hold only finite
 values. Kernels are pure functions of their inputs: reductions use a
 fixed single-pass algorithm and matmul accumulates in a fixed
 left-to-right order, so every result is bitwise reproducible.
+
+Matmul order contract: every output element is
+((((0.0 + a[i,0]*b[0,j]) + a[i,1]*b[1,j]) + ...) + a[i,k-1]*b[k-1,j]),
+exactly the order of a naive triple loop, for every shape. Two kernels
+keep it:
+  * small products are laid out as a (k+1, m, n) buffer whose slot 0
+    holds 0.0 and summed by one numpy reduction over the leading axis,
+    which numpy walks slot by slot. Slot 0 fixes the start at +0.0 on
+    every numpy version; a reduction seeded with its first element would
+    leave a sum of -0.0 products at -0.0.
+  * large buffers and m*n == 1 use a Python loop of rank-1 updates. For
+    large buffers the loop is the faster kernel. For m*n == 1 the
+    reduced axis is the only axis left, and numpy sums a lone contiguous
+    axis pairwise, which reorders the additions (k = 9 or 128 already
+    gives different bits).
+BLAS is never used because it reorders the accumulation too.
 """
 
 from __future__ import annotations
@@ -53,8 +69,9 @@ class Tensor:
         # Internal fast path for kernel-owned arrays: skips the defensive
         # copy but keeps the finiteness and shape invariants.
         arr = np.ascontiguousarray(arr, dtype=np.float64)
-        check_shape(arr.shape)
-        if not np.all(np.isfinite(arr)):
+        if arr.ndim > MAX_RANK or arr.size == 0:
+            check_shape(arr.shape)  # raises the matching ShapeError
+        if not np.isfinite(arr).all():
             raise ValueError("tensor values must be finite (no NaN/Inf)")
         arr.setflags(write=False)
         out = cls.__new__(cls)
@@ -194,18 +211,26 @@ def _ewise_dispatch(op: str, x: np.ndarray, y: np.ndarray) -> Tensor:
     raise ValueError(f"unknown ewise op {op!r}; expected one of {EWISE_OPS}")
 
 
+# Above this many buffer elements (1 MiB) the rank-1 loop beats the
+# (k+1, m, n) reduction, whose buffer no longer fits in cache.
+_REDUCE_MAX_ELEMS = 1 << 17
+
+
 def _matmul_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # Rank-1 update per inner index: for every (i, j) the products
-    # a[i,k]*b[k,j] are added in increasing k, exactly the order of a
-    # naive triple loop. BLAS is deliberately not used here because it
-    # reorders the accumulation.
+    # Both branches add a[i,k]*b[k,j] onto 0.0 in increasing k; see the
+    # order contract in the module docstring.
     m, k = a.shape
     _, n = b.shape
-    out = np.zeros((m, n), dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
-        for kk in range(k):
-            out += a[:, kk : kk + 1] * b[kk : kk + 1, :]
-    return out
+        if m * n == 1 or (k + 1) * m * n > _REDUCE_MAX_ELEMS:
+            out = np.zeros((m, n), dtype=np.float64)
+            for kk in range(k):
+                out += a[:, kk : kk + 1] * b[kk : kk + 1, :]
+            return out
+        buf = np.empty((k + 1, m, n), dtype=np.float64)
+        buf[0] = 0.0
+        np.multiply(a.T[:, :, None], b[:, None, :], out=buf[1:])
+        return np.add.reduce(buf, axis=0)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:

@@ -83,9 +83,30 @@ class TestBackward:
     def test_zero_grad_resets(self):
         t = Tape()
         x = t.variable(Tensor([3.0]), requires_grad=True)
-        backward(ad.sum_all(ad.mul(x, x)))
+        y = ad.sum_all(ad.mul(x, x))
+        backward(y)
         x.zero_grad()
         assert np.all(x.grad.data == 0.0)
+        backward(y)
+        assert x.grad.tolist() == [6.0]  # starts again from zero, not doubled
+
+    def test_variable_without_gradient_reads_zeros(self):
+        t = Tape()
+        x = t.variable(Tensor([1.0, 2.0]), requires_grad=True)
+        unused = t.variable(Tensor(np.ones((2, 3))), requires_grad=True)
+        blocked = t.variable(Tensor([4.0]), requires_grad=True)
+        backward(ad.sum_all(ad.mul(x, ad.stop_gradient(blocked))))
+        for v in (unused, blocked):
+            assert v.grad.shape == v.value.shape
+            assert np.array_equal(v.grad.data, np.zeros(v.value.shape))
+
+    def test_negative_zero_contribution_reads_positive_zero(self):
+        # The first contribution lands on 0.0, so -0.0 reads +0.0, as if
+        # it had been added to an eagerly allocated zero grad.
+        t = Tape()
+        x = t.variable(Tensor([2.0]), requires_grad=True)
+        backward(ad.sum_all(ad.mul(x, -0.0)))
+        assert x.grad.data[0] == 0.0 and not np.signbit(x.grad.data[0])
 
     def test_intermediate_requires_grad_gets_adjoint(self):
         t = Tape()

@@ -131,6 +131,29 @@ class TestTrainCommand:
         assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "x")]) == 3
         assert "diverged" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_divergence_during_validation_is_exit_3(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(CONFIG))
+        doc["model"]["layers"] = [
+            {"kind": "dense", "in": 2, "out": 16},
+            {"kind": "activation", "spec": {"kind": "elu"}},
+            {"kind": "dense", "in": 16, "out": 2},
+        ]
+        doc["train"].update(optimizer={"kind": "sgd", "lr": 1e40}, val_split=0.0)
+        doc["dataset"]["seed"] = 0
+        cfg = write_config(tmp_path, doc)
+        assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "x")]) == 3
+        assert "in dense2 (validation)" in capsys.readouterr().err
+
+    def test_layer_shape_mismatch_is_exit_2(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(CONFIG))
+        doc["model"]["layers"][0]["in"] = 3
+        cfg = write_config(tmp_path, doc)
+        assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert "dense0" in err and "diverged" not in err
+
     def test_env_seed_override(self, tmp_path, capsys, monkeypatch):
         cfg = write_config(tmp_path)
         base, alt = str(tmp_path / "a"), str(tmp_path / "b")

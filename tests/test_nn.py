@@ -80,6 +80,35 @@ class TestForward:
                     want[bi, i, j] = x[bi, i:i + 2, j:j + 3, :].reshape(-1) @ w + b
         np.testing.assert_allclose(out.value.data, want, atol=1e-12)
 
+    @staticmethod
+    def _matmul_then_bias(x, w, b):
+        # The two-record composition nn.dense replaces: ad.matmul, then a
+        # row-broadcast bias add.
+        h = ad.matmul(x, w)
+        out = Tensor._wrap(h.value.data + b.value.data)
+        return ad.record(x.tape, "add_bias", (h, b), out,
+                         (lambda g: g, lambda g: g.sum(axis=0)))
+
+    @pytest.mark.parametrize("conv", [False, True])
+    def test_fused_dense_matches_matmul_then_bias_bitwise(self, conv):
+        rng = np.random.default_rng(12)
+        shape = (3, 5, 4, 2) if conv else (7, 5)
+        fan_in = 2 * 3 * 2 if conv else 5
+        x = Tensor(rng.normal(size=shape))
+        w = Tensor(rng.normal(size=(fan_in, 4)))
+        b = Tensor(rng.normal(size=4))
+        up = Tensor(rng.normal(size=(3 * 4 * 2 if conv else 7, 4)))
+        results = []
+        for affine in (nn.dense, self._matmul_then_bias):
+            t = ad.Tape()
+            xv, wv, bv = (t.variable(v, requires_grad=True) for v in (x, w, b))
+            h = nn.conv_patches(xv, 2, 3) if conv else xv
+            out = affine(h, wv, bv)
+            ad.backward(ad.sum_all(ad.mul(out, t.constant(up))))
+            results.append([out.value.data, xv.grad.data, wv.grad.data, bv.grad.data])
+        for fused, reference in zip(*results):
+            assert np.array_equal(fused.view(np.uint64), reference.view(np.uint64))
+
     def test_unique_parameter_names(self):
         model = nn.Model(mlp("ash"), seed=0)
         assert len(model.params) == len(set(model.params))
@@ -257,6 +286,25 @@ class TestTrainLoop:
         assert err.value.epoch >= 0 and err.value.batch >= 0
         assert err.value.where
         assert "epoch" in str(err.value) and "batch" in str(err.value)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_divergence_during_validation_names_phase(self):
+        data = datasets.two_moons(64, 0.1, 0)
+        model = nn.Model(mlp("elu", widths=(2, 16, 2)), seed=0)
+        cfg = nn.TrainConfig(epochs=3, seed=0,
+                             optimizer=nn.OptimizerSpec(kind="sgd", lr=1e40))
+        with pytest.raises(nn.DivergenceError) as err:
+            nn.train(model, cfg, data)
+        assert err.value.phase == "validation"
+        assert err.value.where == "dense2"
+        assert "epoch" in str(err.value) and "validation" in str(err.value)
+
+    def test_shape_error_is_not_divergence(self):
+        data = datasets.two_moons(64, 0.1, 0)
+        model = nn.Model([nn.Dense(3, 2)], seed=0)
+        with pytest.raises(ShapeError):
+            nn.train(model, nn.TrainConfig(epochs=1), data)
 
     def test_val_split_metrics(self):
         data = datasets.two_moons(100, 0.1, 7)

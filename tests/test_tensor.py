@@ -134,19 +134,37 @@ class TestMatmul:
         assert matmul(Tensor([[1.0, 2.0]]), Tensor([[3.0], [4.0]])).tolist() == [[11.0]]
 
     def test_matches_triple_loop_exactly(self):
+        # Bit-level equality (so -0.0 != +0.0) with a naive triple loop that
+        # starts every element at 0.0 and adds the products in increasing k.
+        limit = tensor._REDUCE_MAX_ELEMS
+        shapes = [(s, s, s) for s in (3, 8, 17, 32)]
+        shapes += [(32, 16, 2), (2, 32, 16), (5, 3, 7), (1, 6, 4), (4, 6, 1)]
+        shapes += [(1, 7, 1), (1, 9, 1), (1, 128, 1)]  # m*n == 1
+        shapes += [(64, 40, 64)]  # buffer above the switch
+        assert (40 + 1) * 64 * 64 > limit >= (32 + 1) * 32 * 32
         rng = np.random.default_rng(8)
-        for size in (3, 8, 17, 32):
-            a = Tensor(rng.normal(size=(size, size)))
-            b = Tensor(rng.normal(size=(size, size)))
-            got = matmul(a, b).data
-            want = np.zeros((size, size))
-            for i in range(size):
-                for j in range(size):
-                    acc = 0.0
-                    for k in range(size):
-                        acc += a.data[i, k] * b.data[k, j]
-                    want[i, j] = acc
-            assert np.array_equal(got, want), f"mismatch at {size}x{size}"
+        for m, k, n in shapes:
+            for heavy in (False, True):
+                a = rng.normal(size=(m, k))
+                b = rng.normal(size=(k, n))
+                if heavy:
+                    a *= np.exp(8.0 * rng.normal(size=(m, k)))
+                    b *= np.exp(8.0 * rng.normal(size=(k, n)))
+                if m > 1:
+                    # Every product of out[0, 0] is -0.0, so only the
+                    # leading 0.0 makes that element +0.0.
+                    a[0] = -0.0
+                    b[:, 0] = np.abs(b[:, 0])
+                got = matmul(Tensor(a), Tensor(b)).data
+                want = np.zeros((m, n))
+                for i in range(m):
+                    for j in range(n):
+                        acc = 0.0
+                        for kk in range(k):
+                            acc += a[i, kk] * b[kk, j]
+                        want[i, j] = acc
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), \
+                    f"mismatch at {m}x{k}x{n}, heavy={heavy}"
 
     def test_dimension_mismatch(self):
         with pytest.raises(ShapeError):
