@@ -20,14 +20,15 @@ recorded on its tape) or a plain Tensor (forward only).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import autodiff as ad
 from . import stats as st
 from .autodiff import Variable
-from .tensor import Tensor
+from .tensor import ShapeError, Tensor
 
 SELU_LAMBDA = 1.0507009873554805
 SELU_ALPHA = 1.6732632423543772
@@ -37,16 +38,18 @@ GRAD_MODES = ("through-stats", "stop-stats")
 
 
 # ---------------------------------------------------------------------------
-# Parameter bundles (also the JSON-facing configuration schema).
+# Parameter records (KINDS below maps each kind's JSON fields onto them).
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class AshParams:
-    """Smooth-form parameters: trainable threshold z_k, fixed sharpness alpha.
+    """Parameters of the adaptive family x*(leak + (1-leak)*S(2*alpha*(x - mu - z*sigma))).
 
-    With per_channel_z the layer owns one z per channel (`channels` sets
-    the vector length, matching the input's last axis) instead of one
-    scalar per layer.
+    z_k is the threshold (trainable in the smooth and leaky forms); the
+    fixed form derives it from the percentile k instead. With
+    per_channel_z the layer owns one z per channel (`channels` sets the
+    vector length, matching the input's last axis) instead of one scalar
+    per layer.
     """
 
     z_k: float = 0.0
@@ -56,6 +59,8 @@ class AshParams:
     trainable_alpha: bool = False
     per_channel_z: bool = False
     channels: int = 0
+    leak: float = 0.0
+    k: float = 50.0
 
     def __post_init__(self):
         if self.alpha <= 0:
@@ -68,6 +73,10 @@ class AshParams:
             raise ValueError("z_k must be finite")
         if self.per_channel_z and self.channels < 1:
             raise ValueError("per_channel_z needs channels >= 1")
+        if self.leak < 0 or not np.isfinite(self.leak):
+            raise ValueError(f"leak must be finite and >= 0, got {self.leak}")
+        if not 0.0 < self.k <= 100.0:
+            raise ValueError(f"k must lie in (0, 100], got {self.k}")
 
 
 @dataclass(frozen=True)
@@ -84,163 +93,18 @@ class GeneralizedSwishParams:
 
 
 @dataclass(frozen=True)
-class LeakyAshParams:
-    """Leaky smooth form: passes leak*x below the threshold instead of 0."""
-
-    z_k: float = 0.0
-    alpha: float = 1.0
-    leak: float = 0.01
-    stats_mode: str = "per-sample"
-    grad_mode: str = "through-stats"
-
-    def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be > 0, got {self.alpha}")
-        if self.leak < 0 or not np.isfinite(self.leak):
-            raise ValueError(f"leak must be finite and >= 0, got {self.leak}")
-        if self.stats_mode not in STATS_MODES:
-            raise ValueError(f"stats_mode must be one of {STATS_MODES}")
-        if self.grad_mode not in GRAD_MODES:
-            raise ValueError(f"grad_mode must be one of {GRAD_MODES}")
-
-
-@dataclass(frozen=True)
-class FixedAshParams:
-    """Smooth form with the sampling percentile k frozen (z not trained)."""
-
-    k: float = 50.0
-    alpha: float = 1.0
-    stats_mode: str = "per-sample"
-    grad_mode: str = "through-stats"
-
-    def __post_init__(self):
-        if not 0.0 < self.k <= 100.0:
-            raise ValueError(f"k must lie in (0, 100], got {self.k}")
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be > 0, got {self.alpha}")
-
-
-BASELINE_KINDS = ("relu", "lrelu", "prelu", "softplus", "elu", "selu", "gelu", "swish")
-ASH_KINDS = ("hard_ash", "heaviside_ash", "smooth_ash", "gen_swish", "leaky_ash", "fixed_ash")
-
-
-@dataclass(frozen=True)
 class ActivationSpec:
-    """Discriminated union over the zoo; `params` matches `kind`."""
+    """One activation: a KINDS key plus the parameters that kind reads."""
 
     kind: str
     slope: float = 0.01           # lrelu (fixed) and prelu (init)
     elu_a: float = 1.0
     ash: AshParams = field(default_factory=AshParams)
     gen: GeneralizedSwishParams = field(default_factory=GeneralizedSwishParams)
-    leaky: LeakyAshParams = field(default_factory=LeakyAshParams)
-    fixed: FixedAshParams = field(default_factory=FixedAshParams)
 
     def __post_init__(self):
-        if self.kind not in BASELINE_KINDS + ASH_KINDS:
+        if self.kind not in KINDS:
             raise ValueError(f"unknown activation kind {self.kind!r}")
-
-
-# JSON field tables per kind (strict: unknown keys are rejected).
-_JSON_FIELDS = {
-    "relu": (),
-    "softplus": (),
-    "selu": (),
-    "gelu": (),
-    "swish": (),
-    "lrelu": ("slope",),
-    "prelu": ("slope_init",),
-    "elu": ("a",),
-    "hard_ash": ("z_k_init", "stats_mode"),
-    "heaviside_ash": ("z_k_init", "stats_mode"),
-    "smooth_ash": ("z_k_init", "alpha", "stats_mode", "grad_mode", "trainable_alpha",
-                   "per_channel_z", "channels"),
-    "gen_swish": ("a_init", "b_init", "frozen"),
-    "leaky_ash": ("z_k_init", "alpha", "leak_init", "stats_mode", "grad_mode"),
-    "fixed_ash": ("k", "alpha", "stats_mode", "grad_mode"),
-}
-
-
-def spec_from_json(obj: dict) -> ActivationSpec:
-    """Parse a tagged activation object, e.g. {"kind": "smooth_ash", ...}."""
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ValueError(f"activation spec must be an object with a 'kind' tag, got {obj!r}")
-    kind = obj["kind"]
-    if kind not in _JSON_FIELDS:
-        raise ValueError(f"unknown activation kind {kind!r}")
-    allowed = set(_JSON_FIELDS[kind]) | {"kind"}
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ValueError(f"unknown keys {sorted(unknown)} for activation {kind!r}")
-
-    get = obj.get
-    if kind == "lrelu":
-        return ActivationSpec(kind, slope=float(get("slope", 0.01)))
-    if kind == "prelu":
-        return ActivationSpec(kind, slope=float(get("slope_init", 0.01)))
-    if kind == "elu":
-        return ActivationSpec(kind, elu_a=float(get("a", 1.0)))
-    if kind in ("hard_ash", "heaviside_ash"):
-        return ActivationSpec(kind, ash=AshParams(
-            z_k=float(get("z_k_init", 0.0)),
-            stats_mode=get("stats_mode", "per-sample")))
-    if kind == "smooth_ash":
-        return ActivationSpec(kind, ash=AshParams(
-            z_k=float(get("z_k_init", 0.0)), alpha=float(get("alpha", 1.0)),
-            stats_mode=get("stats_mode", "per-sample"),
-            grad_mode=get("grad_mode", "through-stats"),
-            trainable_alpha=bool(get("trainable_alpha", False)),
-            per_channel_z=bool(get("per_channel_z", False)),
-            channels=int(get("channels", 0))))
-    if kind == "gen_swish":
-        return ActivationSpec(kind, gen=GeneralizedSwishParams(
-            a=float(get("a_init", 1.0)), b=float(get("b_init", 0.0)),
-            frozen=bool(get("frozen", False))))
-    if kind == "leaky_ash":
-        return ActivationSpec(kind, leaky=LeakyAshParams(
-            z_k=float(get("z_k_init", 0.0)), alpha=float(get("alpha", 1.0)),
-            leak=float(get("leak_init", 0.01)),
-            stats_mode=get("stats_mode", "per-sample"),
-            grad_mode=get("grad_mode", "through-stats")))
-    if kind == "fixed_ash":
-        return ActivationSpec(kind, fixed=FixedAshParams(
-            k=float(get("k", 50.0)), alpha=float(get("alpha", 1.0)),
-            stats_mode=get("stats_mode", "per-sample"),
-            grad_mode=get("grad_mode", "through-stats")))
-    return ActivationSpec(kind)
-
-
-def spec_to_json(spec: ActivationSpec) -> dict:
-    kind = spec.kind
-    if kind == "lrelu":
-        return {"kind": kind, "slope": spec.slope}
-    if kind == "prelu":
-        return {"kind": kind, "slope_init": spec.slope}
-    if kind == "elu":
-        return {"kind": kind, "a": spec.elu_a}
-    if kind in ("hard_ash", "heaviside_ash"):
-        return {"kind": kind, "z_k_init": spec.ash.z_k, "stats_mode": spec.ash.stats_mode}
-    if kind == "smooth_ash":
-        a = spec.ash
-        out = {"kind": kind, "z_k_init": a.z_k, "alpha": a.alpha,
-               "stats_mode": a.stats_mode, "grad_mode": a.grad_mode,
-               "trainable_alpha": a.trainable_alpha}
-        if a.per_channel_z:
-            out["per_channel_z"] = True
-            out["channels"] = a.channels
-        return out
-    if kind == "gen_swish":
-        g = spec.gen
-        return {"kind": kind, "a_init": g.a, "b_init": g.b, "frozen": g.frozen}
-    if kind == "leaky_ash":
-        p = spec.leaky
-        return {"kind": kind, "z_k_init": p.z_k, "alpha": p.alpha, "leak_init": p.leak,
-                "stats_mode": p.stats_mode, "grad_mode": p.grad_mode}
-    if kind == "fixed_ash":
-        f = spec.fixed
-        return {"kind": kind, "k": f.k, "alpha": f.alpha,
-                "stats_mode": f.stats_mode, "grad_mode": f.grad_mode}
-    return {"kind": kind}
 
 
 # ---------------------------------------------------------------------------
@@ -381,17 +245,15 @@ def _stats_axes(rank: int, stats_mode: str) -> tuple[int, ...]:
         return (0,) if rank == 1 else tuple(range(1, rank))
     if stats_mode == "per-channel":
         if rank < 3:
-            raise ValueError("per-channel stats need spatial axes (rank >= 3 input)")
+            raise ShapeError("per-channel stats need spatial axes (rank >= 3 input)")
         return (0, 1) if rank == 3 else (1, 2)
     raise ValueError(f"stats_mode must be one of {STATS_MODES}, got {stats_mode!r}")
 
 
 def _grouped_stats(data: np.ndarray, stats_mode: str):
     axes = _stats_axes(data.ndim, stats_mode)
-    n = 1
-    for axis in axes:
-        n *= data.shape[axis]
     mu = data.mean(axis=axes, keepdims=True)
+    n = data.size // mu.size
     centered = data - mu
     var = np.mean(centered * centered, axis=axes, keepdims=True)
     sigma_raw = np.sqrt(var)
@@ -399,12 +261,14 @@ def _grouped_stats(data: np.ndarray, stats_mode: str):
     return axes, n, mu, centered, sigma_raw, sigma
 
 
-def _check_z_shape(zval: np.ndarray, x_shape: tuple[int, ...]) -> None:
+def _broadcast_z(z, x_shape: tuple[int, ...]) -> np.ndarray:
+    """z as an array that broadcasts against x: a scalar, or one per channel (last axis)."""
+    zval = _param_value(z)
     if zval.size == 1:
-        return
+        return zval
     if zval.ndim == 1 and len(x_shape) >= 1 and zval.shape[0] == x_shape[-1]:
-        return
-    raise ValueError(
+        return zval.reshape((1,) * (len(x_shape) - 1) + (-1,))
+    raise ShapeError(
         f"z must be scalar or a vector matching the channel axis, got shape "
         f"{zval.shape} for input {x_shape}")
 
@@ -428,35 +292,27 @@ def _stable_sigmoid(u: np.ndarray) -> np.ndarray:
 def hard_ash(x, z_k=0.0, stats: st.InputStats | None = None, stats_mode: str = "per-sample"):
     """Keep x where x >= mu + z_k*sigma, zero the rest (boundary kept).
 
-    Tensor input: forward only, whole-tensor statistics (or the caller's
-    precomputed `stats`). Variable input: grouped statistics per
-    stats_mode; the pass-through elements carry gradient 1, and z_k,
-    living only inside the comparison, gets none.
+    Statistics are grouped per stats_mode for Tensor and Variable input
+    alike; the pass-through elements carry gradient 1, and z_k, living
+    only inside the comparison, gets none. A Tensor input may instead
+    take the caller's precomputed `stats` (forward only).
     """
-    if isinstance(x, Variable):
+    if stats is None or isinstance(x, Variable):
         return _gate_op(x, z_k, stats_mode, keep_boundary=True, name="hard_ash")
-    x = x if isinstance(x, Tensor) else Tensor(x)
-    stc = stats if stats is not None else st.compute_stats(x)
-    zval = float(_param_value(z_k).reshape(-1)[0])
-    thr = stc.threshold(zval)
-    return Tensor._wrap(np.where(x.data >= thr, x.data, 0.0))
+    data = x.data if isinstance(x, Tensor) else Tensor(x).data
+    thr = stats.threshold(float(_param_value(z_k).reshape(-1)[0]))
+    return Tensor._wrap(np.where(data >= thr, data, 0.0))
 
 
 def heaviside_ash(x, z_k=0.0, stats_mode: str = "per-sample"):
     """x * H(x - mu - z_k*sigma): the step form, dropping the boundary point."""
-    if isinstance(x, Variable):
-        return _gate_op(x, z_k, stats_mode, keep_boundary=False, name="heaviside_ash")
-    x = x if isinstance(x, Tensor) else Tensor(x)
-    tape = ad.Tape()
-    return _gate_op(tape.variable(x), z_k, stats_mode, keep_boundary=False,
-                    name="heaviside_ash").value
+    return _gate_op(x, z_k, stats_mode, keep_boundary=False, name="heaviside_ash")
 
 
+@_accepts_tensor
 def _gate_op(x: Variable, z_k, stats_mode: str, keep_boundary: bool, name: str) -> Variable:
     data = x.value.data
-    zval = _param_value(z_k)
-    _check_z_shape(zval, x.value.shape)
-    z_b = zval if zval.size == 1 else zval.reshape((1,) * (data.ndim - 1) + (-1,))
+    z_b = _broadcast_z(z_k, x.value.shape)
     _, _, mu, centered, _, sigma = _grouped_stats(data, stats_mode)
     margin = centered - z_b * sigma
     mask = (margin >= 0.0) if keep_boundary else (margin > 0.0)
@@ -497,9 +353,9 @@ def _ash_op(x: Variable, z, alpha, leak, stats_mode: str, grad_mode: str,
     if aval <= 0:
         raise ValueError(f"alpha must be > 0, got {aval}")
     lval = float(_param_value(leak).reshape(-1)[0])
-    zval = _param_value(z)
-    _check_z_shape(zval, x.value.shape)
-    z_b = zval if zval.size == 1 else zval.reshape((1,) * (data.ndim - 1) + (-1,))
+    if lval < 0:
+        raise ValueError(f"leak must be >= 0, got {lval}")
+    z_b = _broadcast_z(z, x.value.shape)
 
     axes, n, mu, centered, sigma_raw, sigma = _grouped_stats(data, stats_mode)
     u = 2.0 * aval * (centered - z_b * sigma)
@@ -564,9 +420,6 @@ def leaky_ash(x, z_k=0.0, leak=0.01, alpha=1.0, stats_mode: str = "per-sample",
     the sharp-gate limit it keeps x above the threshold and passes
     leak*x below.
     """
-    lval = float(_param_value(leak).reshape(-1)[0])
-    if lval < 0:
-        raise ValueError(f"leak must be >= 0, got {lval}")
     return _ash_op(x, z_k, alpha, leak, stats_mode, grad_mode, "leaky_ash")
 
 
@@ -595,128 +448,168 @@ def smooth_ash_tanh(x: Tensor, z_k: float = 0.0, alpha: float = 1.0,
     """
     x = x if isinstance(x, Tensor) else Tensor(x)
     data = x.data
-    zval = _param_value(z_k)
-    _check_z_shape(zval, x.shape)
-    z_b = zval if zval.size == 1 else zval.reshape((1,) * (data.ndim - 1) + (-1,))
+    z_b = _broadcast_z(z_k, x.shape)
     _, _, _, centered, _, sigma = _grouped_stats(data, stats_mode)
     t = np.tanh(alpha * (centered - z_b * sigma))
     return Tensor._wrap(0.5 * data + 0.5 * data * t)
 
 
 # ---------------------------------------------------------------------------
-# Named dispatch, trainable-parameter protocol, presets.
+# The kind registry: JSON schema, trainable parameters, bounds and dispatch.
 # ---------------------------------------------------------------------------
+
+class Kind(NamedTuple):
+    """One activation kind.
+
+    fields: JSON fields as (key, record, attribute, default), in output
+      order; record is "ash", "gen" or None for an ActivationSpec field.
+    params: spec -> {name: initial value} of the trainable parameters.
+    bounds: spec -> {name: lower bound} re-applied after each optimizer step.
+    apply: (spec, x, params) -> output; params holds trainable Variables.
+    """
+
+    fields: tuple = ()
+    params: Callable = lambda s: {}
+    bounds: Callable = lambda s: {}
+    apply: Callable = None
+
+
+_Z = ("z_k_init", "ash", "z_k", 0.0)
+_ALPHA = ("alpha", "ash", "alpha", 1.0)
+_STATS = ("stats_mode", "ash", "stats_mode", "per-sample")
+_GRAD = ("grad_mode", "ash", "grad_mode", "through-stats")
+
+
+def _smooth_params(s):
+    a = s.ash
+    params = {"z_k": np.full(a.channels, a.z_k) if a.per_channel_z else [a.z_k]}
+    if a.trainable_alpha:
+        params["alpha"] = [a.alpha]
+    return params
+
+
+# The apply functions name the activations as module globals, looked up
+# on every call, so a wrapper installed on the module (a tracer) sees the
+# calls made through apply_spec.
+KINDS: dict[str, Kind] = {
+    "relu": Kind(apply=lambda s, x, p: relu(x)),
+    "lrelu": Kind((("slope", None, "slope", 0.01),), apply=lambda s, x, p: lrelu(x, s.slope)),
+    "prelu": Kind((("slope_init", None, "slope", 0.01),),
+                  params=lambda s: {"slope": [s.slope]},
+                  apply=lambda s, x, p: prelu(x, p.get("slope", s.slope))),
+    "softplus": Kind(apply=lambda s, x, p: softplus(x)),
+    "elu": Kind((("a", None, "elu_a", 1.0),), apply=lambda s, x, p: elu(x, s.elu_a)),
+    "selu": Kind(apply=lambda s, x, p: selu(x)),
+    "gelu": Kind(apply=lambda s, x, p: gelu(x)),
+    "swish": Kind(apply=lambda s, x, p: swish(x)),
+    "hard_ash": Kind((_Z, _STATS), params=lambda s: {"z_k": [s.ash.z_k]},
+                    apply=lambda s, x, p: hard_ash(x, p.get("z_k", s.ash.z_k),
+                                                   stats_mode=s.ash.stats_mode)),
+    "heaviside_ash": Kind((_Z, _STATS), params=lambda s: {"z_k": [s.ash.z_k]},
+                         apply=lambda s, x, p: heaviside_ash(x, p.get("z_k", s.ash.z_k),
+                                                             stats_mode=s.ash.stats_mode)),
+    # per_channel_z and channels are written out only when per_channel_z is on.
+    "smooth_ash": Kind(
+        (_Z, _ALPHA, _STATS, _GRAD, ("trainable_alpha", "ash", "trainable_alpha", False),
+         ("per_channel_z", "ash", "per_channel_z", False), ("channels", "ash", "channels", 0)),
+        params=_smooth_params,
+        bounds=lambda s: {"alpha": 1e-6} if s.ash.trainable_alpha else {},
+        apply=lambda s, x, p: smooth_ash(
+            x, p.get("z_k", s.ash.z_k), alpha=p.get("alpha", s.ash.alpha),
+            stats_mode=s.ash.stats_mode, grad_mode=s.ash.grad_mode)),
+    "gen_swish": Kind(
+        (("a_init", "gen", "a", 1.0), ("b_init", "gen", "b", 0.0),
+         ("frozen", "gen", "frozen", False)),
+        params=lambda s: {} if s.gen.frozen else {"a": [s.gen.a], "b": [s.gen.b]},
+        apply=lambda s, x, p: gen_swish(x, p.get("a", s.gen.a), p.get("b", s.gen.b))),
+    "leaky_ash": Kind(
+        (_Z, _ALPHA, ("leak_init", "ash", "leak", 0.01), _STATS, _GRAD),
+        params=lambda s: {"z_k": [s.ash.z_k], "leak": [s.ash.leak]},
+        bounds=lambda s: {"leak": 0.0},
+        apply=lambda s, x, p: leaky_ash(
+            x, p.get("z_k", s.ash.z_k), leak=p.get("leak", s.ash.leak), alpha=s.ash.alpha,
+            stats_mode=s.ash.stats_mode, grad_mode=s.ash.grad_mode)),
+    "fixed_ash": Kind(
+        (("k", "ash", "k", 50.0), _ALPHA, _STATS, _GRAD),
+        apply=lambda s, x, p: fixed_ash(x, k=s.ash.k, alpha=s.ash.alpha,
+                                        stats_mode=s.ash.stats_mode, grad_mode=s.ash.grad_mode)),
+}
+
+BASELINE_KINDS = ("relu", "lrelu", "prelu", "softplus", "elu", "selu", "gelu", "swish")
+
+
+def spec_from_json(obj: dict) -> ActivationSpec:
+    """Parse a tagged activation object, e.g. {"kind": "smooth_ash", ...}.
+
+    Strict: a key outside the kind's KINDS fields is rejected.
+    """
+    if not isinstance(obj, dict) or "kind" not in obj:
+        raise ValueError(f"activation spec must be an object with a 'kind' tag, got {obj!r}")
+    spec = ActivationSpec(obj["kind"])  # rejects an unknown kind
+    fields = KINDS[spec.kind].fields
+    unknown = set(obj) - {key for key, *_ in fields} - {"kind"}
+    if unknown:
+        raise ValueError(f"unknown keys {sorted(unknown)} for activation {spec.kind!r}")
+    values: dict = {}
+    for key, record, attr, default in fields:
+        # The default's type converts the JSON value (float, str, bool, int).
+        values.setdefault(record, {})[attr] = type(default)(obj.get(key, default))
+    records = {name: replace(getattr(spec, name), **kw) for name, kw in values.items() if name}
+    return replace(spec, **values.get(None, {}), **records)
+
+
+def spec_to_json(spec: ActivationSpec) -> dict:
+    out = {"kind": spec.kind}
+    for key, record, attr, _ in KINDS[spec.kind].fields:
+        out[key] = getattr(getattr(spec, record) if record else spec, attr)
+    if not spec.ash.per_channel_z:
+        out.pop("per_channel_z", None)
+        out.pop("channels", None)
+    return out
+
 
 def baseline(kind: str, x, slope=0.01, elu_a=1.0):
     """Apply one of the non-adaptive zoo activations by name."""
-    table = {
-        "relu": lambda: relu(x),
-        "lrelu": lambda: lrelu(x, slope),
-        "prelu": lambda: prelu(x, slope),
-        "softplus": lambda: softplus(x),
-        "elu": lambda: elu(x, elu_a),
-        "selu": lambda: selu(x),
-        "gelu": lambda: gelu(x),
-        "swish": lambda: swish(x),
-    }
-    if kind not in table:
+    if kind not in BASELINE_KINDS:
         raise ValueError(f"unknown baseline activation {kind!r}")
-    return table[kind]()
+    return KINDS[kind].apply(ActivationSpec(kind, slope=slope, elu_a=elu_a), x, {})
 
 
 def trainable_params(spec: ActivationSpec) -> dict[str, Tensor]:
     """Initial tensors for an activation's trainable parameters (may be empty)."""
-    k = spec.kind
-    if k == "prelu":
-        return {"slope": Tensor([spec.slope])}
-    if k in ("hard_ash", "heaviside_ash"):
-        return {"z_k": Tensor([spec.ash.z_k])}
-    if k == "smooth_ash":
-        if spec.ash.per_channel_z:
-            params = {"z_k": Tensor(np.full(spec.ash.channels, spec.ash.z_k))}
-        else:
-            params = {"z_k": Tensor([spec.ash.z_k])}
-        if spec.ash.trainable_alpha:
-            params["alpha"] = Tensor([spec.ash.alpha])
-        return params
-    if k == "gen_swish" and not spec.gen.frozen:
-        return {"a": Tensor([spec.gen.a]), "b": Tensor([spec.gen.b])}
-    if k == "leaky_ash":
-        return {"z_k": Tensor([spec.leaky.z_k]), "leak": Tensor([spec.leaky.leak])}
-    return {}
+    return {name: Tensor(v) for name, v in KINDS[spec.kind].params(spec).items()}
 
 
 def param_lower_bounds(spec: ActivationSpec) -> dict[str, float]:
     """Box constraints re-applied after each optimizer step."""
-    if spec.kind == "leaky_ash":
-        return {"leak": 0.0}
-    if spec.kind == "smooth_ash" and spec.ash.trainable_alpha:
-        return {"alpha": 1e-6}
-    return {}
+    return KINDS[spec.kind].bounds(spec)
 
 
 def apply_spec(spec: ActivationSpec, x, params: dict[str, Variable] | None = None):
     """Apply any ActivationSpec; `params` supplies its trainable Variables."""
-    params = params or {}
-    k = spec.kind
-    if k in BASELINE_KINDS:
-        if k == "prelu":
-            return prelu(x, params.get("slope", spec.slope))
-        return baseline(k, x, slope=spec.slope, elu_a=spec.elu_a)
-    if k == "hard_ash":
-        return hard_ash(x, params.get("z_k", spec.ash.z_k), stats_mode=spec.ash.stats_mode)
-    if k == "heaviside_ash":
-        return heaviside_ash(x, params.get("z_k", spec.ash.z_k), stats_mode=spec.ash.stats_mode)
-    if k == "smooth_ash":
-        return smooth_ash(x, params.get("z_k", spec.ash.z_k),
-                          alpha=params.get("alpha", spec.ash.alpha),
-                          stats_mode=spec.ash.stats_mode, grad_mode=spec.ash.grad_mode)
-    if k == "gen_swish":
-        return gen_swish(x, params.get("a", spec.gen.a), params.get("b", spec.gen.b))
-    if k == "leaky_ash":
-        return leaky_ash(x, params.get("z_k", spec.leaky.z_k),
-                         leak=params.get("leak", spec.leaky.leak),
-                         alpha=spec.leaky.alpha, stats_mode=spec.leaky.stats_mode,
-                         grad_mode=spec.leaky.grad_mode)
-    if k == "fixed_ash":
-        return fixed_ash(x, k=spec.fixed.k, alpha=spec.fixed.alpha,
-                         stats_mode=spec.fixed.stats_mode, grad_mode=spec.fixed.grad_mode)
-    raise ValueError(f"unknown activation kind {k!r}")
+    return KINDS[spec.kind].apply(spec, x, params or {})
+
+
+_PRESETS = {"ash": {"kind": "smooth_ash"}, "l_ash": {"kind": "leaky_ash"},
+            "gen_swish_frozen": {"kind": "gen_swish", "frozen": True}}
 
 
 def preset(name: str) -> ActivationSpec:
     """Resolve a CLI-friendly activation name to an ActivationSpec.
 
-    `ash` is the trainable smooth form, `l_ash` its leaky variant,
-    `f_ash_<k>` the frozen-percentile variant (e.g. f_ash_10), and
-    `gen_swish_frozen` pins a=1, b=0 (exactly swish, for the
-    generalization equivalence checks).
+    Every kind name gives that kind at its KINDS defaults. `ash` is the
+    trainable smooth form, `l_ash` its leaky variant, `f_ash_<k>` the
+    frozen-percentile variant (e.g. f_ash_10), and `gen_swish_frozen`
+    pins a=1, b=0 (exactly swish, for the generalization equivalence
+    checks).
     """
-    simple = {
-        "relu": ActivationSpec("relu"),
-        "lrelu": ActivationSpec("lrelu"),
-        "prelu": ActivationSpec("prelu"),
-        "softplus": ActivationSpec("softplus"),
-        "elu": ActivationSpec("elu"),
-        "selu": ActivationSpec("selu"),
-        "gelu": ActivationSpec("gelu"),
-        "swish": ActivationSpec("swish"),
-        "ash": ActivationSpec("smooth_ash"),
-        "smooth_ash": ActivationSpec("smooth_ash"),
-        "hard_ash": ActivationSpec("hard_ash"),
-        "heaviside_ash": ActivationSpec("heaviside_ash"),
-        "l_ash": ActivationSpec("leaky_ash"),
-        "leaky_ash": ActivationSpec("leaky_ash"),
-        "gen_swish": ActivationSpec("gen_swish"),
-        "gen_swish_frozen": ActivationSpec(
-            "gen_swish", gen=GeneralizedSwishParams(a=1.0, b=0.0, frozen=True)),
-    }
-    if name in simple:
-        return simple[name]
+    obj = _PRESETS.get(name, {"kind": name})
+    if obj["kind"] in KINDS:
+        return spec_from_json(obj)
     if name.startswith("f_ash_"):
         try:
             k = float(name[len("f_ash_"):])
         except ValueError:
             raise ValueError(f"unknown activation preset {name!r}") from None
-        return ActivationSpec("fixed_ash", fixed=FixedAshParams(k=k))
+        return spec_from_json({"kind": "fixed_ash", "k": k})
     raise ValueError(f"unknown activation preset {name!r}")

@@ -130,15 +130,21 @@ def load_csv(path: str) -> tuple[Tensor, np.ndarray]:
     """Numeric CSV, optional header; last column is the integer class label."""
     rows: list[list[float]] = []
     with open(path, newline="") as f:
-        for lineno, row in enumerate(csv.reader(f)):
+        for lineno, row in enumerate(csv.reader(f), 1):
             if not row:
                 continue
             try:
-                rows.append([float(v) for v in row])
+                values = [float(v) for v in row]
             except ValueError:
-                if lineno == 0:
+                if lineno == 1:
                     continue  # header
-                raise FormatError(f"non-numeric value on line {lineno + 1} of {path}")
+                raise FormatError(f"non-numeric value on line {lineno} of {path}")
+            if rows and len(values) != len(rows[0]):
+                raise FormatError(f"line {lineno} of {path} has {len(values)} fields, "
+                                  f"expected {len(rows[0])}")
+            if values[-1] % 1.0 != 0.0:
+                raise FormatError(f"label {row[-1]!r} on line {lineno} of {path} is not an integer")
+            rows.append(values)
     if not rows:
         raise FormatError(f"no data rows in {path}")
     arr = np.asarray(rows, dtype=np.float64)

@@ -6,6 +6,8 @@ independently computed routes (brute-force statistics, the generalized
 form, finite differences).
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,12 @@ SWISH_1 = 0.7310585786300049     # S(1)
 PHI_1 = 0.8413447460685429
 SOFTPLUS_1 = 1.3132616875182228
 ELU_M1 = -0.6321205588285577     # e^-1 - 1
+
+KIND_NAMES = ("relu", "lrelu", "prelu", "softplus", "elu", "selu", "gelu", "swish",
+              "hard_ash", "heaviside_ash", "smooth_ash", "gen_swish", "leaky_ash", "fixed_ash")
+PRESET_NAMES = ("relu", "lrelu", "prelu", "softplus", "elu", "selu", "gelu", "swish",
+                "ash", "smooth_ash", "hard_ash", "heaviside_ash", "l_ash", "leaky_ash",
+                "gen_swish", "gen_swish_frozen", "f_ash_10", "f_ash_50", "f_ash_90", "f_ash_2.5")
 
 
 class TestSigmoid:
@@ -150,6 +158,17 @@ class TestHardForm:
         ad.backward(ad.sum_all(act.hard_ash(xv, zv)))
         assert np.all(zv.grad.data == 0.0)
         assert set(np.unique(xv.grad.data)) <= {0.0, 1.0}
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_tensor_and_variable_inputs_agree_bitwise(name):
+    # Rank-2 input: a model applies its activation to a Variable batch,
+    # and apply_spec on the same Tensor must give the same bits.
+    x = Tensor(np.random.default_rng(8).normal(size=(4, 6)))
+    spec = act.preset(name)
+    on_tensor = act.apply_spec(spec, x).data
+    on_variable = act.apply_spec(spec, ad.Tape().variable(x)).value.data
+    assert on_tensor.tobytes() == on_variable.tobytes()
 
 
 class TestSmoothForm:
@@ -393,7 +412,7 @@ class TestSpecSerialization:
         {"kind": "fixed_ash", "k": 25.0, "alpha": 4.0},
         {"kind": "hard_ash", "z_k_init": 0.1},
         {"kind": "heaviside_ash"},
-    ])
+    ] + [{"kind": kind} for kind in KIND_NAMES])
     def test_round_trip(self, obj):
         spec = act.spec_from_json(obj)
         again = act.spec_from_json(act.spec_to_json(spec))
@@ -420,14 +439,77 @@ class TestSpecSerialization:
     def test_presets(self):
         assert act.preset("ash").kind == "smooth_ash"
         assert act.preset("l_ash").kind == "leaky_ash"
-        assert act.preset("f_ash_10").fixed.k == 10.0
-        assert act.preset("f_ash_90").fixed.k == 90.0
+        assert act.preset("f_ash_10").ash.k == 10.0
+        assert act.preset("f_ash_90").ash.k == 90.0
         frozen = act.preset("gen_swish_frozen")
         assert frozen.gen == act.GeneralizedSwishParams(1.0, 0.0, True)
         with pytest.raises(ValueError):
             act.preset("not_an_activation")
         with pytest.raises(ValueError):
             act.preset("f_ash_abc")
+
+
+# Per source (a preset name or a JSON object): the spec_to_json text with
+# its key order, the trainable parameters' names and shapes in order, and
+# the lower bounds. Captured from the per-kind code that the KINDS table
+# replaced; the table must reproduce them exactly.
+REGISTRY_PINS = [
+    ("relu", '{"kind": "relu"}', [], []),
+    ("lrelu", '{"kind": "lrelu", "slope": 0.01}', [], []),
+    ("prelu", '{"kind": "prelu", "slope_init": 0.01}', [("slope", (1,))], []),
+    ("softplus", '{"kind": "softplus"}', [], []),
+    ("elu", '{"kind": "elu", "a": 1.0}', [], []),
+    ("selu", '{"kind": "selu"}', [], []),
+    ("gelu", '{"kind": "gelu"}', [], []),
+    ("swish", '{"kind": "swish"}', [], []),
+    ("ash", '{"kind": "smooth_ash", "z_k_init": 0.0, "alpha": 1.0, "stats_mode": "per-sample", '
+            '"grad_mode": "through-stats", "trainable_alpha": false}', [("z_k", (1,))], []),
+    ("smooth_ash", '{"kind": "smooth_ash", "z_k_init": 0.0, "alpha": 1.0, '
+                   '"stats_mode": "per-sample", "grad_mode": "through-stats", '
+                   '"trainable_alpha": false}', [("z_k", (1,))], []),
+    ("hard_ash", '{"kind": "hard_ash", "z_k_init": 0.0, "stats_mode": "per-sample"}',
+     [("z_k", (1,))], []),
+    ("heaviside_ash", '{"kind": "heaviside_ash", "z_k_init": 0.0, "stats_mode": "per-sample"}',
+     [("z_k", (1,))], []),
+    ("l_ash", '{"kind": "leaky_ash", "z_k_init": 0.0, "alpha": 1.0, "leak_init": 0.01, '
+              '"stats_mode": "per-sample", "grad_mode": "through-stats"}',
+     [("z_k", (1,)), ("leak", (1,))], [("leak", 0.0)]),
+    ("leaky_ash", '{"kind": "leaky_ash", "z_k_init": 0.0, "alpha": 1.0, "leak_init": 0.01, '
+                  '"stats_mode": "per-sample", "grad_mode": "through-stats"}',
+     [("z_k", (1,)), ("leak", (1,))], [("leak", 0.0)]),
+    ("gen_swish", '{"kind": "gen_swish", "a_init": 1.0, "b_init": 0.0, "frozen": false}',
+     [("a", (1,)), ("b", (1,))], []),
+    ("gen_swish_frozen", '{"kind": "gen_swish", "a_init": 1.0, "b_init": 0.0, "frozen": true}',
+     [], []),
+    ("f_ash_10", '{"kind": "fixed_ash", "k": 10.0, "alpha": 1.0, "stats_mode": "per-sample", '
+                 '"grad_mode": "through-stats"}', [], []),
+    ("f_ash_50", '{"kind": "fixed_ash", "k": 50.0, "alpha": 1.0, "stats_mode": "per-sample", '
+                 '"grad_mode": "through-stats"}', [], []),
+    ("f_ash_90", '{"kind": "fixed_ash", "k": 90.0, "alpha": 1.0, "stats_mode": "per-sample", '
+                 '"grad_mode": "through-stats"}', [], []),
+    ("f_ash_2.5", '{"kind": "fixed_ash", "k": 2.5, "alpha": 1.0, "stats_mode": "per-sample", '
+                  '"grad_mode": "through-stats"}', [], []),
+    ({"kind": "smooth_ash", "z_k_init": 0.5, "stats_mode": "per-channel", "trainable_alpha": True},
+     '{"kind": "smooth_ash", "z_k_init": 0.5, "alpha": 1.0, "stats_mode": "per-channel", '
+     '"grad_mode": "through-stats", "trainable_alpha": true}',
+     [("z_k", (1,)), ("alpha", (1,))], [("alpha", 1e-06)]),
+    ({"kind": "smooth_ash", "per_channel_z": True, "channels": 8},
+     '{"kind": "smooth_ash", "z_k_init": 0.0, "alpha": 1.0, "stats_mode": "per-sample", '
+     '"grad_mode": "through-stats", "trainable_alpha": false, "per_channel_z": true, '
+     '"channels": 8}', [("z_k", (8,))], []),
+]
+
+
+def test_registry_pins_cover_every_preset():
+    assert [src for src, *_ in REGISTRY_PINS if isinstance(src, str)] == list(PRESET_NAMES)
+
+
+@pytest.mark.parametrize("source,text,shapes,bounds", REGISTRY_PINS)
+def test_registry_contract_pinned(source, text, shapes, bounds):
+    spec = act.preset(source) if isinstance(source, str) else act.spec_from_json(source)
+    assert json.dumps(act.spec_to_json(spec)) == text
+    assert [(name, t.shape) for name, t in act.trainable_params(spec).items()] == shapes
+    assert list(act.param_lower_bounds(spec).items()) == bounds
 
 
 class TestZooGradients:

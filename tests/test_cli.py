@@ -154,6 +154,17 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert "dense0" in err and "diverged" not in err
 
+    @pytest.mark.parametrize("spec", [
+        {"kind": "smooth_ash", "stats_mode": "per-channel"},   # rank-2 input
+        {"kind": "smooth_ash", "per_channel_z": True, "channels": 5},  # 8 channels
+    ])
+    def test_activation_shape_mismatch_is_exit_2(self, tmp_path, capsys, spec):
+        doc = json.loads(json.dumps(CONFIG))
+        doc["model"]["layers"][1]["spec"] = spec
+        cfg = write_config(tmp_path, doc)
+        assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+        assert "diverged" not in capsys.readouterr().err
+
     def test_env_seed_override(self, tmp_path, capsys, monkeypatch):
         cfg = write_config(tmp_path)
         base, alt = str(tmp_path / "a"), str(tmp_path / "b")

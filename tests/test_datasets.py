@@ -135,3 +135,16 @@ class TestCsv:
         p.write_text("")
         with pytest.raises(FormatError):
             datasets.load_csv(str(p))
+
+    def test_ragged_row_names_its_line(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("x1,x2,label\n0.5,1.5,0\n-1.0,1\n")
+        with pytest.raises(FormatError, match="line 3"):
+            datasets.load_csv(str(p))
+
+    @pytest.mark.parametrize("label", ["0.7", "1.9", "nan", "inf"])
+    def test_fractional_label_rejected(self, tmp_path, label):
+        p = tmp_path / "d.csv"
+        p.write_text(f"0.5,1.5,0\n-1.0,2.0,{label}\n")
+        with pytest.raises(FormatError, match="line 2"):
+            datasets.load_csv(str(p))
