@@ -28,7 +28,7 @@ import numpy as np
 from . import autodiff as ad
 from . import stats as st
 from .autodiff import Variable
-from .tensor import ShapeError, Tensor
+from .tensor import ShapeError, Tensor, moments
 
 SELU_LAMBDA = 1.0507009873554805
 SELU_ALPHA = 1.6732632423543772
@@ -228,7 +228,7 @@ def conditional_unit(x, scale=1.0, threshold=0.0):
     vjps = [lambda g: g * sval * mask]
     if scale_v is not None:
         inputs.append(scale_v)
-        vjps.append(lambda g: np.sum(g * data * mask).reshape(scale_v.value.shape))
+        vjps.append(lambda g, shape=scale_v.value.shape: np.sum(g * data * mask).reshape(shape))
     if thr_v is not None:
         inputs.append(thr_v)
         vjps.append(None)  # a comparison operand has zero derivative
@@ -252,11 +252,8 @@ def _stats_axes(rank: int, stats_mode: str) -> tuple[int, ...]:
 
 def _grouped_stats(data: np.ndarray, stats_mode: str):
     axes = _stats_axes(data.ndim, stats_mode)
-    mu = data.mean(axis=axes, keepdims=True)
-    n = data.size // mu.size
-    centered = data - mu
-    var = np.mean(centered * centered, axis=axes, keepdims=True)
-    sigma_raw = np.sqrt(var)
+    n, mu, centered, m2 = moments(data, axes)
+    sigma_raw = np.sqrt(m2 / n)
     sigma = np.maximum(sigma_raw, st.SIGMA_FLOOR)
     return axes, n, mu, centered, sigma_raw, sigma
 
@@ -278,11 +275,6 @@ def _reduce_to_param(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
         return np.sum(g).reshape(shape)
     # Channel vector: sum over every leading axis.
     return g.reshape(-1, shape[0]).sum(axis=0)
-
-
-def _stable_sigmoid(u: np.ndarray) -> np.ndarray:
-    t = np.exp(-np.abs(u))
-    return np.where(u >= 0.0, 1.0 / (1.0 + t), t / (1.0 + t))
 
 
 # ---------------------------------------------------------------------------
@@ -358,9 +350,11 @@ def _ash_op(x: Variable, z, alpha, leak, stats_mode: str, grad_mode: str,
     z_b = _broadcast_z(z, x.value.shape)
 
     axes, n, mu, centered, sigma_raw, sigma = _grouped_stats(data, stats_mode)
-    u = 2.0 * aval * (centered - z_b * sigma)
-    s = _stable_sigmoid(u)
-    gate = lval + (1.0 - lval) * s
+    u = centered - z_b * sigma
+    u *= 2.0 * aval
+    s = ad.stable_sigmoid(u)
+    gate = (1.0 - lval) * s
+    gate += lval
     out = Tensor._wrap(data * gate)
 
     through = grad_mode == "through-stats"
@@ -380,21 +374,22 @@ def _ash_op(x: Variable, z, alpha, leak, stats_mode: str, grad_mode: str,
 
     inputs = [x]
     vjps = [vjp_x]
+    # The VJPs take shapes, not Variables: a tape holds no Variable.
     if isinstance(z, Variable):
-        def vjp_z(g):
+        def vjp_z(g, shape=z.value.shape):
             w = g * data * (1.0 - lval) * s * (1.0 - s)
-            return _reduce_to_param((-2.0 * aval) * (sigma * w), z.value.shape)
+            return _reduce_to_param((-2.0 * aval) * (sigma * w), shape)
         inputs.append(z)
         vjps.append(vjp_z)
     if isinstance(leak, Variable):
-        def vjp_leak(g):
-            return np.sum(g * data * (1.0 - s)).reshape(leak.value.shape)
+        def vjp_leak(g, shape=leak.value.shape):
+            return np.sum(g * data * (1.0 - s)).reshape(shape)
         inputs.append(leak)
         vjps.append(vjp_leak)
     if isinstance(alpha, Variable):
-        def vjp_alpha(g):
+        def vjp_alpha(g, shape=alpha.value.shape):
             w = g * data * (1.0 - lval) * s * (1.0 - s)
-            return (np.sum(w * u) / aval).reshape(alpha.value.shape)
+            return (np.sum(w * u) / aval).reshape(shape)
         inputs.append(alpha)
         vjps.append(vjp_alpha)
     return ad.record(x.tape, name, tuple(inputs), out, tuple(vjps))
@@ -538,10 +533,16 @@ KINDS: dict[str, Kind] = {
 BASELINE_KINDS = ("relu", "lrelu", "prelu", "softplus", "elu", "selu", "gelu", "swish")
 
 
+_JSON_TYPES = {float: (int, float), int: int, bool: bool, str: str}
+
+
 def spec_from_json(obj: dict) -> ActivationSpec:
     """Parse a tagged activation object, e.g. {"kind": "smooth_ash", ...}.
 
-    Strict: a key outside the kind's KINDS fields is rejected.
+    Strict: a key outside the kind's KINDS fields, or a value whose JSON
+    type does not fit the field, is rejected with a ValueError naming the
+    key. A float field takes a number, an int field an integer, a bool
+    field true or false and a str field a string.
     """
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValueError(f"activation spec must be an object with a 'kind' tag, got {obj!r}")
@@ -552,8 +553,12 @@ def spec_from_json(obj: dict) -> ActivationSpec:
         raise ValueError(f"unknown keys {sorted(unknown)} for activation {spec.kind!r}")
     values: dict = {}
     for key, record, attr, default in fields:
-        # The default's type converts the JSON value (float, str, bool, int).
-        values.setdefault(record, {})[attr] = type(default)(obj.get(key, default))
+        # The default's type is the field's type; bool is not a number here.
+        raw, cast = obj.get(key, default), type(default)
+        if isinstance(raw, bool) != (cast is bool) or not isinstance(raw, _JSON_TYPES[cast]):
+            raise ValueError(f"activation {spec.kind!r} field {key!r} must be a "
+                             f"{cast.__name__}, got {raw!r}")
+        values.setdefault(record, {})[attr] = cast(raw)
     records = {name: replace(getattr(spec, name), **kw) for name, kw in values.items() if name}
     return replace(spec, **values.get(None, {}), **records)
 

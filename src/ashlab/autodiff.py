@@ -6,6 +6,10 @@ recording order and accumulates vector-Jacobian products additively
 into each Variable's grad. An independent central-difference checker
 (fd_check) is the oracle for every backward rule.
 
+The Tape holds node ids, VJPs closing over arrays, and the grads, but no
+Variable, so a graph is freed by reference counting with its last
+Variable instead of waiting for the cyclic garbage collector.
+
 Conventions:
   * only scalar (single-element) broadcast in binary ops; the gradient
     for a broadcast scalar operand is the sum over the output,
@@ -30,14 +34,13 @@ class TapeMixError(ValueError):
 
 
 class Variable:
-    """Autodiff node: a value Tensor plus an accumulated gradient Tensor."""
+    """Autodiff node: a value Tensor; its accumulated gradient lives on the tape."""
 
-    __slots__ = ("value", "_grad", "tape", "node_id", "requires_grad", "name")
+    __slots__ = ("value", "tape", "node_id", "requires_grad", "name")
 
     def __init__(self, value: Tensor, tape: "Tape", node_id: int,
                  requires_grad: bool, name: str | None = None):
         self.value = value
-        self._grad: Tensor | None = None  # allocated by the first accumulation
         self.tape = tape
         self.node_id = node_id
         self.requires_grad = requires_grad
@@ -46,18 +49,11 @@ class Variable:
     @property
     def grad(self) -> Tensor:
         """Accumulated gradient; zeros of the value's shape until one arrives."""
-        if self._grad is None:
-            return Tensor._wrap(np.zeros(self.value.shape))
-        return self._grad
-
-    def _accumulate(self, g: np.ndarray) -> None:
-        # The first contribution lands on 0.0, as if added to a zero grad:
-        # 0.0 + g turns a -0.0 into +0.0.
-        base = 0.0 if self._grad is None else self._grad.data
-        self._grad = Tensor._wrap(base + g)
+        grad = self.tape._grads.get(self.node_id)
+        return Tensor._wrap(np.zeros(self.value.shape)) if grad is None else grad
 
     def zero_grad(self) -> None:
-        self._grad = None
+        self.tape._grads.pop(self.node_id, None)
 
     def __repr__(self) -> str:
         tag = f" {self.name!r}" if self.name else ""
@@ -90,18 +86,14 @@ class Variable:
         return neg(self)
 
 
-@dataclass
-class _Entry:
-    out: Variable
-    inputs: tuple[Variable, ...]
-    vjps: tuple  # one callable (np.ndarray -> np.ndarray) or None per input
-
-
 class Tape:
     """Ordered record of primitive applications for one forward pass."""
 
     def __init__(self):
-        self._entries: list[_Entry] = []
+        # (output node id, input node ids with -1 for no grad, one VJP
+        # (np.ndarray -> np.ndarray) or None per input), in recording order
+        self._entries: list[tuple[int, tuple[int, ...], tuple]] = []
+        self._grads: dict[int, Tensor] = {}  # node id -> accumulated grad
         self._next_id = 0
 
     def _new_variable(self, value: Tensor, requires_grad: bool, name=None) -> Variable:
@@ -121,6 +113,12 @@ class Tape:
     def __len__(self) -> int:
         return len(self._entries)
 
+    def _accumulate(self, node_id: int, g: np.ndarray) -> None:
+        # The first contribution lands on 0.0, as if added to a zero grad:
+        # 0.0 + g turns a -0.0 into +0.0.
+        grad = self._grads.get(node_id)
+        self._grads[node_id] = Tensor._wrap((0.0 if grad is None else grad.data) + g)
+
 
 def record(tape: Tape, op: str, inputs: tuple[Variable, ...], forward: Tensor,
            vjps: tuple) -> Variable:
@@ -136,7 +134,8 @@ def record(tape: Tape, op: str, inputs: tuple[Variable, ...], forward: Tensor,
     requires = any(v.requires_grad for v in inputs)
     out = tape._new_variable(forward, requires, name=op)
     if requires:
-        tape._entries.append(_Entry(out, tuple(inputs), tuple(vjps)))
+        ids = tuple(v.node_id if v.requires_grad else -1 for v in inputs)
+        tape._entries.append((out.node_id, ids, tuple(vjps)))
     return out
 
 
@@ -144,30 +143,22 @@ def backward(loss: Variable) -> None:
     """Accumulate d(loss)/d(var) into every requires-grad Variable's grad."""
     if loss.value.size != 1:
         raise ValueError(f"loss must be scalar, got shape {loss.value.shape}")
+    tape = loss.tape
     adjoint: dict[int, np.ndarray] = {loss.node_id: np.ones(loss.value.shape)}
-    holders: dict[int, Variable] = {loss.node_id: loss}
-    for entry in reversed(loss.tape._entries):
-        g = adjoint.pop(entry.out.node_id, None)
-        holders.pop(entry.out.node_id, None)
+    for out, ids, vjps in reversed(tape._entries):
+        g = adjoint.pop(out, None)
         if g is None:
             continue
-        if entry.out.requires_grad:
-            entry.out._accumulate(g)
-        for var, vjp in zip(entry.inputs, entry.vjps):
-            if vjp is None or not var.requires_grad:
+        tape._accumulate(out, g)  # a recorded output always requires grad
+        for nid, vjp in zip(ids, vjps):
+            if vjp is None or nid < 0:
                 continue
             contrib = vjp(g)
-            nid = var.node_id
-            if nid in adjoint:
-                adjoint[nid] = adjoint[nid] + contrib
-            else:
-                adjoint[nid] = contrib
-                holders[nid] = var
+            adjoint[nid] = adjoint[nid] + contrib if nid in adjoint else contrib
     # Whatever remains belongs to leaves (Variables no entry produced).
     for nid, g in adjoint.items():
-        var = holders[nid]
-        if var.requires_grad:
-            var._accumulate(g)
+        if nid != loss.node_id or loss.requires_grad:
+            tape._accumulate(nid, g)
 
 
 # ---------------------------------------------------------------------------
@@ -206,18 +197,20 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def add(a, b) -> Variable:
     a, b = _binary_operands(a, b)
     out = tensor.ewise("add", a.value, b.value)
+    sa, sb = a.value.shape, b.value.shape
     return record(a.tape, "add", (a, b), out, (
-        lambda g: _unbroadcast(g, a.value.shape),
-        lambda g: _unbroadcast(g, b.value.shape),
+        lambda g: _unbroadcast(g, sa),
+        lambda g: _unbroadcast(g, sb),
     ))
 
 
 def sub(a, b) -> Variable:
     a, b = _binary_operands(a, b)
     out = tensor.ewise("sub", a.value, b.value)
+    sa, sb = a.value.shape, b.value.shape
     return record(a.tape, "sub", (a, b), out, (
-        lambda g: _unbroadcast(g, a.value.shape),
-        lambda g: _unbroadcast(-g, b.value.shape),
+        lambda g: _unbroadcast(g, sa),
+        lambda g: _unbroadcast(-g, sb),
     ))
 
 
@@ -226,8 +219,8 @@ def mul(a, b) -> Variable:
     out = tensor.ewise("mul", a.value, b.value)
     ad, bd = a.value.data, b.value.data
     return record(a.tape, "mul", (a, b), out, (
-        lambda g: _unbroadcast(g * bd, a.value.shape),
-        lambda g: _unbroadcast(g * ad, b.value.shape),
+        lambda g: _unbroadcast(g * bd, ad.shape),
+        lambda g: _unbroadcast(g * ad, bd.shape),
     ))
 
 
@@ -236,8 +229,8 @@ def div(a, b) -> Variable:
     out = tensor.ewise("div", a.value, b.value)
     ad, bd = a.value.data, b.value.data
     return record(a.tape, "div", (a, b), out, (
-        lambda g: _unbroadcast(g / bd, a.value.shape),
-        lambda g: _unbroadcast(-g * ad / (bd * bd), b.value.shape),
+        lambda g: _unbroadcast(g / bd, ad.shape),
+        lambda g: _unbroadcast(-g * ad / (bd * bd), bd.shape),
     ))
 
 
@@ -246,9 +239,10 @@ def maximum(a, b) -> Variable:
     a, b = _binary_operands(a, b)
     out = tensor.ewise("max", a.value, b.value)
     mask = a.value.data > b.value.data
+    sa, sb = a.value.shape, b.value.shape
     return record(a.tape, "maximum", (a, b), out, (
-        lambda g: _unbroadcast(g * mask, a.value.shape),
-        lambda g: _unbroadcast(g * (~mask), b.value.shape),
+        lambda g: _unbroadcast(g * mask, sa),
+        lambda g: _unbroadcast(g * (~mask), sb),
     ))
 
 
@@ -285,13 +279,21 @@ def sqrt(a) -> Variable:
     return record(a.tape, "sqrt", (a,), out, (vjp,))
 
 
+def stable_sigmoid(u: np.ndarray) -> np.ndarray:
+    """np.where(u >= 0, 1/(1+t), t/(1+t)) with t = exp(-|u|), bit for bit,
+    built in place so that it allocates only two arrays of u's size."""
+    t = np.abs(u)
+    np.exp(np.negative(t, out=t), out=t)
+    s = np.where(u >= 0.0, 1.0, t)
+    t += 1.0
+    s /= t
+    return s
+
+
 def sigmoid(a) -> Variable:
     """Logistic 1/(1+e^-x), overflow-free for the whole float64 range."""
-    x = a.value.data
-    t = np.exp(-np.abs(x))
-    s = np.where(x >= 0.0, 1.0 / (1.0 + t), t / (1.0 + t))
-    out = Tensor._wrap(s)
-    return record(a.tape, "sigmoid", (a,), out, (lambda g: g * s * (1.0 - s),))
+    s = stable_sigmoid(a.value.data)
+    return record(a.tape, "sigmoid", (a,), Tensor._wrap(s), (lambda g: g * s * (1.0 - s),))
 
 
 def tanh(a) -> Variable:
@@ -304,8 +306,7 @@ def softplus(a) -> Variable:
     """ln(1+e^x) in the overflow-free max(x,0)+log1p(e^-|x|) form."""
     x = a.value.data
     out = Tensor._wrap(np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x))))
-    t = np.exp(-np.abs(x))
-    s = np.where(x >= 0.0, 1.0 / (1.0 + t), t / (1.0 + t))
+    s = stable_sigmoid(x)
     return record(a.tape, "softplus", (a,), out, (lambda g: g * s,))
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import struct
+import warnings
 
 import numpy as np
 
@@ -66,12 +67,15 @@ class JournalWriter:
 
 
 def read_journal(path: str) -> list[EpochRecord]:
-    records = []
+    """Journal records. A torn last line (no LF, unparsable) is dropped with a warning."""
     with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if line:
-                records.append(record_from_dict(json.loads(line)))
+        *lines, tail = f.read().split("\n")
+    records = [record_from_dict(json.loads(line)) for line in lines if line.strip()]
+    if tail.strip():
+        try:
+            records.append(record_from_dict(json.loads(tail)))
+        except json.JSONDecodeError:
+            warnings.warn(f"journal {path}: dropped a torn last line ({len(tail)} characters)")
     epochs = [r.epoch for r in records]
     if any(b <= a for a, b in zip(epochs, epochs[1:])):
         raise ValueError(f"journal {path} has non-increasing epoch indices")

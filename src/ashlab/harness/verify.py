@@ -7,6 +7,7 @@ identities) and raises SuiteFailure echoing the offending inputs.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -115,12 +116,13 @@ def suite_tensor_kernels() -> None:
     for n in (1, 2, 17, 1000, 4096, 12345):
         data = rng.normal(3.0, 2.0, n)
         cnt, mu, m2 = tensor.welford(data)
-        naive_mu = float(np.sum(data) / n)
-        naive_var = float(np.sum((data - naive_mu) ** 2) / n)
-        _check(abs(mu - naive_mu) <= 1e-12 * max(1.0, abs(naive_mu)),
-               f"welford mean {mu} vs two-pass {naive_mu} at n={n}")
-        _check(abs(m2 / cnt - naive_var) <= 1e-12 * max(1.0, naive_var),
-               f"welford var {m2 / cnt} vs two-pass {naive_var} at n={n}")
+        # Exactly rounded sums (fsum) are independent of the kernel's order.
+        ref_mu = math.fsum(data) / n
+        ref_var = math.fsum((data - ref_mu) ** 2) / n
+        _check(abs(mu - ref_mu) <= 1e-12 * max(1.0, abs(ref_mu)),
+               f"kernel mean {mu} vs fsum {ref_mu} at n={n}")
+        _check(abs(m2 / cnt - ref_var) <= 1e-12 * max(1.0, ref_var),
+               f"kernel var {m2 / cnt} vs fsum {ref_var} at n={n}")
     for size in (2, 5, 8, 16):
         a = Tensor(rng.normal(size=(size, size)))
         b = Tensor(rng.normal(size=(size, size)))

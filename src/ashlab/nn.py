@@ -159,7 +159,7 @@ def _apply_layer(layer: Layer, name: str, x: Variable,
                  pvars: dict[str, Variable]) -> Variable:
     if isinstance(layer, Dense):
         if len(x.value.shape) != 2 or x.value.shape[1] != layer.in_dim:
-            raise ShapeError(f"{name}: expected (B, {layer.in_dim}), got {x.value.shape}")
+            raise ShapeError(f"expected (B, {layer.in_dim}), got {x.value.shape}")
         return dense(x, pvars[f"{name}.W"], pvars[f"{name}.b"])
     if isinstance(layer, Conv2d):
         if len(x.value.shape) == 3 and layer.cin == 1:
@@ -167,7 +167,7 @@ def _apply_layer(layer: Layer, name: str, x: Variable,
             shape = x.value.shape
             x = ad.reshape(x, (shape[0], shape[1], shape[2], 1))
         if len(x.value.shape) != 4 or x.value.shape[3] != layer.cin:
-            raise ShapeError(f"{name}: expected (B,H,W,{layer.cin}), got {x.value.shape}")
+            raise ShapeError(f"expected (B,H,W,{layer.cin}), got {x.value.shape}")
         b, h, w, _ = x.value.shape
         oh, ow = h - layer.kh + 1, w - layer.kw + 1
         patches = conv_patches(x, layer.kh, layer.kw)
@@ -212,8 +212,8 @@ class Model:
         for layer, name in zip(self.layers, self.layer_names):
             try:
                 h = _apply_layer(layer, name, h, pvars)
-            except ShapeError:
-                raise
+            except ShapeError as exc:  # name the layer: "act1: ..."
+                raise ShapeError(f"{name}: {exc}") from exc
             except ValueError as exc:
                 raise _NonFinite(name) from exc
         return h, pvars
@@ -437,7 +437,8 @@ def train(model: Model, config: TrainConfig, dataset: tuple[Tensor, np.ndarray],
     every epoch's batch order come from one counter-based stream. A
     non-finite loss, activation or update aborts with DivergenceError
     naming the epoch, batch, layer and phase (training or validation).
-    A ShapeError (model and data do not fit) propagates unchanged. With
+    A ShapeError (model and data do not fit) propagates, its message
+    prefixed with the layer name ("act1: ..."). With
     val_split = 0 the validation metrics are computed on the training
     split.
     """

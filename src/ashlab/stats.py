@@ -5,7 +5,9 @@ the Gaussian route (threshold mu + z_k * sigma with z_k from the
 standard-normal quantile table) and the exact route (quickselect on the
 actual values). The exact route is the oracle the Gaussian route is
 validated against. Also provides Z-score normalization and moment-based
-normality diagnostics.
+normality diagnostics. Every mean and variance here comes from the one
+statistics kernel, `tensor.moments` (whole-array via `tensor.welford`),
+which reports constant input exactly: mu is the value and sigma is 0.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _normal
-from .tensor import Tensor, welford
+from .tensor import Tensor, moments, welford
 
 # Degenerate (constant) inputs report sigma = 0 but threshold with this
 # floor so the keep/drop decision stays well defined.
@@ -54,7 +56,7 @@ class NormalityReport:
 
 
 def compute_stats(x: Tensor) -> InputStats:
-    """Single-pass population mean and std over all elements."""
+    """Population mean and std over all elements."""
     n, mu, m2 = welford(x.data)
     return InputStats(mu=mu, sigma=math.sqrt(m2 / n), n=n)
 
@@ -163,15 +165,13 @@ def normality_report(x: Tensor) -> NormalityReport:
     """Moment-based skewness and excess kurtosis of all elements."""
     if x.size < 100:
         raise ValueError(f"normality_report needs N >= 100, got {x.size}")
-    data = x.data.reshape(-1)
-    mu = data.mean()
-    d = data - mu
-    m2 = np.mean(d * d)
-    if m2 == 0.0:
+    n, _, d, m2 = moments(x.data.reshape(-1))
+    var = m2[0] / n
+    if var == 0.0:
         raise ValueError("normality_report is undefined for constant input (sigma = 0)")
     m3 = np.mean(d ** 3)
     m4 = np.mean(d ** 4)
     return NormalityReport(
-        skewness=float(m3 / m2 ** 1.5),
-        excess_kurtosis=float(m4 / (m2 * m2) - 3.0),
+        skewness=float(m3 / var ** 1.5),
+        excess_kurtosis=float(m4 / (var * var) - 3.0),
     )

@@ -1,9 +1,10 @@
 """Dense float64 tensors with deterministic kernels and a seeded RNG.
 
 Tensors are immutable, row-major, rank <= 4, and hold only finite
-values. Kernels are pure functions of their inputs: reductions use a
-fixed single-pass algorithm and matmul accumulates in a fixed
-left-to-right order, so every result is bitwise reproducible.
+values. Kernels are pure functions of their inputs: every mean and
+variance in ashlab comes from one grouped two-pass kernel (`moments`)
+and matmul accumulates in a fixed left-to-right order, so every result
+is bitwise reproducible.
 
 Matmul order contract: every output element is
 ((((0.0 + a[i,0]*b[0,j]) + a[i,1]*b[1,j]) + ...) + a[i,k-1]*b[k-1,j]),
@@ -243,62 +244,45 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# Reductions: single-pass Welford statistics plus min/max/sum.
+# Reductions: the one mean/variance kernel plus min/max/sum.
 # ---------------------------------------------------------------------------
 
-_WELFORD_LANES = 1024
+def moments(data: np.ndarray, axes=None):
+    """Grouped two-pass statistics: (n, mu, data - mu, m2 = sum((data - mu)^2)).
+
+    Groups reduce over `axes` (None: all), kept with extent 1. The fixed
+    order data.mean(axes), data - mu, sum of squares makes m2 / n equal
+    np.mean(centered**2, axes) bit for bit. A constant group gets its
+    exact value as mu and 0 as centered and m2: for any summation order
+    its rounded m2 is below 2n(n*eps*mu)^2, and only groups under that
+    bound pay for the min == max test.
+    """
+    mu = data.mean(axis=axes, keepdims=True)
+    n = data.size // mu.size
+    centered = data - mu
+    m2 = np.sum(centered * centered, axis=axes, keepdims=True)
+    suspect = m2 <= np.square((2.0 * n) ** 0.5 * n * 2.0**-52 * mu)
+    if suspect.any():
+        lo = data.min(axis=axes, keepdims=True)
+        const = suspect & (lo == data.max(axis=axes, keepdims=True))
+        if const.any():
+            mu = np.where(const, lo, mu)
+            centered = np.where(const, 0.0, centered)
+            m2 = np.where(const, 0.0, m2)
+    return n, mu, centered, m2
 
 
 def welford(values: np.ndarray) -> tuple[int, float, float]:
-    """One pass over the data; returns (n, mean, M2) with M2 = sum((x-mean)^2).
+    """(n, mean, M2 = sum((x - mean)^2)) of all elements, from `moments`.
 
-    The stream is processed in vectorized lanes that each run the
-    classic Welford update, then the lane accumulators are folded
-    pairwise with the standard two-stream merge. Every element is read
-    exactly once and the result is deterministic for a given input.
+    Named for the single-pass Welford recurrence it once ran; callers and
+    the benchmark tracer still find the whole-array statistics here.
     """
-    flat = np.ascontiguousarray(values).reshape(-1)
-    n = flat.size
-    if n == 0:
+    flat = np.asarray(values, dtype=np.float64).reshape(-1)
+    if flat.size == 0:
         raise ValueError("welford needs at least one element")
-    lanes = min(n, _WELFORD_LANES)
-    steps = n // lanes
-    body = flat[: steps * lanes].reshape(steps, lanes)
-
-    mean = body[0].astype(np.float64).copy()
-    m2 = np.zeros(lanes, dtype=np.float64)
-    for i in range(1, steps):
-        delta = body[i] - mean
-        mean += delta / (i + 1)
-        m2 += delta * (body[i] - mean)
-    counts = np.full(lanes, float(steps))
-
-    while mean.size > 1:
-        size = mean.size
-        half = size // 2
-        na, nb = counts[:half], counts[half : 2 * half]
-        ma, mb = mean[:half], mean[half : 2 * half]
-        sa, sb = m2[:half], m2[half : 2 * half]
-        nab = na + nb
-        delta = mb - ma
-        merged_mean = ma + delta * (nb / nab)
-        merged_m2 = sa + sb + delta * delta * (na * nb / nab)
-        if size % 2:
-            counts = np.concatenate([nab, counts[-1:]])
-            mean = np.concatenate([merged_mean, mean[-1:]])
-            m2 = np.concatenate([merged_m2, m2[-1:]])
-        else:
-            counts, mean, m2 = nab, merged_mean, merged_m2
-
-    count = float(counts[0])
-    mu = float(mean[0])
-    acc = float(m2[0])
-    for x in flat[steps * lanes :]:
-        count += 1.0
-        delta = float(x) - mu
-        mu += delta / count
-        acc += delta * (float(x) - mu)
-    return int(count), mu, acc
+    n, mu, _, m2 = moments(flat)
+    return n, float(mu[0]), float(m2[0])
 
 
 def reduce(op: str, x: Tensor) -> float:

@@ -146,6 +146,15 @@ class TestHardForm:
             rhs = c * act.hard_ash(Tensor(data), z).data
             np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("n", [3, 10, 128])
+    @pytest.mark.parametrize("v", [0.1, 1 / 3, -2.7, 1e-8])
+    def test_constant_rows_sit_on_the_boundary(self, v, n):
+        # A constant group's threshold at z = 0 is its own value exactly:
+        # the hard form keeps every element, the step form drops them all.
+        x = Tensor(np.full((2, n), v))
+        assert np.all(act.hard_ash(x, 0.0).data == v)
+        assert np.all(act.heaviside_ash(x, 0.0).data == 0.0)
+
     def test_explicit_stats_override(self):
         x = Tensor([0.0, 1.0, 2.0])
         out = act.hard_ash(x, 0.0, stats=st.InputStats(mu=1.5, sigma=0.0, n=3))
@@ -427,6 +436,16 @@ class TestSpecSerialization:
             act.spec_from_json({"kind": "relu", "slope": 0.1})
         with pytest.raises(ValueError):
             act.spec_from_json({"kind": "smooth_ash", "zk": 0.0})
+
+    @pytest.mark.parametrize("key,value", [
+        ("alpha", None), ("z_k_init", None), ("stats_mode", None), ("trainable_alpha", None),
+        ("per_channel_z", None), ("channels", None), ("alpha", [1.0]), ("stats_mode", {}),
+        ("trainable_alpha", "false"), ("trainable_alpha", 0), ("alpha", "1.5"),
+        ("alpha", True), ("channels", 2.5), ("channels", True), ("stats_mode", 1),
+    ])
+    def test_wrong_type_field_names_its_key(self, key, value):
+        with pytest.raises(ValueError, match=repr(key)):
+            act.spec_from_json({"kind": "smooth_ash", key: value})
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):

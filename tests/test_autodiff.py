@@ -1,10 +1,14 @@
 """Tape engine: recording, backward accumulation, the fd oracle, primitives."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from ashlab import activations as act
 from ashlab import autodiff as ad
+from ashlab import nn
 from ashlab.autodiff import Tape, TapeMixError, backward, fd_check
 from ashlab.tensor import Tensor
 
@@ -229,3 +233,57 @@ class TestGradBlockers:
         backward(ad.sum_all(ad.mul(x, ad.stop_gradient(x))))
         # d/dx of x*const(x) = const(x) only
         assert x.grad.data[0] == 2.0
+
+
+def _freed_without_collector(run) -> bool:
+    """True if the tape of `run()` (which returns a weakref to it) is gone
+    once `run` returns, with the cyclic garbage collector switched off."""
+    gc.collect()
+    gc.disable()
+    try:
+        return run()() is None
+    finally:
+        gc.enable()
+
+
+class TestGraphFreedByRefcount:
+    """The tape holds no Variable, so a finished graph is not a reference cycle."""
+
+    def test_primitives(self):
+        def run():
+            t = Tape()
+            x = t.variable(Tensor([0.5, 1.5, 2.0]), requires_grad=True)
+            c = t.variable(Tensor([0.7]), requires_grad=True)
+            y = ad.add(ad.sub(ad.mul(x, c), ad.div(x, c)), ad.maximum(x, c))
+            y = ad.sum_all(ad.exp(ad.neg(ad.tanh(ad.sigmoid(ad.softplus(ad.log(ad.sqrt(y))))))))
+            m = ad.matmul(ad.reshape(x, (3, 1)), ad.reshape(ad.gauss_cdf(x), (1, 3)))
+            backward(ad.add(y, ad.mean_all(m)))
+            return weakref.ref(t)
+
+        assert _freed_without_collector(run)
+
+    @pytest.mark.parametrize("grad_mode", ["through-stats", "stop-stats"])
+    def test_ash_family_with_trainable_parameters(self, grad_mode):
+        def run():
+            t = Tape()
+            x = t.variable(Tensor(np.arange(12.0).reshape(3, 4)), requires_grad=True)
+            z, leak, alpha, scale, thr = (t.variable(Tensor([v]), requires_grad=True)
+                                          for v in (0.3, 0.05, 1.2, 2.0, 1.0))
+            out = ad.add(act.leaky_ash(x, z_k=z, leak=leak, alpha=alpha, grad_mode=grad_mode),
+                         act.conditional_unit(x, scale, thr))
+            backward(ad.sum_all(ad.add(out, act.hard_ash(x, z))))
+            return weakref.ref(t)
+
+        assert _freed_without_collector(run)
+
+    def test_model_training_step(self):
+        model = nn.Model([nn.Dense(4, 3), nn.Activation(act.preset("ash"))], seed=0)
+        batch = Tensor(np.random.default_rng(0).normal(size=(8, 4)))
+
+        def run():
+            logits, pvars = model.forward(batch)
+            backward(nn.loss_fn("softmax_xent", logits, np.arange(8) % 3))
+            assert pvars["act1.z_k"].grad.shape == (1,)
+            return weakref.ref(logits.tape)
+
+        assert _freed_without_collector(run)

@@ -165,6 +165,21 @@ class TestTrainCommand:
         assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
         assert "diverged" not in capsys.readouterr().err
 
+    def test_activation_shape_error_names_its_layer(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(CONFIG))
+        doc["model"]["layers"][1]["spec"] = {"kind": "smooth_ash", "per_channel_z": True,
+                                             "channels": 5}
+        cfg = write_config(tmp_path, doc)
+        assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+        assert "act1: z must be" in capsys.readouterr().err
+
+    def test_null_activation_field_is_exit_2(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(CONFIG))
+        doc["model"]["layers"][1]["spec"] = {"kind": "smooth_ash", "alpha": None}
+        cfg = write_config(tmp_path, doc)
+        assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+        assert "'alpha'" in capsys.readouterr().err
+
     def test_env_seed_override(self, tmp_path, capsys, monkeypatch):
         cfg = write_config(tmp_path)
         base, alt = str(tmp_path / "a"), str(tmp_path / "b")

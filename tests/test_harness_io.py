@@ -132,6 +132,38 @@ class TestJournal:
         with pytest.raises(ValueError, match="non-increasing"):
             journal.read_journal(path)
 
+    def test_torn_last_line_dropped_with_warning(self, tmp_path):
+        path = str(tmp_path / "metrics.jsonl")
+        records = self.make_records(3)
+        with journal.JournalWriter(path) as w:
+            for r in records:
+                w.append(r)
+        full = open(path).read()
+        with open(path, "w") as f:
+            f.write(full[: len(full) - 20])  # a crash mid-append of epoch 2
+        with pytest.warns(UserWarning, match="metrics.jsonl.*torn"):
+            assert journal.read_journal(path) == records[:2]
+
+    def test_unterminated_complete_last_line_kept(self, tmp_path):
+        path = str(tmp_path / "metrics.jsonl")
+        records = self.make_records(2)
+        with journal.JournalWriter(path) as w:
+            for r in records:
+                w.append(r)
+        full = open(path).read()
+        with open(path, "w") as f:
+            f.write(full.rstrip("\n"))
+        assert journal.read_journal(path) == records
+
+    def test_malformed_terminated_line_raises(self, tmp_path):
+        path = str(tmp_path / "metrics.jsonl")
+        with journal.JournalWriter(path) as w:
+            w.append(self.make_records(1)[0])
+        with open(path, "a") as f:
+            f.write('{"epoch": 1, "train\n')
+        with pytest.raises(json.JSONDecodeError):
+            journal.read_journal(path)
+
     def test_flush_leaves_complete_lines(self, tmp_path):
         path = str(tmp_path / "metrics.jsonl")
         w = journal.JournalWriter(path)

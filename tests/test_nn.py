@@ -57,6 +57,13 @@ class TestForward:
         with pytest.raises(ShapeError):
             model.forward(Tensor(np.zeros((4, 5)) + 1.0))
 
+    def test_activation_shape_error_names_layer_and_keeps_cause(self):
+        spec = act.spec_from_json({"kind": "smooth_ash", "per_channel_z": True, "channels": 5})
+        model = nn.Model([nn.Dense(3, 8), nn.Activation(spec)], seed=0)
+        with pytest.raises(ShapeError, match="^act1: z must be") as info:
+            model.forward(Tensor(np.ones((4, 3))))
+        assert isinstance(info.value.__cause__, ShapeError)  # the raising frame stays visible
+
     def test_conv_flatten_dense_pipeline(self):
         model = nn.Model([
             nn.Conv2d(3, 3, 1, 4), nn.Activation(act.preset("relu")),

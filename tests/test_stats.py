@@ -7,7 +7,7 @@ import pytest
 
 from ashlab import _normal
 from ashlab import stats as st
-from ashlab.tensor import RngState, Tensor, randn
+from ashlab.tensor import RngState, Tensor, randn, reduce
 
 Z_TABLE = {  # high-precision standard-normal upper-tail quantiles
     2.5: 1.9599639845400545,
@@ -234,3 +234,17 @@ class TestNormality:
     def test_constant_rejected(self):
         with pytest.raises(ValueError):
             st.normality_report(Tensor(np.full(128, 1.0)))
+
+
+# A rounded mean misses most of these values by an ulp, so a plain
+# two-pass reports a tiny nonzero variance; the kernel must not.
+@pytest.mark.parametrize("n", [3, 10, 128, 4097, 100_000])
+@pytest.mark.parametrize("v", [0.1, 1 / 3, 0.7, -2.7, 1e-8, 123456.789, 0.0])
+def test_constant_input_is_exact(v, n):
+    x = Tensor(np.full(n, v))
+    s = st.compute_stats(x)
+    assert s.sigma == 0.0 and s.mu == v
+    assert np.all(st.zscore(x).data == 0.0)
+    assert reduce("var_pop", x) == 0.0
+    with pytest.raises(ValueError, match="constant" if n >= 100 else "N >= 100"):
+        st.normality_report(x)

@@ -1,5 +1,7 @@
 """Tensor kernels: construction, elementwise ops, matmul, reductions, RNG."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -190,15 +192,32 @@ class TestReduce:
         assert reduce("sum", t) == 5.5
 
     def test_welford_matches_two_pass_large(self):
+        # The reference sums exactly (fsum), so it is independent of the kernel.
         rng = np.random.default_rng(123)
         for n in (10, 1_000, 10**6):
             data = rng.normal(5.0, 3.0, n)
             n_, mu, m2 = tensor.welford(data)
-            naive_mu = float(np.sum(data) / n)
-            naive_var = float(np.sum((data - naive_mu) ** 2) / n)
+            ref_mu = math.fsum(data) / n
+            ref_var = math.fsum((data - ref_mu) ** 2) / n
             assert n_ == n
-            assert mu == pytest.approx(naive_mu, rel=1e-12)
-            assert m2 / n == pytest.approx(naive_var, rel=1e-12)
+            assert mu == pytest.approx(ref_mu, rel=1e-12)
+            assert m2 / n == pytest.approx(ref_var, rel=1e-12)
+
+    @pytest.mark.parametrize("v", [0.1, 1 / 3, 1e-8])
+    def test_moments_constant_group_exact_others_plain_two_pass(self, v):
+        data = np.random.default_rng(8).normal(size=(6, 128))
+        data[2] = v
+        n, mu, centered, m2 = tensor.moments(data, (1,))
+        assert n == 128 and mu[2, 0] == v and m2[2, 0] == 0.0
+        assert np.all(centered[2] == 0.0)
+        # Every other group is the plain two-pass, bit for bit.
+        plain_mu = data.mean(axis=1, keepdims=True)
+        plain_c = data - plain_mu
+        plain_var = np.mean(plain_c * plain_c, axis=1, keepdims=True)
+        rows = [0, 1, 3, 4, 5]
+        assert mu[rows].tobytes() == plain_mu[rows].tobytes()
+        assert centered[rows].tobytes() == plain_c[rows].tobytes()
+        assert (m2 / n)[rows].tobytes() == plain_var[rows].tobytes()
 
     def test_welford_deterministic(self):
         data = np.random.default_rng(5).normal(size=12345)
