@@ -20,6 +20,7 @@ recorded on its tape) or a plain Tensor (forward only).
 from __future__ import annotations
 
 import functools
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
 
@@ -533,18 +534,34 @@ KINDS: dict[str, Kind] = {
 BASELINE_KINDS = ("relu", "lrelu", "prelu", "softplus", "elu", "selu", "gelu", "swish")
 
 
-_JSON_TYPES = {float: (int, float), int: int, bool: bool, str: str}
+# A field's Python type -> (the JSON values it takes, their description).
+_JSON_TYPES = {float: ((int, float), "a finite number"), int: (int, "an integer"),
+               bool: (bool, "true or false"), str: (str, "a string")}
+
+
+def json_value(raw, typ: type, name: str):
+    """`raw` as the value of a `typ` field, or a ValueError naming the field.
+
+    No coercion: a float field takes a finite number (Python's json reads
+    NaN and Infinity; JSON has neither), an int field an integer, a bool
+    field true or false and a str field a string. A bool is never a number.
+    """
+    accepted, described = _JSON_TYPES[typ]
+    ok = isinstance(raw, bool) == (typ is bool) and isinstance(raw, accepted)
+    if ok and typ is float:
+        ok = abs(raw) <= sys.float_info.max  # false for NaN and the infinities
+    if not ok:
+        raise ValueError(f"{name} must be {described}, got {raw!r}")
+    return typ(raw)
 
 
 def spec_from_json(obj: dict) -> ActivationSpec:
     """Parse a tagged activation object, e.g. {"kind": "smooth_ash", ...}.
 
-    Strict: a key outside the kind's KINDS fields, or a value whose JSON
-    type does not fit the field, is rejected with a ValueError naming the
-    key. A float field takes a number, an int field an integer, a bool
-    field true or false and a str field a string.
+    Strict: a key outside the kind's KINDS fields, or a value that
+    `json_value` rejects for the field, raises a ValueError naming the key.
     """
-    if not isinstance(obj, dict) or "kind" not in obj:
+    if not isinstance(obj, dict) or not isinstance(obj.get("kind"), str):
         raise ValueError(f"activation spec must be an object with a 'kind' tag, got {obj!r}")
     spec = ActivationSpec(obj["kind"])  # rejects an unknown kind
     fields = KINDS[spec.kind].fields
@@ -553,12 +570,9 @@ def spec_from_json(obj: dict) -> ActivationSpec:
         raise ValueError(f"unknown keys {sorted(unknown)} for activation {spec.kind!r}")
     values: dict = {}
     for key, record, attr, default in fields:
-        # The default's type is the field's type; bool is not a number here.
-        raw, cast = obj.get(key, default), type(default)
-        if isinstance(raw, bool) != (cast is bool) or not isinstance(raw, _JSON_TYPES[cast]):
-            raise ValueError(f"activation {spec.kind!r} field {key!r} must be a "
-                             f"{cast.__name__}, got {raw!r}")
-        values.setdefault(record, {})[attr] = cast(raw)
+        # The default's type is the field's type.
+        values.setdefault(record, {})[attr] = json_value(
+            obj.get(key, default), type(default), f"activation {spec.kind!r} field {key!r}")
     records = {name: replace(getattr(spec, name), **kw) for name, kw in values.items() if name}
     return replace(spec, **values.get(None, {}), **records)
 

@@ -13,12 +13,13 @@ import os
 import sys
 from dataclasses import replace
 
+from .. import activations as act
 from .. import nn
 from .. import stats as st
 from . import bench as bench_mod
 from . import compare as compare_mod
 from . import config as config_mod
-from . import datasets, journal, verify
+from . import journal, verify
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -41,33 +42,38 @@ def _env_seed() -> int | None:
         raise ValueError(f"ASHLAB_SEED must be an integer, got {raw!r}") from None
 
 
-def _parse_dataset_arg(spec: str):
-    """`name`, `name(n=...,noise=...,seed=...)`, `csv:path` or `idx:imgs,labels`."""
+def _parse_dataset_arg(spec: str) -> config_mod.DatasetSpec:
+    """`name`, `name(n=...,noise=...,seed=...)`, `csv:path` or `idx:imgs,labels`.
+
+    Only splits the text: the config's dataset reader checks the keys,
+    types and values and supplies the defaults.
+    """
     spec = spec.strip()
     if spec.startswith("csv:"):
-        return datasets.load_csv(spec[len("csv:"):])
+        return config_mod.parse_dataset({"csv": spec[len("csv:"):]})
     if spec.startswith("idx:"):
         parts = spec[len("idx:"):].split(",")
         if len(parts) != 2:
             raise ValueError("idx dataset needs 'idx:<images>,<labels>'")
-        return datasets.ingest_idx(parts[0], parts[1])
-    name, args = spec, {}
-    if "(" in spec:
-        if not spec.endswith(")"):
-            raise ValueError(f"unbalanced parentheses in dataset spec {spec!r}")
-        name, body = spec[:-1].split("(", 1)
-        for item in filter(None, (s.strip() for s in body.split(","))):
-            if "=" not in item:
-                raise ValueError(f"dataset option {item!r} is not key=value")
-            key, value = item.split("=", 1)
-            args[key.strip()] = value.strip()
-    allowed = {"n", "noise", "seed"}
-    unknown = set(args) - allowed
-    if unknown:
-        raise ValueError(f"unknown dataset options {sorted(unknown)}")
-    return datasets.gen_builtin(
-        name, int(args.get("n", 256)), float(args.get("noise", 0.1)),
-        int(args.get("seed", 0)))
+        return config_mod.parse_dataset({"idx": {"images": parts[0], "labels": parts[1]}})
+    name, paren, body = spec.partition("(")
+    if paren and not body.endswith(")"):
+        raise ValueError(f"unbalanced parentheses in dataset spec {spec!r}")
+    doc = {"builtin": name}
+    for item in filter(None, (s.strip() for s in body[:-1].split(","))):
+        if "=" not in item:
+            raise ValueError(f"dataset option {item!r} is not key=value")
+        key, value = (part.strip() for part in item.split("=", 1))
+        doc[key] = config_mod.dataset_option(key, value)
+    return config_mod.parse_dataset(doc)
+
+
+def _load_dataset(spec: config_mod.DatasetSpec):
+    """spec.load(); a missing or malformed file is a usage error ("dataset: ...")."""
+    try:
+        return spec.load()
+    except (FileNotFoundError, ValueError) as exc:
+        raise ValueError(f"dataset: {exc}") from exc
 
 
 def _cmd_verify(args) -> int:
@@ -84,8 +90,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    if not 0.0 < args.k < 100.0:
-        return _usage_error(f"--k must lie in (0, 100), got {args.k}")
     print(f"{st.z_from_percentile(args.k):.5f}")
     return EXIT_OK
 
@@ -95,18 +99,13 @@ def _cmd_train(args) -> int:
         cfg = config_mod.load_config(args.config)
     except FileNotFoundError:
         return _usage_error(f"config file not found: {args.config}")
-    except config_mod.ConfigError as exc:
-        return _usage_error(str(exc))
     out_dir = args.out or cfg.out_dir
     if not out_dir:
         return _usage_error("no output directory (pass --out or set out_dir in the config)")
     env_seed = _env_seed()
     if env_seed is not None:
         cfg = replace(cfg, train=replace(cfg.train, seed=env_seed))
-    try:
-        data = cfg.dataset.load()
-    except (datasets.FormatError, FileNotFoundError, ValueError) as exc:
-        return _usage_error(f"dataset: {exc}")
+    data = _load_dataset(cfg.dataset)
 
     os.makedirs(out_dir, exist_ok=True)
     model = cfg.build_model()
@@ -126,22 +125,10 @@ def _cmd_compare(args) -> int:
     names = [s.strip() for s in args.activations.split(",") if s.strip()]
     if not names:
         return _usage_error("--activations must name at least one activation")
-    from .. import activations as act
-    try:
-        for name in names:
-            act.preset(name)
-    except ValueError as exc:
-        return _usage_error(str(exc))
-    if args.seeds < 1:
-        return _usage_error(f"--seeds must be >= 1, got {args.seeds}")
-    try:
-        data = _parse_dataset_arg(args.dataset)
-    except (ValueError, datasets.FormatError, FileNotFoundError) as exc:
-        return _usage_error(f"dataset: {exc}")
-    try:
-        env_seed = _env_seed()
-    except ValueError as exc:
-        return _usage_error(str(exc))
+    for name in names:
+        act.preset(name)  # reject an unknown name before anything trains
+    data = _load_dataset(_parse_dataset_arg(args.dataset))
+    env_seed = _env_seed()
     base = 0
     if env_seed is not None:
         # The explicit seed shifts the whole 0..seeds-1 sweep.
@@ -161,14 +148,9 @@ def _cmd_compare(args) -> int:
 def _cmd_bench(args) -> int:
     try:
         sizes = [int(float(s)) for s in args.sizes.split(",") if s.strip()]
-    except ValueError:
+    except (ValueError, OverflowError):  # "x" and "nan" do not convert; "inf" overflows
         return _usage_error(f"--sizes must be a comma list of numbers, got {args.sizes!r}")
-    if not sizes or any(s < 1 for s in sizes):
-        return _usage_error(f"every size must be >= 1, got {args.sizes!r}")
-    try:
-        rows = bench_mod.run_bench(args.activation, sizes, k=args.k)
-    except ValueError as exc:
-        return _usage_error(str(exc))
+    rows = bench_mod.run_bench(args.activation, sizes, k=args.k)
     print(",".join(bench_mod.BENCH_HEADER))
     for r in rows:
         print(f"{r.size},{r.method},{r.ns_per_elem:.3f}")
@@ -205,8 +187,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=int, default=1)
     p.add_argument("--out", required=True)
     p.add_argument("--epochs", type=int, default=60)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--lr", type=float, default=1e-3)
+    p.add_argument("--batch-size", type=int, default=nn.TrainConfig.batch_size)
+    p.add_argument("--lr", type=float, default=nn.OptimizerSpec.lr)
     p.add_argument("--val-split", type=float, default=0.25)
     p.add_argument("--cut", type=float, default=None,
                    help="absolute val-loss cut for epochs-to-threshold "
@@ -229,7 +211,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.fn(args)
-    except ValueError as exc:
+    except ValueError as exc:  # every usage, config and dataset mistake
         return _usage_error(str(exc))
 
 

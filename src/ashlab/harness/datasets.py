@@ -23,7 +23,10 @@ class FormatError(ValueError):
     """An input file does not match its declared binary/text format."""
 
 
-def _split_counts(n: int) -> tuple[int, int]:
+def _split_counts(n: int, noise: float) -> tuple[int, int]:
+    """Class sizes for n samples, after checking n and noise."""
+    if noise < 0:
+        raise ValueError(f"noise must be >= 0, got {noise}")
     if n < 2:
         raise ValueError(f"need at least 2 samples, got {n}")
     return (n + 1) // 2, n // 2
@@ -31,10 +34,8 @@ def _split_counts(n: int) -> tuple[int, int]:
 
 def two_moons(n: int, noise: float = 0.1, seed: int = 0) -> tuple[Tensor, np.ndarray]:
     """Two interleaved half-circles; class 0 is the upper arc."""
-    if noise < 0:
-        raise ValueError(f"noise must be >= 0, got {noise}")
+    n0, n1 = _split_counts(n, noise)
     rng = RngState(seed)
-    n0, n1 = _split_counts(n)
     t0 = rng.uniform(n0) * np.pi
     t1 = rng.uniform(n1) * np.pi
     upper = np.stack([np.cos(t0), np.sin(t0)], axis=1)
@@ -48,10 +49,8 @@ def two_moons(n: int, noise: float = 0.1, seed: int = 0) -> tuple[Tensor, np.nda
 
 def blobs(n: int, noise: float = 0.5, seed: int = 0) -> tuple[Tensor, np.ndarray]:
     """Two isotropic Gaussian blobs at (-1.5, 0) and (1.5, 0); std = noise."""
-    if noise < 0:
-        raise ValueError(f"noise must be >= 0, got {noise}")
+    n0, n1 = _split_counts(n, noise)
     rng = RngState(seed)
-    n0, n1 = _split_counts(n)
     left = rng.normal(2 * n0, 0.0, noise).reshape(n0, 2) + np.array([-1.5, 0.0])
     right = rng.normal(2 * n1, 0.0, noise).reshape(n1, 2) + np.array([1.5, 0.0])
     labels = np.concatenate([np.zeros(n0, dtype=np.int64), np.ones(n1, dtype=np.int64)])
@@ -60,10 +59,8 @@ def blobs(n: int, noise: float = 0.5, seed: int = 0) -> tuple[Tensor, np.ndarray
 
 def spirals(n: int, noise: float = 0.0, seed: int = 0) -> tuple[Tensor, np.ndarray]:
     """Two interleaved Archimedean spiral arms (not linearly separable)."""
-    if noise < 0:
-        raise ValueError(f"noise must be >= 0, got {noise}")
+    n0, n1 = _split_counts(n, noise)
     rng = RngState(seed)
-    n0, n1 = _split_counts(n)
 
     def arm(count: int, flip: float) -> np.ndarray:
         theta = np.sqrt(rng.uniform(count)) * 3.0 * np.pi

@@ -12,6 +12,7 @@ import csv
 import json
 import struct
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 
@@ -21,17 +22,6 @@ from ..tensor import Tensor
 CURVES_HEADER = ["epoch", "activation", "seed", "train_loss", "val_loss", "val_acc"]
 MEAN_CURVES_HEADER = ["epoch", "activation", "mean_train_loss", "mean_val_loss", "mean_val_acc"]
 CONVERGENCE_HEADER = ["activation", "seed", "status", "cut", "epochs_to_threshold"]
-
-
-def record_to_dict(record: EpochRecord) -> dict:
-    return {
-        "epoch": record.epoch,
-        "train_loss": record.train_loss,
-        "val_loss": record.val_loss,
-        "val_acc": record.val_acc,
-        "zk_snapshot": record.zk_snapshot,
-        "wall_ms": record.wall_ms,
-    }
 
 
 def record_from_dict(obj: dict) -> EpochRecord:
@@ -52,7 +42,7 @@ class JournalWriter:
         self._f = open(path, "w", encoding="utf-8", newline="\n")
 
     def append(self, record: EpochRecord) -> None:
-        self._f.write(json.dumps(record_to_dict(record)) + "\n")
+        self._f.write(json.dumps(asdict(record)) + "\n")
         self._f.flush()
 
     def close(self) -> None:
@@ -113,16 +103,13 @@ def load_model_dump(path: str) -> dict[str, np.ndarray]:
         headers = []
         for _ in range(count):
             (name_len,) = read("<I")
-            name = f.read(name_len).decode("utf-8")
+            name = read(f"<{name_len}s")[0].decode("utf-8")
             (rank,) = read("<I")
-            shape = tuple(read(f"<{rank}I")) if rank else ()
+            shape = read(f"<{rank}I")
             headers.append((name, shape))
         out = {}
         for name, shape in headers:
-            n = int(np.prod(shape)) if shape else 1
-            buf = f.read(8 * n)
-            if len(buf) != 8 * n:
-                raise ValueError(f"truncated model dump {path}")
+            (buf,) = read(f"<{8 * int(np.prod(shape))}s")
             out[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
     return out
 

@@ -30,13 +30,14 @@ LOSS_KINDS = ("softmax_xent", "mse")
 class DivergenceError(RuntimeError):
     """Training hit a non-finite value; carries (epoch, batch, where, phase).
 
-    `phase` is "training" for an optimizer step and "validation" for the
-    evaluation pass that closes each epoch.
+    `phase` is "training" for an optimizer step, "validation" for the
+    evaluation pass that closes each epoch and "evaluation" for a
+    standalone `evaluate`, which has no epoch (None).
     """
 
-    def __init__(self, epoch: int, batch: int, where: str, phase: str = "training"):
-        super().__init__(
-            f"non-finite value at epoch {epoch}, batch {batch}, in {where} ({phase})")
+    def __init__(self, epoch: int | None, batch: int, where: str, phase: str = "training"):
+        at = f"batch {batch}" if epoch is None else f"epoch {epoch}, batch {batch}"
+        super().__init__(f"non-finite value at {at}, in {where} ({phase})")
         self.epoch = epoch
         self.batch = batch
         self.where = where
@@ -44,24 +45,32 @@ class DivergenceError(RuntimeError):
 
 
 class _NonFinite(Exception):
-    def __init__(self, where: str, batch: int = 0):
+    def __init__(self, where: str):
         super().__init__(where)
         self.where = where
-        self.batch = batch
 
 
 # ---------------------------------------------------------------------------
 # Layers.
 # ---------------------------------------------------------------------------
 
+class _Extents:
+    """A layer whose every field is an extent, which must be >= 1."""
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
+
+
 @dataclass(frozen=True)
-class Dense:
+class Dense(_Extents):
     in_dim: int
     out_dim: int
 
 
 @dataclass(frozen=True)
-class Conv2d:
+class Conv2d(_Extents):
     """Stride-1, valid-padding convolution on (B, H, W, C) inputs."""
 
     kh: int
@@ -308,8 +317,16 @@ class OptimizerSpec:
     def __post_init__(self):
         if self.kind not in ("sgd", "adam"):
             raise ValueError(f"optimizer kind must be sgd or adam, got {self.kind!r}")
-        if self.lr <= 0:
+        # Each test is written so that NaN fails it.
+        if not self.lr > 0:
             raise ValueError(f"lr must be > 0, got {self.lr}")
+        if not self.momentum >= 0:
+            raise ValueError(f"momentum must be >= 0, got {self.momentum}")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
+        if not self.eps > 0:
+            raise ValueError(f"eps must be > 0, got {self.eps}")
 
 
 class SGD:
@@ -408,8 +425,8 @@ def evaluate(model: Model, x: Tensor, labels: np.ndarray, loss_kind: str = "soft
              batch_size: int = 256) -> tuple[float, float]:
     """Forward-only loss and accuracy over a dataset.
 
-    A non-finite activation or loss raises _NonFinite naming the layer
-    (or "loss") and the batch.
+    A non-finite activation or loss raises DivergenceError naming the
+    batch and the layer (or "loss"), with no epoch and phase "evaluation".
     """
     n = x.shape[0]
     total, correct = 0.0, 0.0
@@ -420,11 +437,11 @@ def evaluate(model: Model, x: Tensor, labels: np.ndarray, loss_kind: str = "soft
             logits, _ = model.forward(xb, trainable=False)
             total += loss_fn(loss_kind, logits, yb).value.item() * xb.shape[0]
         except _NonFinite as exc:
-            raise _NonFinite(exc.where, bi) from exc
+            raise DivergenceError(None, bi, exc.where, "evaluation") from exc
         except ShapeError:
             raise
         except ValueError as exc:
-            raise _NonFinite("loss", bi) from exc
+            raise DivergenceError(None, bi, "loss", "evaluation") from exc
         correct += accuracy(logits.value, yb) * xb.shape[0]
     return total / n, correct / n
 
@@ -491,7 +508,7 @@ def train(model: Model, config: TrainConfig, dataset: tuple[Tensor, np.ndarray],
             yv = labels[train_idx]
         try:
             val_loss, val_acc = evaluate(model, xv, yv, config.loss, config.batch_size)
-        except _NonFinite as exc:
+        except DivergenceError as exc:
             raise DivergenceError(epoch, exc.batch, exc.where, "validation") from exc
 
         record = EpochRecord(

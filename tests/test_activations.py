@@ -431,6 +431,11 @@ class TestSpecSerialization:
         with pytest.raises(ValueError):
             act.spec_from_json({"kind": "mish"})
 
+    @pytest.mark.parametrize("kind", [[1], {"a": 1}], ids=["list", "object"])
+    def test_non_string_kind_rejected(self, kind):
+        with pytest.raises(ValueError, match="'kind' tag"):
+            act.spec_from_json({"kind": kind})
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError):
             act.spec_from_json({"kind": "relu", "slope": 0.1})
@@ -442,6 +447,7 @@ class TestSpecSerialization:
         ("per_channel_z", None), ("channels", None), ("alpha", [1.0]), ("stats_mode", {}),
         ("trainable_alpha", "false"), ("trainable_alpha", 0), ("alpha", "1.5"),
         ("alpha", True), ("channels", 2.5), ("channels", True), ("stats_mode", 1),
+        ("alpha", float("inf")), ("z_k_init", float("nan")), ("z_k_init", float("-inf")),
     ])
     def test_wrong_type_field_names_its_key(self, key, value):
         with pytest.raises(ValueError, match=repr(key)):

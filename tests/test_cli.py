@@ -180,6 +180,24 @@ class TestTrainCommand:
         assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
         assert "'alpha'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mutate,message", [
+        (lambda d: d["train"].update(epochs=None),
+         "train: field 'epochs' must be an integer, got None"),
+        (lambda d: d["model"]["layers"].insert(
+            0, {"kind": "conv2d", "kh": 0, "kw": 1, "cin": 1, "cout": 1}),
+         "model.layers[0]: kh must be >= 1, got 0"),
+        (lambda d: d["train"]["optimizer"].update(beta1=1.0),
+         "train.optimizer: beta1 must lie in [0, 1), got 1.0"),
+        (lambda d: d["train"]["optimizer"].update(lr=float("nan")),
+         "train.optimizer: field 'lr' must be a finite number, got nan"),
+    ], ids=["epochs-null", "conv-kh-0", "beta1-1", "lr-nan"])
+    def test_malformed_config_is_exit_2(self, tmp_path, capsys, mutate, message):
+        doc = json.loads(json.dumps(CONFIG))
+        mutate(doc)
+        cfg = write_config(tmp_path, doc)
+        assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_env_seed_override(self, tmp_path, capsys, monkeypatch):
         cfg = write_config(tmp_path)
         base, alt = str(tmp_path / "a"), str(tmp_path / "b")
@@ -273,6 +291,17 @@ class TestCompareCommand:
                          "--dataset", "two_moons(frobs=2)", "--seeds", "1",
                          "--out", str(tmp_path / "x")]) == 2
 
+    @pytest.mark.parametrize("dataset,message", [
+        ("two_moons(n=1e3)", "dataset: field 'n' must be an integer, got '1e3'"),
+        ("two_moons(noise=nan)", "dataset: field 'noise' must be a finite number, got nan"),
+        ("two_moons(frobs=2)", "unknown keys ['frobs'] in dataset"),
+    ])
+    def test_dataset_options_go_through_the_config_reader(self, tmp_path, capsys,
+                                                          dataset, message):
+        assert cli.main(["compare", "--activations", "relu", "--dataset", dataset,
+                         "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
 
 class TestBenchCommand:
     def test_single_size_csv(self, capsys):
@@ -295,6 +324,9 @@ class TestBenchCommand:
 
     def test_zero_size_is_usage_error(self, capsys):
         assert cli.main(["bench", "--activation", "ash", "--sizes", "0"]) == 2
+
+    def test_infinite_size_is_usage_error(self, capsys):
+        assert cli.main(["bench", "--activation", "ash", "--sizes", "inf"]) == 2
 
     def test_unknown_activation_is_usage_error(self, capsys):
         assert cli.main(["bench", "--activation", "bogus", "--sizes", "10"]) == 2

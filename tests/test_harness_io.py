@@ -1,6 +1,7 @@
 """Config schema, metrics journal, model dump, comparison CSVs."""
 
 import json
+import re
 import struct
 
 import numpy as np
@@ -23,6 +24,7 @@ GOOD_DOC = {
     "dataset": {"builtin": "two_moons", "n": 64, "noise": 0.1, "seed": 1},
     "out_dir": "runs/demo",
 }
+NAN = float("nan")
 
 
 class TestConfig:
@@ -88,6 +90,155 @@ class TestConfig:
         doc["dataset"] = {"csv": "data.csv"}
         cfg = config.parse_config(doc)
         assert cfg == config.parse_config(config.config_to_json(cfg))
+
+    @pytest.mark.parametrize("where,key,mutate", [
+        pytest.param("train", "epochs", lambda d: d["train"].update(epochs=None),
+                     id="train-epochs-null"),
+        pytest.param("train", "epochs", lambda d: d["train"].update(epochs=2.7),
+                     id="train-epochs-fractional"),
+        pytest.param("train", "batch_size", lambda d: d["train"].update(batch_size=True),
+                     id="train-batch_size-bool"),
+        pytest.param("train", "seed", lambda d: d["train"].update(seed="5"),
+                     id="train-seed-string"),
+        pytest.param("train", "val_split", lambda d: d["train"].update(val_split=NAN),
+                     id="train-val_split-nan"),
+        pytest.param("train", "loss", lambda d: d["train"].update(loss=5),
+                     id="train-loss-number"),
+        pytest.param("train.optimizer", "lr", lambda d: d["train"]["optimizer"].update(lr="0.1"),
+                     id="adam-lr-string"),
+        pytest.param("train.optimizer", "lr", lambda d: d["train"]["optimizer"].update(lr=NAN),
+                     id="adam-lr-nan"),
+        pytest.param("train.optimizer", "eps", lambda d: d["train"]["optimizer"].update(eps=None),
+                     id="adam-eps-null"),
+        pytest.param("train.optimizer", "momentum",
+                     lambda d: d["train"].update(optimizer={"kind": "sgd", "momentum": True}),
+                     id="sgd-momentum-bool"),
+        pytest.param("dataset", "n", lambda d: d["dataset"].update(n=64.5),
+                     id="builtin-n-fractional"),
+        pytest.param("dataset", "noise", lambda d: d["dataset"].update(noise="0.1"),
+                     id="builtin-noise-string"),
+        pytest.param("dataset", "noise", lambda d: d["dataset"].update(noise=float("inf")),
+                     id="builtin-noise-inf"),
+        pytest.param("dataset", "seed", lambda d: d["dataset"].update(seed=True),
+                     id="builtin-seed-bool"),
+        pytest.param("dataset", "builtin", lambda d: d["dataset"].update(builtin=5),
+                     id="builtin-name-number"),
+        pytest.param("dataset.idx", "images",
+                     lambda d: d.update(dataset={"idx": {"images": 1, "labels": "b.idx"}}),
+                     id="idx-images-number"),
+        pytest.param("dataset.idx", "labels",
+                     lambda d: d.update(dataset={"idx": {"images": "a.idx", "labels": None}}),
+                     id="idx-labels-null"),
+        pytest.param("dataset", "csv", lambda d: d.update(dataset={"csv": None}),
+                     id="csv-path-null"),
+        pytest.param("dataset", "csv", lambda d: d.update(dataset={"csv": 3}),
+                     id="csv-path-number"),
+        pytest.param("model.layers[0]", "in", lambda d: d["model"]["layers"][0].update({"in": 2.5}),
+                     id="dense-in-fractional"),
+        pytest.param("model.layers[0]", "out", lambda d: d["model"]["layers"][0].update(out=True),
+                     id="dense-out-bool"),
+        pytest.param("model.layers[0]", "in", lambda d: d["model"]["layers"][0].update({"in": "2"}),
+                     id="dense-in-string"),
+        pytest.param("model.layers[0]", "kh", lambda d: d["model"]["layers"].insert(
+                         0, {"kind": "conv2d", "kh": None, "kw": 1, "cin": 1, "cout": 1}),
+                     id="conv2d-kh-null"),
+        pytest.param("model.layers[0]", "cin", lambda d: d["model"]["layers"].insert(
+                         0, {"kind": "conv2d", "kh": 1, "kw": 1, "cin": 1.5, "cout": 1}),
+                     id="conv2d-cin-fractional"),
+        pytest.param("model.layers[1]", "alpha",
+                     lambda d: d["model"]["layers"][1]["spec"].update(alpha=float("-inf")),
+                     id="activation-alpha-minus-inf"),
+    ])
+    def test_wrong_type_field_names_its_key(self, where, key, mutate):
+        doc = json.loads(json.dumps(GOOD_DOC))
+        mutate(doc)
+        with pytest.raises(ConfigError) as err:
+            config.parse_config(doc)
+        assert str(err.value).startswith(where + ":")
+        assert repr(key) in str(err.value)
+
+    @pytest.mark.parametrize("where,mutate", [
+        ("model.layers[0]", lambda d: d["model"]["layers"][0].update({"in": 0})),
+        ("model.layers[0]", lambda d: d["model"]["layers"][0].update(out=-3)),
+        ("model.layers[0]", lambda d: d["model"]["layers"].insert(
+            0, {"kind": "conv2d", "kh": 0, "kw": 1, "cin": 1, "cout": 1})),
+        ("train.optimizer", lambda d: d["train"]["optimizer"].update(beta1=1.0)),
+        ("train.optimizer", lambda d: d["train"]["optimizer"].update(beta2=-0.5)),
+        ("train.optimizer", lambda d: d["train"]["optimizer"].update(eps=0.0)),
+        ("train.optimizer",
+         lambda d: d["train"].update(optimizer={"kind": "sgd", "momentum": -0.1})),
+    ], ids=["dense-in-0", "dense-out-negative", "conv2d-kh-0", "adam-beta1-1",
+            "adam-beta2-negative", "adam-eps-0", "sgd-momentum-negative"])
+    def test_out_of_range_value_rejected(self, where, mutate):
+        doc = json.loads(json.dumps(GOOD_DOC))
+        mutate(doc)
+        with pytest.raises(ConfigError, match=r"^" + re.escape(where) + ":"):
+            config.parse_config(doc)
+
+    def test_absent_keys_take_the_dataclass_defaults(self):
+        cfg = config.parse_config({"model": {"layers": [{"kind": "dense", "in": 2, "out": 2}]},
+                                   "train": {"epochs": 1}, "dataset": {"builtin": "blobs"}})
+        assert cfg.train == nn.TrainConfig(epochs=1)
+        assert cfg.dataset == config.DatasetSpec("builtin", builtin="blobs")
+
+    # config_to_json text, key order included, as written before the
+    # field-table reader replaced the hand-written section parsers.
+    @pytest.mark.parametrize("doc,text", [
+        ({"model": {"layers": [
+            {"kind": "dense", "in": 2, "out": 4},
+            {"kind": "activation", "spec": {"kind": "smooth_ash", "per_channel_z": True,
+                                            "channels": 4, "trainable_alpha": True}},
+            {"kind": "dense", "in": 4, "out": 2}]},
+          "train": {"optimizer": {"kind": "sgd", "lr": 1, "momentum": 0.9}, "batch_size": 16,
+                    "epochs": 3, "seed": 7, "loss": "mse", "val_split": 0.25},
+          "dataset": {"builtin": "spirals", "n": 64, "noise": 0, "seed": 2},
+          "out_dir": "runs/pin"},
+         '{"model": {"layers": [{"kind": "dense", "in": 2, "out": 4}, {"kind": "activation", '
+         '"spec": {"kind": "smooth_ash", "z_k_init": 0.0, "alpha": 1.0, "stats_mode": '
+         '"per-sample", "grad_mode": "through-stats", "trainable_alpha": true, '
+         '"per_channel_z": true, "channels": 4}}, {"kind": "dense", "in": 4, "out": 2}]}, '
+         '"train": {"optimizer": {"kind": "sgd", "lr": 1.0, "momentum": 0.9}, "batch_size": 16, '
+         '"epochs": 3, "seed": 7, "loss": "mse", "val_split": 0.25}, "dataset": {"builtin": '
+         '"spirals", "n": 64, "noise": 0.0, "seed": 2}, "out_dir": "runs/pin"}'),
+        ({"model": {"layers": [
+            {"kind": "conv2d", "kh": 3, "kw": 2, "cin": 1, "cout": 4},
+            {"kind": "activation", "spec": {"kind": "leaky_ash", "leak_init": 0.05}},
+            {"kind": "flatten"},
+            {"kind": "dense", "in": 36, "out": 2}]},
+          "train": {"optimizer": {"kind": "adam", "lr": 0.01, "beta1": 0.8, "beta2": 0.99,
+                                  "eps": 1e-7},
+                    "epochs": 2},
+          "dataset": {"idx": {"images": "a.idx", "labels": "b.idx"}}},
+         '{"model": {"layers": [{"kind": "conv2d", "kh": 3, "kw": 2, "cin": 1, "cout": 4}, '
+         '{"kind": "activation", "spec": {"kind": "leaky_ash", "z_k_init": 0.0, "alpha": 1.0, '
+         '"leak_init": 0.05, "stats_mode": "per-sample", "grad_mode": "through-stats"}}, '
+         '{"kind": "flatten"}, {"kind": "dense", "in": 36, "out": 2}]}, "train": {"optimizer": '
+         '{"kind": "adam", "lr": 0.01, "beta1": 0.8, "beta2": 0.99, "eps": 1e-07}, '
+         '"batch_size": 32, "epochs": 2, "seed": 0, "loss": "softmax_xent", "val_split": 0.0}, '
+         '"dataset": {"idx": {"images": "a.idx", "labels": "b.idx"}}}'),
+        ({"model": {"layers": [
+            {"kind": "dense", "in": 3, "out": 5},
+            {"kind": "activation", "spec": {"kind": "fixed_ash", "k": 10}},
+            {"kind": "dense", "in": 5, "out": 2}]},
+          "train": {"epochs": 0, "optimizer": {"kind": "adam"}},
+          "dataset": {"csv": "data.csv"}},
+         '{"model": {"layers": [{"kind": "dense", "in": 3, "out": 5}, {"kind": "activation", '
+         '"spec": {"kind": "fixed_ash", "k": 10.0, "alpha": 1.0, "stats_mode": "per-sample", '
+         '"grad_mode": "through-stats"}}, {"kind": "dense", "in": 5, "out": 2}]}, "train": '
+         '{"optimizer": {"kind": "adam", "lr": 0.001, "beta1": 0.9, "beta2": 0.999, '
+         '"eps": 1e-08}, "batch_size": 32, "epochs": 0, "seed": 0, "loss": "softmax_xent", '
+         '"val_split": 0.0}, "dataset": {"csv": "data.csv"}}'),
+        ({"model": {"layers": [{"kind": "dense", "in": 2, "out": 2}]}, "train": {"epochs": 1},
+          "dataset": {"builtin": "blobs"}},
+         '{"model": {"layers": [{"kind": "dense", "in": 2, "out": 2}]}, "train": {"optimizer": '
+         '{"kind": "adam", "lr": 0.001, "beta1": 0.9, "beta2": 0.999, "eps": 1e-08}, '
+         '"batch_size": 32, "epochs": 1, "seed": 0, "loss": "softmax_xent", "val_split": 0.0}, '
+         '"dataset": {"builtin": "blobs", "n": 256, "noise": 0.1, "seed": 0}}'),
+    ], ids=["sgd-builtin", "conv-adam-idx", "defaults-csv", "all-defaults"])
+    def test_config_to_json_text_pinned(self, doc, text):
+        cfg = config.parse_config(doc)
+        assert json.dumps(config.config_to_json(cfg)) == text
+        assert config.parse_config(text) == cfg
 
     def test_builds_runnable_model(self):
         cfg = config.parse_config(GOOD_DOC)
@@ -207,6 +358,18 @@ class TestModelDump:
         raw = open(path, "rb").read()
         open(path, "wb").write(raw[:-5])
         with pytest.raises(ValueError, match="truncated"):
+            journal.load_model_dump(path)
+
+
+    def test_name_length_past_the_file_is_truncation(self, tmp_path):
+        # The name length claims 100 bytes; the file holds 17 after it, the
+        # last of them the float64 1.0 (00..F0 3F), which is not UTF-8.
+        path = str(tmp_path / "model.bin")
+        journal.save_model_dump(path, {"w": Tensor([1.0])})
+        raw = bytearray(open(path, "rb").read())
+        raw[4:8] = struct.pack("<I", 100)
+        open(path, "wb").write(bytes(raw))
+        with pytest.raises(ValueError, match="truncated model dump"):
             journal.load_model_dump(path)
 
 

@@ -21,6 +21,14 @@ def mlp(spec_name, widths=(2, 16, 16, 2)):
 
 
 class TestForward:
+    @pytest.mark.parametrize("make", [
+        lambda: nn.Dense(0, 2), lambda: nn.Dense(2, -3),
+        lambda: nn.Conv2d(0, 1, 1, 1), lambda: nn.Conv2d(1, 1, 1, 0),
+    ], ids=["dense-in", "dense-out", "conv2d-kh", "conv2d-cout"])
+    def test_layer_extents_must_be_positive(self, make):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            make()
+
     def test_identity_dense_plus_relu_passthrough(self):
         model = nn.Model([nn.Dense(3, 3), nn.Activation(act.preset("relu"))], seed=0)
         model.params["dense0.W"] = Tensor(np.eye(3))
@@ -205,6 +213,14 @@ class TestOptimizers:
         with pytest.raises(ValueError):
             nn.OptimizerSpec(lr=0.0)
 
+    @pytest.mark.parametrize("name,value", [
+        ("beta1", 1.0), ("beta1", -0.1), ("beta2", 1.0), ("beta2", float("nan")),
+        ("eps", 0.0), ("eps", -1e-8), ("momentum", -0.5), ("lr", float("nan")),
+    ])
+    def test_optimizer_spec_range_checks(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            nn.OptimizerSpec(**{name: value})
+
 
 class TestTrainLoop:
     def test_zero_epochs_empty_records(self):
@@ -306,6 +322,17 @@ class TestTrainLoop:
         assert err.value.phase == "validation"
         assert err.value.where == "dense2"
         assert "epoch" in str(err.value) and "validation" in str(err.value)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_standalone_evaluate_divergence_is_public(self):
+        model = nn.Model([nn.Dense(2, 2)], seed=0)
+        model.params["dense0.W"] = Tensor(np.full((2, 2), 1e308))
+        x = Tensor([[0.0, 0.0], [1.0, 1.0]])  # the second row overflows
+        with pytest.raises(nn.DivergenceError) as err:
+            nn.evaluate(model, x, np.array([0, 1]), batch_size=1)
+        assert (err.value.epoch, err.value.batch, err.value.where) == (None, 1, "dense0")
+        assert err.value.phase == "evaluation"
+        assert str(err.value) == "non-finite value at batch 1, in dense0 (evaluation)"
 
     def test_shape_error_is_not_divergence(self):
         data = datasets.two_moons(64, 0.1, 0)
