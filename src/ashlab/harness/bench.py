@@ -60,7 +60,8 @@ def run_bench(activation: str, sizes: list[int], k: float = DEFAULT_K,
         raise ValueError("sizes must be non-empty")
     if any(s < 1 for s in sizes):
         raise ValueError(f"every size must be >= 1, got {sizes}")
-    act.preset(activation)  # validate the name before timing anything
+    act.preset(activation)  # validate the name and k before timing anything
+    st.topk_count(1, k)
     rows: list[BenchRow] = []
     for size in sizes:
         x = randn([size], RngState(seed))

@@ -16,6 +16,7 @@ from dataclasses import asdict
 
 import numpy as np
 
+from ..activations import json_value
 from ..nn import EpochRecord
 from ..tensor import Tensor
 
@@ -25,13 +26,19 @@ CONVERGENCE_HEADER = ["activation", "seed", "status", "cut", "epochs_to_threshol
 
 
 def record_from_dict(obj: dict) -> EpochRecord:
+    """One journal line as an EpochRecord, with no coercion: a field of the
+    wrong JSON type raises a ValueError naming it (see `json_value`)."""
+    def value(raw, typ: type, key: str):
+        return json_value(raw, typ, f"journal field {key!r}")
+
     return EpochRecord(
-        epoch=int(obj["epoch"]),
-        train_loss=float(obj["train_loss"]),
-        val_loss=float(obj["val_loss"]),
-        val_acc=float(obj["val_acc"]),
-        zk_snapshot={k: [float(v) for v in vs] for k, vs in obj["zk_snapshot"].items()},
-        wall_ms=float(obj["wall_ms"]),
+        epoch=value(obj["epoch"], int, "epoch"),
+        train_loss=value(obj["train_loss"], float, "train_loss"),
+        val_loss=value(obj["val_loss"], float, "val_loss"),
+        val_acc=value(obj["val_acc"], float, "val_acc"),
+        zk_snapshot={k: [value(v, float, f"zk_snapshot.{k}") for v in vs]
+                     for k, vs in obj["zk_snapshot"].items()},
+        wall_ms=value(obj["wall_ms"], float, "wall_ms"),
     )
 
 

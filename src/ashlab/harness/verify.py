@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .. import _normal
 from .. import activations as act
 from .. import autodiff as ad
 from .. import stats as st
@@ -38,17 +37,25 @@ def _check(cond: bool, msg: str) -> None:
         raise SuiteFailure(msg)
 
 
-def _bisect_upper_z(k_percent: float) -> float:
-    """Independent quantile oracle: bisection on the erf-based CDF."""
-    target = 1.0 - k_percent / 100.0
-    lo, hi = -12.0, 12.0
-    for _ in range(90):
+def _bisect_ppf(p: float) -> float:
+    """Independent quantile oracle: bisection on the standard library's
+    0.5*erfc(-z/sqrt(2)) over [-40, 40]. The upper half is read by
+    symmetry from 1 - p (exact for p >= 0.5), so the bisection always
+    runs on a tail probability."""
+    if p > 0.5:
+        return -_bisect_ppf(1.0 - p)
+    lo, hi = -40.0, 40.0
+    for _ in range(100):
         mid = 0.5 * (lo + hi)
-        if _normal.norm_cdf(mid) < target:
+        if 0.5 * math.erfc(-mid / math.sqrt(2.0)) < p:
             lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def _bisect_upper_z(k_percent: float) -> float:
+    return -_bisect_ppf(k_percent / 100.0)
 
 
 # ---------------------------------------------------------------------------
@@ -69,6 +76,14 @@ def suite_z_table() -> None:
         _check(abs(z - oracle) < 1e-9, f"z({k}%) = {z!r} vs bisection oracle {oracle!r}")
         back = st.percentile_from_z(z)
         _check(abs(back - k) < 1e-6, f"round-trip k={k} -> z -> {back}")
+    for k in (1e-12, 1e-8, 1e-4, 100.0 - 1e-4):  # the tails, where 1 - p cancels
+        z = st.z_from_percentile(k)
+        oracle = _bisect_upper_z(k)
+        _check(abs(z - oracle) < 1e-9, f"z({k}%) = {z!r} vs bisection oracle {oracle!r}")
+    for z in (-37.0, -10.0, 10.0, 37.0):
+        ref = 50.0 * math.erfc(z / math.sqrt(2.0))
+        got = st.percentile_from_z(z)
+        _check(abs(got - ref) <= 1e-14 * ref, f"percentile_from_z({z}) = {got!r}, expected {ref!r}")
     grid = np.linspace(0.5, 99.5, 199)
     zs = [st.z_from_percentile(float(k)) for k in grid]
     _check(all(a > b for a, b in zip(zs, zs[1:])),

@@ -2,7 +2,8 @@
 
 Ties together the two routes for "keep the top k percent of a tensor":
 the Gaussian route (threshold mu + z_k * sigma with z_k from the
-standard-normal quantile table) and the exact route (quickselect on the
+standard-normal quantile, read from the tail so that small k keep their
+relative accuracy) and the exact route (quickselect on the
 actual values). The exact route is the oracle the Gaussian route is
 validated against. Also provides Z-score normalization and moment-based
 normality diagnostics. Every mean and variance here comes from the one
@@ -62,17 +63,24 @@ def compute_stats(x: Tensor) -> InputStats:
 
 
 def z_from_percentile(k: float) -> float:
-    """z with P(Z >= z) = k/100 for Z ~ N(0,1); k is a percent in (0,100)."""
+    """z with P(Z >= z) = k/100 for Z ~ N(0,1); k is a percent in (0,100).
+
+    Read as -norm_ppf(k/100), so a small k never passes through 1 - k/100.
+    """
     if not 0.0 < k < 100.0:
         raise ValueError(f"percentile must lie in (0, 100), got {k}")
-    return float(_normal.norm_ppf(1.0 - k / 100.0))
+    # 0.0 - z rather than -z, so that z(50) is +0.0 and not -0.0.
+    return 0.0 - _normal.norm_ppf(k / 100.0)
 
 
 def percentile_from_z(z: float) -> float:
-    """Inverse of z_from_percentile: 100 * P(Z >= z)."""
+    """Inverse of z_from_percentile: 100 * P(Z >= z) = 100 * norm_cdf(-z).
+
+    Relatively accurate to 1e-14 for z up to 37, where the tail is 5.7e-298%.
+    """
     if not math.isfinite(z):
         raise ValueError(f"z must be finite, got {z}")
-    return 100.0 * (1.0 - _normal.norm_cdf(float(z)))
+    return 100.0 * _normal.norm_cdf(-float(z))
 
 
 def zscore(x: Tensor) -> Tensor:

@@ -151,8 +151,12 @@ class RngState:
     def normal(self, n: int, mean: float = 0.0, std: float = 1.0) -> np.ndarray:
         if std < 0:
             raise ValueError(f"std must be >= 0, got {std}")
+        # Scaled in place: mean + std*z in the same two roundings, without
+        # two more n-sized temporaries.
         z = _normal.norm_ppf(self.uniform(n))
-        return np.asarray(mean + std * z, dtype=np.float64)
+        z *= std
+        z += mean
+        return z
 
     def permutation(self, n: int) -> np.ndarray:
         """Deterministic permutation of range(n)."""

@@ -558,5 +558,10 @@ class TestZooGradients:
         d = rng.normal(0, 2, 100)
         while np.any(np.abs(d) < 1e-5):
             d = np.where(np.abs(d) < 1e-5, rng.normal(0, 2, 100), d)
-        rep = ad.fd_check(f, Tensor(d))
+        # gelu alone uses h = 1e-4. At element 86 (x = -4.754, gradient
+        # -2.25e-5) one ulp of the 100-term sum over 2h = 2e-6 is already
+        # 1.58e-4 of the gradient, above the bound, so h = 1e-6 passes or
+        # fails on the low bits of the CDF. gelu has no kink; at h = 1e-4 the
+        # error is 4.5e-6.
+        rep = ad.fd_check(f, Tensor(d), h=1e-4 if name == "gelu" else 1e-6)
         assert rep.max_rel_err < 1e-4, f"{name}: {rep.max_rel_err:.2e}"

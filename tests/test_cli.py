@@ -1,12 +1,14 @@
 """Command-line surface: subcommands, exit codes, artifacts."""
 
 import json
+import math
 import os
 
 import numpy as np
 import pytest
 
 from ashlab import autodiff as ad
+from ashlab.harness import bench as bench_mod
 from ashlab.harness import cli, journal
 from ashlab.tensor import Tensor
 
@@ -330,3 +332,15 @@ class TestBenchCommand:
 
     def test_unknown_activation_is_usage_error(self, capsys):
         assert cli.main(["bench", "--activation", "bogus", "--sizes", "10"]) == 2
+
+    @pytest.mark.parametrize("k", [math.nan, 0.0, -5.0, 250.0])
+    def test_bad_k_rejected_before_any_timing(self, k, monkeypatch):
+        calls = []
+        monkeypatch.setattr(bench_mod, "_median_time_ns",
+                            lambda fn, reps=9: calls.append(fn) or 1.0)
+        with pytest.raises(ValueError, match="percentile"):
+            bench_mod.run_bench("ash", [4096], k=k)
+        assert calls == []
+
+    def test_bad_k_is_usage_error(self, capsys):
+        assert cli.main(["bench", "--activation", "ash", "--sizes", "10", "--k", "nan"]) == 2

@@ -3,6 +3,7 @@
 import json
 import re
 import struct
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -305,6 +306,28 @@ class TestJournal:
         with open(path, "w") as f:
             f.write(full.rstrip("\n"))
         assert journal.read_journal(path) == records
+
+    @pytest.mark.parametrize("key,raw", [
+        ("epoch", 2.7), ("train_loss", "1.5"), ("val_loss", True),
+        ("val_acc", None), ("wall_ms", "NaN"), ("epoch", True),
+    ])
+    def test_wrong_type_field_raises(self, tmp_path, key, raw):
+        # Read back with bare int()/float(), these would be 2, 1.5, 1.0, ...
+        path = str(tmp_path / "metrics.jsonl")
+        with journal.JournalWriter(path) as w:
+            w.append(self.make_records(1)[0])
+        line = json.loads(open(path).read())
+        line[key] = raw
+        with open(path, "w") as f:
+            f.write(json.dumps(line) + "\n")
+        with pytest.raises(ValueError, match=f"journal field '{key}'"):
+            journal.read_journal(path)
+
+    def test_wrong_type_zk_snapshot_value_raises(self):
+        obj = asdict(self.make_records(1)[0])
+        obj["zk_snapshot"] = {"act0.z_k": ["0.5"]}
+        with pytest.raises(ValueError, match="zk_snapshot"):
+            journal.record_from_dict(obj)
 
     def test_malformed_terminated_line_raises(self, tmp_path):
         path = str(tmp_path / "metrics.jsonl")

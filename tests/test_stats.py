@@ -20,17 +20,32 @@ Z_TABLE = {  # high-precision standard-normal upper-tail quantiles
 }
 
 
-def bisect_upper_z(k_percent):
-    """Independent oracle: bisection on the erf-based CDF."""
-    target = 1.0 - k_percent / 100.0
-    lo, hi = -12.0, 12.0
-    for _ in range(90):
+def cdf_oracle(z):
+    """P(Z <= z) from the standard library's erfc, independent of _normal."""
+    return 0.5 * math.erfc(-z / math.sqrt(2.0))
+
+
+def bisect_ppf(p):
+    """Independent quantile oracle: bisection on cdf_oracle over [-40, 40].
+
+    The upper half is read by symmetry from 1 - p, which is exact for
+    p >= 0.5, so the bisection always runs on a tail probability.
+    """
+    if p > 0.5:
+        return -bisect_ppf(1.0 - p)
+    lo, hi = -40.0, 40.0
+    for _ in range(100):
         mid = 0.5 * (lo + hi)
-        if _normal.norm_cdf(mid) < target:
+        if cdf_oracle(mid) < p:
             lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def bisect_upper_z(k_percent):
+    """The z with P(Z >= z) = k/100, from the bisection oracle."""
+    return -bisect_ppf(k_percent / 100.0)
 
 
 class TestComputeStats:
@@ -106,6 +121,81 @@ class TestPercentileFromZ:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             st.percentile_from_z(math.inf)
+
+    def test_relative_accuracy_into_the_tails(self):
+        # The tail is read from erfc, never as 1 - p: at z = 10 it is 7.6e-22%.
+        for z in np.linspace(-37.0, 37.0, 1481):
+            ref = 50.0 * math.erfc(z / math.sqrt(2.0))
+            got = st.percentile_from_z(float(z))
+            assert abs(got - ref) <= 1e-14 * ref, (z, got, ref)
+        assert st.percentile_from_z(10.0) == pytest.approx(7.619853024160527e-22, rel=1e-14)
+
+    def test_small_k_round_trip(self):
+        for k in (1e-10, 1e-6, 1e-3):
+            assert st.z_from_percentile(k) == pytest.approx(bisect_upper_z(k), abs=1e-12)
+            assert st.percentile_from_z(st.z_from_percentile(k)) == pytest.approx(k, rel=1e-12)
+
+
+def _ppf_grid():
+    """p over [2^-54, 1 - 2^-53]: both tails log-spaced, the middle linear."""
+    lower = 2.0 ** -np.linspace(54.0, 1.0, 425)
+    upper = 1.0 - 2.0 ** -np.linspace(1.0, 53.0, 417)
+    return np.concatenate([lower, np.linspace(0.01, 0.99, 197), upper])
+
+
+class TestNormalKernels:
+    """_normal against the standard library's erfc, over the whole domain."""
+
+    def test_ppf_within_documented_bound_on_the_whole_grid(self):
+        ps = _ppf_grid()
+        assert ps[0] == 2.0 ** -54 and ps[-1] == 1.0 - 2.0 ** -53
+        zs = _normal.norm_ppf(ps)
+        worst = max(abs(z - bisect_ppf(p)) for p, z in zip(ps, zs))
+        assert worst < 1e-9
+
+    def test_cdf_relative_accuracy(self):
+        # Down to x = -37, where the CDF (5.7e-300) is still a normal float.
+        xs = np.concatenate([np.linspace(-37.0, 9.0, 4601),
+                             np.random.default_rng(4).normal(0.0, 3.0, 2000)])
+        got = _normal.norm_cdf(xs)
+        for x, c in zip(xs, got):
+            ref = cdf_oracle(x)
+            assert abs(c - ref) <= 2e-15 * ref, (x, c, ref)
+
+    def test_cdf_limits(self):
+        out = _normal.norm_cdf(np.array([-np.inf, -1e300, -40.0, 0.0, 40.0, 1e300, np.inf]))
+        assert out.tolist() == [0.0, 0.0, 0.0, 0.5, 1.0, 1.0, 1.0]
+        assert np.isnan(_normal.norm_cdf(np.nan))
+
+    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.5, 2.0, math.nan])
+    def test_ppf_domain(self, bad):
+        with pytest.raises(ValueError):
+            _normal.norm_ppf(np.array([0.5, bad]))
+
+    def test_scalar_in_float_out(self):
+        for f, v in ((_normal.norm_ppf, 0.3), (_normal.norm_cdf, -1.2)):
+            assert type(f(v)) is float
+            assert type(f(np.float64(v))) is float
+            assert type(f(np.array(v))) is float
+            assert f(np.array([v])).shape == (1,)
+            assert f(np.full((3, 5), v)).shape == (3, 5)
+
+    @pytest.mark.parametrize("n", [1, 2**14 - 1, 2**14, 2**14 + 1, 3 * 2**14 + 5])
+    def test_blocks_do_not_change_bits(self, n):
+        rng = np.random.default_rng(n)
+        p = rng.random(n)
+        x = rng.normal(0.0, 8.0, n)
+        # Every branch: both tails of AS241 (r > 5 below p = 1.4e-11) and
+        # all three of Cody's erfc ranges, on both signs.
+        p[: min(n, 6)] = [2.0 ** -54, 1e-12, 0.5, 0.05, 0.95, 1.0 - 2.0 ** -53][: min(n, 6)]
+        x[: min(n, 6)] = [-30.0, -7.0, -0.3, 0.3, 7.0, 30.0][: min(n, 6)]
+        for f, a in ((_normal.norm_ppf, p), (_normal.norm_cdf, x)):
+            whole = f(a)
+            cuts = list(range(0, n, 1237)) + [n]
+            pieces = np.concatenate([f(a[i:j]) for i, j in zip(cuts, cuts[1:])])
+            assert np.array_equal(whole.view(np.uint64), pieces.view(np.uint64))
+            for i in range(0, n, max(1, n // 40)):
+                assert f(float(a[i])) == whole[i]
 
 
 class TestZScore:
