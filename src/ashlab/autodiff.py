@@ -48,9 +48,12 @@ class Variable:
 
     @property
     def grad(self) -> Tensor:
-        """Accumulated gradient; zeros of the value's shape until one arrives."""
+        """Accumulated gradient, checked when read; zeros until one arrives."""
+        return Tensor._wrap(self._grad_array())
+
+    def _grad_array(self) -> np.ndarray:
         grad = self.tape._grads.get(self.node_id)
-        return Tensor._wrap(np.zeros(self.value.shape)) if grad is None else grad
+        return np.zeros(self.value.shape) if grad is None else grad
 
     def zero_grad(self) -> None:
         self.tape._grads.pop(self.node_id, None)
@@ -93,7 +96,7 @@ class Tape:
         # (output node id, input node ids with -1 for no grad, one VJP
         # (np.ndarray -> np.ndarray) or None per input), in recording order
         self._entries: list[tuple[int, tuple[int, ...], tuple]] = []
-        self._grads: dict[int, Tensor] = {}  # node id -> accumulated grad
+        self._grads: dict[int, np.ndarray] = {}  # node id -> raw grad, checked on read
         self._next_id = 0
 
     def _new_variable(self, value: Tensor, requires_grad: bool, name=None) -> Variable:
@@ -116,8 +119,7 @@ class Tape:
     def _accumulate(self, node_id: int, g: np.ndarray) -> None:
         # The first contribution lands on 0.0, as if added to a zero grad:
         # 0.0 + g turns a -0.0 into +0.0.
-        grad = self._grads.get(node_id)
-        self._grads[node_id] = Tensor._wrap((0.0 if grad is None else grad.data) + g)
+        self._grads[node_id] = self._grads.get(node_id, 0.0) + g
 
 
 def record(tape: Tape, op: str, inputs: tuple[Variable, ...], forward: Tensor,
@@ -377,12 +379,8 @@ class GradCheckReport:
 
 
 def _eval_scalar(f, arr: np.ndarray) -> float:
-    t = Tape()
-    out = f(t.variable(Tensor(arr)))
-    val = out.value.item()
-    if not np.isfinite(val):
-        raise ValueError(f"non-finite f evaluation ({val}) during fd_check")
-    return val
+    # f's output is a Tensor, so a non-finite f has raised NonFiniteError already.
+    return f(Tape().variable(Tensor(arr))).value.item()
 
 
 def fd_check(f, x, h: float = 1e-6) -> GradCheckReport:

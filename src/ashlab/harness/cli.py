@@ -1,7 +1,7 @@
 """Command-line interface.
 
-Subcommands: verify, table, train, compare, bench. Exit codes: 0 ok,
-1 verification failure, 2 usage/config error, 3 numerical divergence.
+Subcommands: verify, table, train, compare, bench. Exit codes: 0 ok, 1
+verification failure, 2 usage/config/data error, 3 nn.DivergenceError.
 The ASHLAB_SEED environment variable (an integer) overrides the
 configured seed for train and compare.
 """
@@ -127,6 +127,8 @@ def _cmd_compare(args) -> int:
         return _usage_error("--activations must name at least one activation")
     for name in names:
         act.preset(name)  # reject an unknown name before anything trains
+    if args.cut is not None:
+        act.json_value(args.cut, float, "--cut")  # nan and inf cut nothing
     data = _load_dataset(_parse_dataset_arg(args.dataset))
     env_seed = _env_seed()
     base = 0

@@ -18,7 +18,7 @@ from . import activations as act
 from . import autodiff as ad
 from . import tensor
 from .autodiff import Variable
-from .tensor import RngState, ShapeError, Tensor
+from .tensor import NonFiniteError, RngState, ShapeError, Tensor
 
 # Data-order draws start here so weight init (counter 0) can never
 # collide with them, no matter how many parameters a model has.
@@ -28,26 +28,24 @@ LOSS_KINDS = ("softmax_xent", "mse")
 
 
 class DivergenceError(RuntimeError):
-    """Training hit a non-finite value; carries (epoch, batch, where, phase).
+    """A non-finite value in `where`: a layer, "loss" or a parameter.
 
+    `Model.forward`, `loss_fn` and the optimizers' `step` raise it with
+    epoch, batch and phase None; `train` and `evaluate` fill them in.
     `phase` is "training" for an optimizer step, "validation" for the
     evaluation pass that closes each epoch and "evaluation" for a
     standalone `evaluate`, which has no epoch (None).
     """
 
-    def __init__(self, epoch: int | None, batch: int, where: str, phase: str = "training"):
-        at = f"batch {batch}" if epoch is None else f"epoch {epoch}, batch {batch}"
-        super().__init__(f"non-finite value at {at}, in {where} ({phase})")
+    def __init__(self, where: str, epoch: int | None = None, batch: int | None = None,
+                 phase: str | None = None):
+        at = "" if epoch is None else f"epoch {epoch}, "
+        at = "" if batch is None else f"at {at}batch {batch}, "
+        super().__init__(f"non-finite value {at}in {where}" + (f" ({phase})" if phase else ""))
+        self.where = where
         self.epoch = epoch
         self.batch = batch
-        self.where = where
         self.phase = phase
-
-
-class _NonFinite(Exception):
-    def __init__(self, where: str):
-        super().__init__(where)
-        self.where = where
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +221,8 @@ class Model:
                 h = _apply_layer(layer, name, h, pvars)
             except ShapeError as exc:  # name the layer: "act1: ..."
                 raise ShapeError(f"{name}: {exc}") from exc
-            except ValueError as exc:
-                raise _NonFinite(name) from exc
+            except NonFiniteError as exc:
+                raise DivergenceError(name) from exc
         return h, pvars
 
     def zk_snapshot(self) -> dict[str, list[float]]:
@@ -248,8 +246,9 @@ def _one_hot(targets, n_classes: int) -> np.ndarray:
             raise ShapeError(f"one-hot targets have {arr.shape[1]} columns, logits {n_classes}")
         return np.asarray(arr, dtype=np.float64)
     labels = np.asarray(arr, dtype=np.int64).reshape(-1)
-    if labels.min() < 0 or labels.max() >= n_classes:
-        raise ValueError(f"class index out of range [0, {n_classes})")
+    bad = labels[(labels < 0) | (labels >= n_classes)]
+    if bad.size:
+        raise ValueError(f"class label {bad[0]} is out of range for {n_classes} classes")
     hot = np.zeros((labels.size, n_classes))
     hot[np.arange(labels.size), labels] = 1.0
     return hot
@@ -289,10 +288,14 @@ def mse(pred: Variable, target) -> Variable:
 
 
 def loss_fn(kind: str, logits: Variable, targets) -> Variable:
-    if kind == "softmax_xent":
-        return softmax_xent(logits, targets)
-    if kind == "mse":
-        return mse(logits, _one_hot(targets, logits.value.shape[1]))
+    """The `kind` loss; a non-finite loss raises DivergenceError("loss")."""
+    try:
+        if kind == "softmax_xent":
+            return softmax_xent(logits, targets)
+        if kind == "mse":
+            return mse(logits, _one_hot(targets, logits.value.shape[1]))
+    except NonFiniteError as exc:
+        raise DivergenceError("loss") from exc
     raise ValueError(f"unknown loss {kind!r}; expected one of {LOSS_KINDS}")
 
 
@@ -344,8 +347,8 @@ class SGD:
             self._v[name] = v
             try:
                 new[name] = Tensor._wrap(w.data - self.lr * v)
-            except ValueError as exc:
-                raise _NonFinite(name) from exc
+            except NonFiniteError as exc:
+                raise DivergenceError(name) from exc
         return new
 
 
@@ -376,8 +379,8 @@ class Adam:
             update = self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
             try:
                 new[name] = Tensor._wrap(w.data - update)
-            except ValueError as exc:
-                raise _NonFinite(name) from exc
+            except NonFiniteError as exc:
+                raise DivergenceError(name) from exc
         return new
 
 
@@ -426,7 +429,8 @@ def evaluate(model: Model, x: Tensor, labels: np.ndarray, loss_kind: str = "soft
     """Forward-only loss and accuracy over a dataset.
 
     A non-finite activation or loss raises DivergenceError naming the
-    batch and the layer (or "loss"), with no epoch and phase "evaluation".
+    batch and the layer (or "loss"), with no epoch and phase "evaluation";
+    any other error keeps its class.
     """
     n = x.shape[0]
     total, correct = 0.0, 0.0
@@ -436,12 +440,8 @@ def evaluate(model: Model, x: Tensor, labels: np.ndarray, loss_kind: str = "soft
         try:
             logits, _ = model.forward(xb, trainable=False)
             total += loss_fn(loss_kind, logits, yb).value.item() * xb.shape[0]
-        except _NonFinite as exc:
-            raise DivergenceError(None, bi, exc.where, "evaluation") from exc
-        except ShapeError:
-            raise
-        except ValueError as exc:
-            raise DivergenceError(None, bi, "loss", "evaluation") from exc
+        except DivergenceError as exc:
+            raise DivergenceError(exc.where, None, bi, "evaluation") from exc
         correct += accuracy(logits.value, yb) * xb.shape[0]
     return total / n, correct / n
 
@@ -452,12 +452,12 @@ def train(model: Model, config: TrainConfig, dataset: tuple[Tensor, np.ndarray],
 
     Deterministic for a given config seed: the initial split shuffle and
     every epoch's batch order come from one counter-based stream. A
-    non-finite loss, activation or update aborts with DivergenceError
-    naming the epoch, batch, layer and phase (training or validation).
-    A ShapeError (model and data do not fit) propagates, its message
-    prefixed with the layer name ("act1: ..."). With
-    val_split = 0 the validation metrics are computed on the training
-    split.
+    non-finite activation, loss or update (a non-finite grad included)
+    aborts with DivergenceError naming the epoch, batch, phase and the
+    layer, "loss" or parameter. Other errors keep their class: a bad
+    label, a val_split leaving no training rows, or a ShapeError prefixed
+    with the layer name ("act1: ..."). With val_split = 0 the validation
+    metrics are computed on the training split.
     """
     x, labels = dataset
     labels = np.asarray(labels).reshape(-1)
@@ -468,6 +468,9 @@ def train(model: Model, config: TrainConfig, dataset: tuple[Tensor, np.ndarray],
     data_rng = RngState(config.seed, counter=_DATA_STREAM_OFFSET)
     order0 = data_rng.permutation(n)
     n_val = int(round(config.val_split * n))
+    if n_val == n:
+        raise ValueError(f"val_split {config.val_split} leaves no training rows: "
+                         f"{n_val} of {n} rows go to validation")
     train_idx = order0[: n - n_val]
     val_idx = order0[n - n_val:]
 
@@ -477,7 +480,7 @@ def train(model: Model, config: TrainConfig, dataset: tuple[Tensor, np.ndarray],
     for epoch in range(config.epochs):
         t0 = time.perf_counter()
         order = train_idx[data_rng.permutation(train_idx.size)]
-        loss_sum, seen = 0.0, 0
+        loss_sum = 0.0
         for bi, start in enumerate(range(0, order.size, config.batch_size)):
             idx = order[start:start + config.batch_size]
             xb = Tensor._wrap(x.data[idx])
@@ -486,34 +489,26 @@ def train(model: Model, config: TrainConfig, dataset: tuple[Tensor, np.ndarray],
                 logits, pvars = model.forward(xb)
                 batch_loss = loss_fn(config.loss, logits, yb)
                 ad.backward(batch_loss)
-                grads = {name: pvars[name].grad.data for name in model.params}
+                # Raw grads: a non-finite one is named at the parameter it reaches.
+                grads = {name: pvars[name]._grad_array() for name in model.params}
                 model.params = opt.step(model.params, grads)
-            except _NonFinite as exc:
-                raise DivergenceError(epoch, bi, exc.where) from exc
-            except ShapeError:
-                raise
-            except ValueError as exc:
-                raise DivergenceError(epoch, bi, "loss") from exc
+            except DivergenceError as exc:
+                raise DivergenceError(exc.where, epoch, bi, "training") from exc
             for pname, lo in model.param_bounds.items():
                 if float(model.params[pname].data.min()) < lo:
                     model.params[pname] = Tensor._wrap(np.maximum(model.params[pname].data, lo))
             loss_sum += batch_loss.value.item() * idx.size
-            seen += idx.size
 
-        if val_idx.size:
-            xv = Tensor._wrap(x.data[val_idx])
-            yv = labels[val_idx]
-        else:
-            xv = Tensor._wrap(x.data[train_idx])
-            yv = labels[train_idx]
+        eval_idx = val_idx if val_idx.size else train_idx
         try:
-            val_loss, val_acc = evaluate(model, xv, yv, config.loss, config.batch_size)
+            val_loss, val_acc = evaluate(model, Tensor._wrap(x.data[eval_idx]),
+                                         labels[eval_idx], config.loss, config.batch_size)
         except DivergenceError as exc:
-            raise DivergenceError(epoch, exc.batch, exc.where, "validation") from exc
+            raise DivergenceError(exc.where, epoch, exc.batch, "validation") from exc
 
         record = EpochRecord(
             epoch=epoch,
-            train_loss=loss_sum / seen,
+            train_loss=loss_sum / train_idx.size,
             val_loss=val_loss,
             val_acc=val_acc,
             zk_snapshot=model.zk_snapshot(),

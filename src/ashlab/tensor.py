@@ -39,6 +39,10 @@ class ShapeError(ValueError):
     """Operand shapes violate an operation's contract."""
 
 
+class NonFiniteError(ValueError):
+    """A Tensor would hold NaN or Inf: the one finiteness check."""
+
+
 def check_shape(dims) -> tuple[int, ...]:
     """Validate and normalize tensor dims (rank <= 4, extents >= 1)."""
     dims = tuple(int(d) for d in dims)
@@ -61,7 +65,7 @@ class Tensor:
         else:
             check_shape(arr.shape)
         if not np.all(np.isfinite(arr)):
-            raise ValueError("tensor values must be finite (no NaN/Inf)")
+            raise NonFiniteError("tensor values must be finite (no NaN/Inf)")
         arr.setflags(write=False)
         self._data = arr
 
@@ -73,7 +77,7 @@ class Tensor:
         if arr.ndim > MAX_RANK or arr.size == 0:
             check_shape(arr.shape)  # raises the matching ShapeError
         if not np.isfinite(arr).all():
-            raise ValueError("tensor values must be finite (no NaN/Inf)")
+            raise NonFiniteError("tensor values must be finite (no NaN/Inf)")
         arr.setflags(write=False)
         out = cls.__new__(cls)
         out._data = arr

@@ -10,7 +10,7 @@ from ashlab import activations as act
 from ashlab import autodiff as ad
 from ashlab import nn
 from ashlab.autodiff import Tape, TapeMixError, backward, fd_check
-from ashlab.tensor import Tensor
+from ashlab.tensor import NonFiniteError, Tensor
 
 SWISH_GRAD_AT_1 = 0.9276705118714867  # S(1) + S(1)*(1 - S(1))
 
@@ -74,6 +74,17 @@ class TestBackward:
         x = t.variable(Tensor([1.0, 1.0]), requires_grad=True)
         backward(ad.sum_all(ad.add(x, x)))
         assert np.array_equal(x.grad.data, np.full(2, 2.0))
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_tape_keeps_raw_grads_and_checks_on_read(self):
+        # Finite forward (3.4e298), overflowing backward (2 * 1.7e308).
+        t = Tape()
+        x = t.variable(Tensor([1e-10]), requires_grad=True)
+        a = ad.mul(x, 1.7e308)
+        backward(ad.sum_all(ad.add(a, a)))
+        assert np.isinf(x._grad_array()).all()
+        with pytest.raises(NonFiniteError):
+            x.grad
 
     def test_double_backward_doubles_grads(self):
         t = Tape()

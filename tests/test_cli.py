@@ -148,6 +148,26 @@ class TestTrainCommand:
         assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "x")]) == 3
         assert "in dense2 (validation)" in capsys.readouterr().err
 
+    def test_out_of_range_label_is_exit_2(self, tmp_path, capsys):
+        data = tmp_path / "labels.csv"
+        data.write_text("x0,x1,label\n0.1,0.2,0\n0.3,0.1,5\n0.5,0.5,1\n0.2,0.9,0\n")
+        doc = json.loads(json.dumps(CONFIG))
+        doc["dataset"] = {"csv": str(data)}
+        cfg = write_config(tmp_path, doc)
+        assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert "class label 5 is out of range for 2 classes" in err
+        assert "diverged" not in err
+
+    def test_empty_training_split_is_exit_2(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(CONFIG))
+        doc["dataset"] = {"builtin": "two_moons", "n": 2}
+        doc["train"]["val_split"] = 0.75
+        cfg = write_config(tmp_path, doc)
+        assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == (
+            "error: val_split 0.75 leaves no training rows: 2 of 2 rows go to validation\n")
+
     def test_layer_shape_mismatch_is_exit_2(self, tmp_path, capsys):
         doc = json.loads(json.dumps(CONFIG))
         doc["model"]["layers"][0]["in"] = 3
@@ -292,6 +312,22 @@ class TestCompareCommand:
         assert cli.main(["compare", "--activations", "relu",
                          "--dataset", "two_moons(frobs=2)", "--seeds", "1",
                          "--out", str(tmp_path / "x")]) == 2
+
+    def test_empty_training_split_is_usage_error(self, tmp_path, capsys):
+        assert cli.main(["compare", "--activations", "relu",
+                         "--dataset", "two_moons(n=2)", "--val-split", "0.9",
+                         "--out", str(tmp_path / "x")]) == 2
+        assert "val_split 0.9 leaves no training rows: 2 of 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cut", ["nan", "inf", "-inf"])
+    def test_non_finite_cut_is_usage_error_before_training(self, tmp_path, capsys, cut):
+        out = tmp_path / "x"
+        assert cli.main(["compare", "--activations", "relu",
+                         "--dataset", "two_moons(n=16)", "--epochs", "1",
+                         f"--cut={cut}", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --cut must be a finite number, got {float(cut)!r}\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("dataset,message", [
         ("two_moons(n=1e3)", "dataset: field 'n' must be an integer, got '1e3'"),

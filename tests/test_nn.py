@@ -7,7 +7,7 @@ from ashlab import activations as act
 from ashlab import autodiff as ad
 from ashlab import nn
 from ashlab.harness import datasets
-from ashlab.tensor import ShapeError, Tensor
+from ashlab.tensor import NonFiniteError, ShapeError, Tensor
 
 
 def mlp(spec_name, widths=(2, 16, 16, 2)):
@@ -165,6 +165,21 @@ class TestLosses:
         with pytest.raises(ValueError):
             nn.softmax_xent(logits, np.array([0, 3]))
 
+    @pytest.mark.parametrize("kind", nn.LOSS_KINDS)
+    def test_label_range_message_names_label_and_class_count(self, kind):
+        logits = ad.Tape().variable(Tensor(np.zeros((3, 2))))
+        with pytest.raises(ValueError, match=r"class label -1 .* 2 classes"):
+            nn.loss_fn(kind, logits, np.array([0, -1, 5]))
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_non_finite_loss_is_divergence_in_loss(self):
+        logits = ad.Tape().variable(Tensor([[-1e308, 1e308]]))
+        with pytest.raises(nn.DivergenceError) as err:
+            nn.loss_fn("softmax_xent", logits, np.array([0]))
+        assert (err.value.where, err.value.epoch, err.value.batch, err.value.phase) == \
+            ("loss", None, None, None)
+        assert str(err.value) == "non-finite value in loss"
+
     def test_accuracy(self):
         logits = Tensor([[2.0, 1.0], [0.0, 1.0], [3.0, -1.0], [0.0, 0.5]])
         assert nn.accuracy(logits, np.array([0, 1, 1, 1])) == 0.75
@@ -212,6 +227,22 @@ class TestOptimizers:
             nn.OptimizerSpec(kind="rmsprop")
         with pytest.raises(ValueError):
             nn.OptimizerSpec(lr=0.0)
+
+    @pytest.mark.parametrize("opt,w,g", [
+        (nn.SGD(lr=1e308), -1e308, 1.0),
+        (nn.SGD(lr=1e-3), 1.0, np.inf),
+        (nn.Adam(lr=1e308), -1e308, 1.0),
+    ], ids=["sgd-update", "sgd-grad", "adam-update"])
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_non_finite_update_is_public_divergence(self, opt, w, g):
+        values = {"dense0.b": Tensor([0.0]), "dense0.W": Tensor([w])}
+        grads = {"dense0.b": np.zeros(1), "dense0.W": np.array([g])}
+        with pytest.raises(nn.DivergenceError) as err:
+            opt.step(values, grads)
+        assert (err.value.where, err.value.epoch, err.value.batch, err.value.phase) == \
+            ("dense0.W", None, None, None)
+        assert str(err.value) == "non-finite value in dense0.W"
+        assert isinstance(err.value.__cause__, NonFiniteError)
 
     @pytest.mark.parametrize("name,value", [
         ("beta1", 1.0), ("beta1", -0.1), ("beta2", 1.0), ("beta2", float("nan")),
@@ -333,6 +364,68 @@ class TestTrainLoop:
         assert (err.value.epoch, err.value.batch, err.value.where) == (None, 1, "dense0")
         assert err.value.phase == "evaluation"
         assert str(err.value) == "non-finite value at batch 1, in dense0 (evaluation)"
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_direct_forward_divergence_is_public(self):
+        model = nn.Model([nn.Dense(2, 2), nn.Activation(act.preset("relu"))], seed=0)
+        model.params["dense0.W"] = Tensor(np.full((2, 2), 1e308))
+        with pytest.raises(nn.DivergenceError) as err:
+            model.forward(Tensor([[1.0, 1.0]]))
+        assert (err.value.where, err.value.epoch, err.value.batch, err.value.phase) == \
+            ("dense0", None, None, None)
+        assert str(err.value) == "non-finite value in dense0"
+
+    @staticmethod
+    def _overflowing_backward_model():
+        # Finite forward (logits +-6.8e98), but dense1.W sends 2 * 1.7e308
+        # back into dense0: the gradient of dense0.W is infinite.
+        model = nn.Model([nn.Dense(2, 2), nn.Dense(2, 2)], seed=0)
+        model.params["dense0.W"] = Tensor(np.full((2, 2), 1e-10))
+        model.params["dense1.W"] = Tensor([[-1.7e308, 1.7e308]] * 2)
+        return model
+
+    def test_non_finite_grad_is_named_at_its_parameter(self):
+        model = self._overflowing_backward_model()
+        data = (Tensor([[1.0, 1.0]]), np.array([0]))
+        cfg = nn.TrainConfig(epochs=1, batch_size=1,
+                             optimizer=nn.OptimizerSpec(kind="sgd", lr=1e-3))
+        with pytest.raises(nn.DivergenceError) as err:
+            nn.train(model, cfg, data)
+        assert str(err.value) == "non-finite value at epoch 0, batch 0, in dense0.W (training)"
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_loss_divergence_messages_are_pinned(self):
+        model = nn.Model([nn.Dense(2, 2)], seed=0)
+        model.params["dense0.W"] = Tensor([[-1e308, 1e308], [0.0, 0.0]])
+        data = (Tensor([[0.0, 0.0], [1.0, 0.0]]), np.array([0, 0]))
+        with pytest.raises(nn.DivergenceError) as err:
+            nn.evaluate(model, *data, batch_size=1)
+        assert str(err.value) == "non-finite value at batch 1, in loss (evaluation)"
+        cfg = nn.TrainConfig(epochs=1, batch_size=2,
+                             optimizer=nn.OptimizerSpec(kind="sgd", lr=1e-3))
+        with pytest.raises(nn.DivergenceError) as err:
+            nn.train(model, cfg, data)
+        assert str(err.value) == "non-finite value at epoch 0, batch 0, in loss (training)"
+
+    def test_out_of_range_label_is_not_divergence(self):
+        model = nn.Model([nn.Dense(2, 2)], seed=0)
+        data = (Tensor([[0.0, 1.0], [1.0, 0.0]]), np.array([0, 5]))
+        match = r"class label 5 is out of range for 2 classes"
+        with pytest.raises(ValueError, match=match) as err:
+            nn.train(model, nn.TrainConfig(epochs=1, batch_size=1), data)
+        assert not isinstance(err.value, nn.DivergenceError)
+        with pytest.raises(ValueError, match=match):
+            nn.evaluate(model, *data)
+
+    @pytest.mark.parametrize("n,val_split", [(2, 0.75), (2, 0.9), (10, 0.96)])
+    def test_empty_training_split_rejected_before_training(self, n, val_split):
+        data = datasets.two_moons(n, 0.1, 0)
+        model = nn.Model([nn.Dense(2, 2)], seed=0)
+        before = dict(model.params)
+        with pytest.raises(ValueError, match=rf"val_split {val_split} leaves no training "
+                                             rf"rows: {n} of {n} rows"):
+            nn.train(model, nn.TrainConfig(epochs=1, val_split=val_split), data)
+        assert model.params == before
 
     def test_shape_error_is_not_divergence(self):
         data = datasets.two_moons(64, 0.1, 0)

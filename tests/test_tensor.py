@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from ashlab import tensor
-from ashlab.tensor import RngState, ShapeError, Tensor, ewise, full, matmul, randn, reduce
+from ashlab.tensor import NonFiniteError, RngState, ShapeError, Tensor, ewise, full, matmul, \
+    randn, reduce
 
 
 class TestConstruction:
@@ -39,6 +40,14 @@ class TestConstruction:
             Tensor([1.0, np.nan])
         with pytest.raises(ValueError):
             Tensor([np.inf])
+
+    def test_non_finite_raises_its_own_value_error(self):
+        # Both constructors share one class and one message.
+        for make in (lambda: Tensor([np.nan]), lambda: Tensor._wrap(np.array([-np.inf]))):
+            with pytest.raises(NonFiniteError) as err:
+                make()
+            assert isinstance(err.value, ValueError)
+            assert str(err.value) == "tensor values must be finite (no NaN/Inf)"
 
     def test_buffer_is_read_only(self):
         t = Tensor([1.0, 2.0])
