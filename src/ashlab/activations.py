@@ -216,24 +216,19 @@ def conditional_unit(x, scale=1.0, threshold=0.0):
     identically zero and it can never train.
     """
     tape = x.tape
-    scale_v = scale if isinstance(scale, Variable) else None
-    thr_v = threshold if isinstance(threshold, Variable) else None
-    sval = float(_param_value(scale).reshape(-1)[0])
-    tval = float(_param_value(threshold).reshape(-1)[0])
+    scale, threshold = (p if isinstance(p, Variable) else tape.constant(p)
+                        for p in (scale, threshold))
+    sval = float(scale.value.data.reshape(-1)[0])
+    tval = float(threshold.value.data.reshape(-1)[0])
 
     data = x.value.data
     mask = data >= tval
     out = Tensor._wrap(np.where(mask, sval * data, 0.0))
-
-    inputs = [x]
-    vjps = [lambda g: g * sval * mask]
-    if scale_v is not None:
-        inputs.append(scale_v)
-        vjps.append(lambda g, shape=scale_v.value.shape: np.sum(g * data * mask).reshape(shape))
-    if thr_v is not None:
-        inputs.append(thr_v)
-        vjps.append(None)  # a comparison operand has zero derivative
-    return ad.record(tape, "conditional_unit", tuple(inputs), out, tuple(vjps))
+    shape = scale.value.shape  # the VJP takes shapes: a tape holds no Variable
+    return ad.record(tape, "conditional_unit", (x, scale, threshold), out, lambda g, needs: (
+        needs[0] and g * sval * mask,
+        needs[1] and np.sum(g * data * mask).reshape(shape),
+        None))  # a comparison operand (the threshold) has zero derivative
 
 
 # ---------------------------------------------------------------------------
@@ -311,12 +306,11 @@ def _gate_op(x: Variable, z_k, stats_mode: str, keep_boundary: bool, name: str) 
     mask = (margin >= 0.0) if keep_boundary else (margin > 0.0)
     out = Tensor._wrap(np.where(mask, data, 0.0))
 
-    inputs = [x]
-    vjps = [lambda g: g * mask]
     if isinstance(z_k, Variable):
-        inputs.append(z_k)
-        vjps.append(None)  # threshold lives inside the comparison only
-    return ad.record(x.tape, name, tuple(inputs), out, tuple(vjps))
+        # The threshold lives inside the comparison only: its slot is None.
+        return ad.record(x.tape, name, (x, z_k), out,
+                         lambda g, needs: (needs[0] and g * mask, None))
+    return ad.record(x.tape, name, (x,), out, lambda g, needs: (g * mask,))
 
 
 # ---------------------------------------------------------------------------
@@ -324,9 +318,22 @@ def _gate_op(x: Variable, z_k, stats_mode: str, keep_boundary: bool, name: str) 
 # fixed variants.
 # ---------------------------------------------------------------------------
 
-def _ash_op(x: Variable, z, alpha, leak, stats_mode: str, grad_mode: str,
-            name: str) -> Variable:
+def _times_gate(s: np.ndarray, lval: float, y: np.ndarray, out=None) -> np.ndarray:
+    """((1-leak)*s + leak) * y into `out` (which may be s). At leak 0 the
+    gate is s: s >= +0, so 1.0*s and s + 0.0 change no bit and are skipped."""
+    if not lval:
+        return np.multiply(s, y, out=out)
+    gate = np.multiply(s, 1.0 - lval, out=out)
+    gate += lval
+    gate *= y
+    return gate
+
+
+def _ash_op(x, z, alpha, leak, stats_mode: str, grad_mode: str, name: str):
     """out = x * (leak + (1-leak) * S(2*alpha*(x - mu - z*sigma))).
+
+    `x` is a Variable, or a Tensor (or array) for a forward-only call that
+    builds no tape and returns a Tensor.
 
     Hand-written VJP (checked against central differences):
       let sp = s*(1-s), w = g*x*(1-leak)*sp, A = sum_group(w), B = sum_group(w*z)
@@ -338,65 +345,84 @@ def _ash_op(x: Variable, z, alpha, leak, stats_mode: str, grad_mode: str,
     B carries z inside the group sum because a channel-vector z varies
     within a per-sample stats group. The sigma floor (1e-5) freezes the
     sigma chain term in floored groups.
+
+    In place, in a fixed order: u = centered - z*sigma, u *= 2a, s = S(u),
+    then s*(1-leak) + leak, * x. Each step is the IEEE operation of the
+    out-of-place writing on the same operands (a product's commute
+    exactly), so writing it into an earlier step's buffer keeps every bit.
+    With no grad needed all steps write into the `centered` buffer from
+    `moments` and nothing is kept; otherwise the forward keeps s (centered
+    for through-stats, u for a trainable alpha) and the backward forms w
+    once for every grad.
     """
     if grad_mode not in GRAD_MODES:
         raise ValueError(f"grad_mode must be one of {GRAD_MODES}, got {grad_mode!r}")
-    data = x.value.data
+    taped = isinstance(x, Variable)
+    xt = x.value if taped else x if isinstance(x, Tensor) else Tensor(x)
+    data = xt.data
     aval = float(_param_value(alpha).reshape(-1)[0])
     if aval <= 0:
         raise ValueError(f"alpha must be > 0, got {aval}")
     lval = float(_param_value(leak).reshape(-1)[0])
     if lval < 0:
         raise ValueError(f"leak must be >= 0, got {lval}")
-    z_b = _broadcast_z(z, x.value.shape)
+    z_b = _broadcast_z(z, xt.shape)
+    axes, n, _, centered, sigma_raw, sigma = _grouped_stats(data, stats_mode)
 
-    axes, n, mu, centered, sigma_raw, sigma = _grouped_stats(data, stats_mode)
-    u = centered - z_b * sigma
-    u *= 2.0 * aval
-    s = ad.stable_sigmoid(u)
-    gate = (1.0 - lval) * s
-    gate += lval
-    out = Tensor._wrap(data * gate)
-
+    params = {key: p for key, p in (("z", z), ("leak", leak), ("alpha", alpha))
+              if isinstance(p, Variable)}
+    inputs = (x, *params.values()) if taped else ()
+    grad = any(v.requires_grad for v in inputs)
     through = grad_mode == "through-stats"
-    floored = sigma_raw < st.SIGMA_FLOOR
-    sigma_safe = np.where(floored, 1.0, sigma_raw)
+    # Overflow can only reach the output, whose finiteness check reports it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = np.subtract(centered, z_b * sigma, out=None if grad and through else centered)
+        u *= 2.0 * aval
+        s = ad.stable_sigmoid(u, out=None if grad and "alpha" in params else u)
+        out = Tensor._wrap(_times_gate(s, lval, data, None if grad else s))
+    # The VJP takes shapes, not Variables: a tape holds no Variable. Without a
+    # grad, record keeps no VJP, and the buffers it names hold the output.
+    shapes = {key: p.value.shape for key, p in params.items()}
 
-    def vjp_x(g):
-        w = g * data * (1.0 - lval) * s * (1.0 - s)
-        grad = g * gate + 2.0 * aval * w
-        if through:
-            a_sum = w.sum(axis=axes, keepdims=True)
-            grad = grad - 2.0 * aval * a_sum / n
-            b_sum = (w * z_b).sum(axis=axes, keepdims=True)
-            chain = np.where(floored, 0.0, b_sum / (n * sigma_safe))
-            grad = grad - 2.0 * aval * centered * chain
-        return grad
+    def vjp(g, needs):
+        need = dict(zip(("x", *shapes), needs))
+        grads = {}
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = g * data
+            one_minus_s = 1.0 - s
+            if need.get("leak"):
+                grads["leak"] = np.sum(w * one_minus_s).reshape(shapes["leak"])
+            if lval:
+                w *= 1.0 - lval
+            w *= s
+            w *= one_minus_s
+            if need.get("z"):
+                wz = sigma * w
+                wz *= -2.0 * aval
+                grads["z"] = _reduce_to_param(wz, shapes["z"])
+            if need.get("alpha"):
+                grads["alpha"] = (np.sum(w * u) / aval).reshape(shapes["alpha"])
+            if need["x"]:
+                gx = _times_gate(s, lval, g, one_minus_s)
+                if through:
+                    a_sum = w.sum(axis=axes, keepdims=True)
+                    b_sum = (w * z_b).sum(axis=axes, keepdims=True)
+                w *= 2.0 * aval
+                gx += w
+                if through:
+                    gx -= 2.0 * aval * a_sum / n
+                    floored = sigma_raw < st.SIGMA_FLOOR
+                    chain = np.where(floored, 0.0,
+                                     b_sum / (n * np.where(floored, 1.0, sigma_raw)))
+                    np.multiply(centered, 2.0 * aval, out=w)
+                    w *= chain
+                    gx -= w
+                grads["x"] = gx
+        return tuple(grads.get(key) for key in need)
 
-    inputs = [x]
-    vjps = [vjp_x]
-    # The VJPs take shapes, not Variables: a tape holds no Variable.
-    if isinstance(z, Variable):
-        def vjp_z(g, shape=z.value.shape):
-            w = g * data * (1.0 - lval) * s * (1.0 - s)
-            return _reduce_to_param((-2.0 * aval) * (sigma * w), shape)
-        inputs.append(z)
-        vjps.append(vjp_z)
-    if isinstance(leak, Variable):
-        def vjp_leak(g, shape=leak.value.shape):
-            return np.sum(g * data * (1.0 - s)).reshape(shape)
-        inputs.append(leak)
-        vjps.append(vjp_leak)
-    if isinstance(alpha, Variable):
-        def vjp_alpha(g, shape=alpha.value.shape):
-            w = g * data * (1.0 - lval) * s * (1.0 - s)
-            return (np.sum(w * u) / aval).reshape(shape)
-        inputs.append(alpha)
-        vjps.append(vjp_alpha)
-    return ad.record(x.tape, name, tuple(inputs), out, tuple(vjps))
+    return ad.record(x.tape, name, inputs, out, vjp) if taped else out
 
 
-@_accepts_tensor
 def smooth_ash(x, z_k=0.0, alpha=1.0, stats_mode: str = "per-sample",
                grad_mode: str = "through-stats"):
     """Sigmoid-gated threshold unit x * S(2*alpha*(x - mu - z_k*sigma)).
@@ -407,7 +433,6 @@ def smooth_ash(x, z_k=0.0, alpha=1.0, stats_mode: str = "per-sample",
     return _ash_op(x, z_k, alpha, 0.0, stats_mode, grad_mode, "smooth_ash")
 
 
-@_accepts_tensor
 def leaky_ash(x, z_k=0.0, leak=0.01, alpha=1.0, stats_mode: str = "per-sample",
               grad_mode: str = "through-stats"):
     """Leaky smooth form: x*(leak + (1-leak)*S(...)).
@@ -426,7 +451,6 @@ def _fixed_z(k: float) -> float:
     return st.z_from_percentile(min(k, 100.0 - 1e-12))
 
 
-@_accepts_tensor
 def fixed_ash(x, k=50.0, alpha=1.0, stats_mode: str = "per-sample",
               grad_mode: str = "through-stats"):
     """Smooth form with the percentile k frozen: z = z(k) is a constant."""

@@ -10,6 +10,13 @@ The Tape holds node ids, VJPs closing over arrays, and the grads, but no
 Variable, so a graph is freed by reference counting with its last
 Variable instead of waiting for the cyclic garbage collector.
 
+The record contract: each tape entry holds one VJP for the whole
+primitive, `vjp(g, needs) -> tuple` aligned with its inputs. Slot i is
+the grad of inputs[i], reduced to its shape, and is read only where
+needs[i] (that input needs a grad), so a VJP forms shared intermediates
+once and skips what no input needs; None blocks the gradient. An
+application no input of which needs a grad records no entry.
+
 Conventions:
   * only scalar (single-element) broadcast in binary ops; the gradient
     for a broadcast scalar operand is the sum over the output,
@@ -93,9 +100,8 @@ class Tape:
     """Ordered record of primitive applications for one forward pass."""
 
     def __init__(self):
-        # (output node id, input node ids with -1 for no grad, one VJP
-        # (np.ndarray -> np.ndarray) or None per input), in recording order
-        self._entries: list[tuple[int, tuple[int, ...], tuple]] = []
+        # (output node id, input node ids, which inputs need a grad, VJP) in order
+        self._entries: list[tuple[int, tuple[int, ...], tuple[bool, ...], object]] = []
         self._grads: dict[int, np.ndarray] = {}  # node id -> raw grad, checked on read
         self._next_id = 0
 
@@ -123,21 +129,20 @@ class Tape:
 
 
 def record(tape: Tape, op: str, inputs: tuple[Variable, ...], forward: Tensor,
-           vjps: tuple) -> Variable:
+           vjp) -> Variable:
     """Append one primitive application; returns the output Variable.
 
-    `vjps[i]` maps the upstream gradient to the contribution for
-    `inputs[i]` (already reduced to that input's shape); None marks a
-    gradient-blocking path.
+    `vjp(g, needs)` follows the module's record contract; it is kept only
+    when some input needs a grad.
     """
     for v in inputs:
         if v.tape is not tape:
             raise TapeMixError(f"op {op!r} mixes Variables from different tapes")
-    requires = any(v.requires_grad for v in inputs)
+    needs = tuple([v.requires_grad for v in inputs])
+    requires = True in needs
     out = tape._new_variable(forward, requires, name=op)
     if requires:
-        ids = tuple(v.node_id if v.requires_grad else -1 for v in inputs)
-        tape._entries.append((out.node_id, ids, tuple(vjps)))
+        tape._entries.append((out.node_id, tuple([v.node_id for v in inputs]), needs, vjp))
     return out
 
 
@@ -147,16 +152,14 @@ def backward(loss: Variable) -> None:
         raise ValueError(f"loss must be scalar, got shape {loss.value.shape}")
     tape = loss.tape
     adjoint: dict[int, np.ndarray] = {loss.node_id: np.ones(loss.value.shape)}
-    for out, ids, vjps in reversed(tape._entries):
+    for out, ids, needs, vjp in reversed(tape._entries):
         g = adjoint.pop(out, None)
         if g is None:
             continue
         tape._accumulate(out, g)  # a recorded output always requires grad
-        for nid, vjp in zip(ids, vjps):
-            if vjp is None or nid < 0:
-                continue
-            contrib = vjp(g)
-            adjoint[nid] = adjoint[nid] + contrib if nid in adjoint else contrib
+        for nid, need, contrib in zip(ids, needs, vjp(g, needs)):
+            if need and contrib is not None:
+                adjoint[nid] = adjoint[nid] + contrib if nid in adjoint else contrib
     # Whatever remains belongs to leaves (Variables no entry produced).
     for nid, g in adjoint.items():
         if nid != loss.node_id or loss.requires_grad:
@@ -167,12 +170,6 @@ def backward(loss: Variable) -> None:
 # Operand coercion and broadcast helpers.
 # ---------------------------------------------------------------------------
 
-def _as_variable(x, tape: Tape) -> Variable:
-    if isinstance(x, Variable):
-        return x
-    return tape.constant(x)
-
-
 def _binary_operands(a, b) -> tuple[Variable, Variable]:
     if isinstance(a, Variable):
         tape = a.tape
@@ -180,7 +177,8 @@ def _binary_operands(a, b) -> tuple[Variable, Variable]:
         tape = b.tape
     else:
         raise TypeError("at least one operand must be a Variable")
-    return _as_variable(a, tape), _as_variable(b, tape)
+    return (a if isinstance(a, Variable) else tape.constant(a),
+            b if isinstance(b, Variable) else tape.constant(b))
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -196,68 +194,49 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # Primitive operations.
 # ---------------------------------------------------------------------------
 
-def add(a, b) -> Variable:
+def _binary(op: str, a, b, grad_a, grad_b, name: str | None = None) -> Variable:
+    """Record `tensor.ewise(op, a, b)` as `name` (default op); grad_a(g, x, y)
+    and grad_b(g, x, y) are the grads of a and b (values x, y) unreduced."""
     a, b = _binary_operands(a, b)
-    out = tensor.ewise("add", a.value, b.value)
-    sa, sb = a.value.shape, b.value.shape
-    return record(a.tape, "add", (a, b), out, (
-        lambda g: _unbroadcast(g, sa),
-        lambda g: _unbroadcast(g, sb),
-    ))
+    out = tensor.ewise(op, a.value, b.value)
+    x, y = a.value.data, b.value.data
+    return record(a.tape, name or op, (a, b), out, lambda g, needs: (
+        needs[0] and _unbroadcast(grad_a(g, x, y), x.shape),
+        needs[1] and _unbroadcast(grad_b(g, x, y), y.shape)))
+
+
+def add(a, b) -> Variable:
+    return _binary("add", a, b, lambda g, x, y: g, lambda g, x, y: g)
 
 
 def sub(a, b) -> Variable:
-    a, b = _binary_operands(a, b)
-    out = tensor.ewise("sub", a.value, b.value)
-    sa, sb = a.value.shape, b.value.shape
-    return record(a.tape, "sub", (a, b), out, (
-        lambda g: _unbroadcast(g, sa),
-        lambda g: _unbroadcast(-g, sb),
-    ))
+    return _binary("sub", a, b, lambda g, x, y: g, lambda g, x, y: -g)
 
 
 def mul(a, b) -> Variable:
-    a, b = _binary_operands(a, b)
-    out = tensor.ewise("mul", a.value, b.value)
-    ad, bd = a.value.data, b.value.data
-    return record(a.tape, "mul", (a, b), out, (
-        lambda g: _unbroadcast(g * bd, ad.shape),
-        lambda g: _unbroadcast(g * ad, bd.shape),
-    ))
+    return _binary("mul", a, b, lambda g, x, y: g * y, lambda g, x, y: g * x)
 
 
 def div(a, b) -> Variable:
-    a, b = _binary_operands(a, b)
-    out = tensor.ewise("div", a.value, b.value)
-    ad, bd = a.value.data, b.value.data
-    return record(a.tape, "div", (a, b), out, (
-        lambda g: _unbroadcast(g / bd, ad.shape),
-        lambda g: _unbroadcast(-g * ad / (bd * bd), bd.shape),
-    ))
+    return _binary("div", a, b, lambda g, x, y: g / y, lambda g, x, y: -g * x / (y * y))
 
 
 def maximum(a, b) -> Variable:
     """Elementwise max; ties route the gradient to the second operand."""
-    a, b = _binary_operands(a, b)
-    out = tensor.ewise("max", a.value, b.value)
-    mask = a.value.data > b.value.data
-    sa, sb = a.value.shape, b.value.shape
-    return record(a.tape, "maximum", (a, b), out, (
-        lambda g: _unbroadcast(g * mask, sa),
-        lambda g: _unbroadcast(g * (~mask), sb),
-    ))
+    return _binary("max", a, b, lambda g, x, y: g * (x > y), lambda g, x, y: g * ~(x > y),
+                   "maximum")
 
 
 def neg(a) -> Variable:
     out = Tensor._wrap(-a.value.data)
-    return record(a.tape, "neg", (a,), out, (lambda g: -g,))
+    return record(a.tape, "neg", (a,), out, lambda g, needs: (-g,))
 
 
 def exp(a) -> Variable:
     with np.errstate(over="ignore"):
         out = Tensor._wrap(np.exp(a.value.data))  # overflow -> finiteness error
     od = out.data
-    return record(a.tape, "exp", (a,), out, (lambda g: g * od,))
+    return record(a.tape, "exp", (a,), out, lambda g, needs: (g * od,))
 
 
 def log(a) -> Variable:
@@ -265,7 +244,7 @@ def log(a) -> Variable:
         raise ValueError("log needs strictly positive inputs")
     out = Tensor._wrap(np.log(a.value.data))
     ad = a.value.data
-    return record(a.tape, "log", (a,), out, (lambda g: g / ad,))
+    return record(a.tape, "log", (a,), out, lambda g, needs: (g / ad,))
 
 
 def sqrt(a) -> Variable:
@@ -273,21 +252,24 @@ def sqrt(a) -> Variable:
         raise ValueError("sqrt needs non-negative inputs")
     out = Tensor._wrap(np.sqrt(a.value.data))
     od = out.data
-
-    def vjp(g):
-        # 0 upstream stays 0 even at the root's singular point.
-        return np.where(g == 0.0, 0.0, g / np.maximum(2.0 * od, 1e-300))
-
-    return record(a.tape, "sqrt", (a,), out, (vjp,))
+    # 0 upstream stays 0 even at the root's singular point.
+    return record(a.tape, "sqrt", (a,), out, lambda g, needs: (
+        np.where(g == 0.0, 0.0, g / np.maximum(2.0 * od, 1e-300)),))
 
 
-def stable_sigmoid(u: np.ndarray) -> np.ndarray:
-    """np.where(u >= 0, 1/(1+t), t/(1+t)) with t = exp(-|u|), bit for bit,
-    built in place so that it allocates only two arrays of u's size."""
-    t = np.abs(u)
-    np.exp(np.negative(t, out=t), out=t)
-    s = np.where(u >= 0.0, 1.0, t)
+def stable_sigmoid(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Logistic exp(min(u, 0)) / (1 + exp(-|u|)), into `out` (which may be u).
+
+    Bit for bit np.where(u >= 0, 1/(1+t), t/(1+t)), t = exp(-|u|), without
+    its branches: the numerator is exp(0) = 1 for u >= 0 (and -0.0) and
+    exp(u) = t for u < 0, where -|u| is u exactly. The denominator is made
+    first, so the call allocates one array of u's size (two without out).
+    """
+    t = np.copysign(u, -1.0)  # -|u|, one pass
+    np.exp(t, out=t)
     t += 1.0
+    s = np.minimum(u, 0.0, out=out)
+    np.exp(s, out=s)
     s /= t
     return s
 
@@ -295,13 +277,13 @@ def stable_sigmoid(u: np.ndarray) -> np.ndarray:
 def sigmoid(a) -> Variable:
     """Logistic 1/(1+e^-x), overflow-free for the whole float64 range."""
     s = stable_sigmoid(a.value.data)
-    return record(a.tape, "sigmoid", (a,), Tensor._wrap(s), (lambda g: g * s * (1.0 - s),))
+    return record(a.tape, "sigmoid", (a,), Tensor._wrap(s), lambda g, needs: (g * s * (1.0 - s),))
 
 
 def tanh(a) -> Variable:
     th = np.tanh(a.value.data)
     out = Tensor._wrap(th)
-    return record(a.tape, "tanh", (a,), out, (lambda g: g * (1.0 - th * th),))
+    return record(a.tape, "tanh", (a,), out, lambda g, needs: (g * (1.0 - th * th),))
 
 
 def softplus(a) -> Variable:
@@ -309,7 +291,7 @@ def softplus(a) -> Variable:
     x = a.value.data
     out = Tensor._wrap(np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x))))
     s = stable_sigmoid(x)
-    return record(a.tape, "softplus", (a,), out, (lambda g: g * s,))
+    return record(a.tape, "softplus", (a,), out, lambda g, needs: (g * s,))
 
 
 def gauss_cdf(a) -> Variable:
@@ -317,25 +299,25 @@ def gauss_cdf(a) -> Variable:
     x = a.value.data
     out = Tensor._wrap(_normal.norm_cdf(x))
     return record(a.tape, "gauss_cdf", (a,), out,
-                  (lambda g: g * _normal.norm_pdf(x),))
+                  lambda g, needs: (g * _normal.norm_pdf(x),))
 
 
 def heaviside(a) -> Variable:
     """Unit step: 1 for x > 0, 0 for x <= 0. Blocks all gradient flow."""
     out = Tensor._wrap((a.value.data > 0.0).astype(np.float64))
-    return record(a.tape, "heaviside", (a,), out, (None,))
+    return record(a.tape, "heaviside", (a,), out, lambda g, needs: (None,))
 
 
 def stop_gradient(a) -> Variable:
     """Identity forward; treated as a constant by backward."""
-    return record(a.tape, "stop_gradient", (a,), a.value, (None,))
+    return record(a.tape, "stop_gradient", (a,), a.value, lambda g, needs: (None,))
 
 
 def sum_all(a) -> Variable:
     out = Tensor._wrap(np.array([np.sum(a.value.data)]))
     shape = a.value.shape
     return record(a.tape, "sum", (a,), out,
-                  (lambda g: np.full(shape, g.reshape(-1)[0]),))
+                  lambda g, needs: (np.full(shape, g.reshape(-1)[0]),))
 
 
 def mean_all(a) -> Variable:
@@ -343,27 +325,29 @@ def mean_all(a) -> Variable:
     out = Tensor._wrap(np.array([np.sum(a.value.data) / n]))
     shape = a.value.shape
     return record(a.tape, "mean", (a,), out,
-                  (lambda g: np.full(shape, g.reshape(-1)[0] / n),))
+                  lambda g, needs: (np.full(shape, g.reshape(-1)[0] / n),))
 
 
-def matmul_vjps(ad: np.ndarray, bd: np.ndarray) -> tuple:
-    """VJPs of ad @ bd for (ad, bd): g @ bd.T and ad.T @ g, in the ordered kernel."""
+def matmul_grads(g: np.ndarray, needs, ad: np.ndarray, bd: np.ndarray) -> tuple:
+    """Grads g @ bd.T and ad.T @ g of ad @ bd, where `needs` asks, in the ordered kernel."""
     return (
-        lambda g: tensor._matmul_arrays(g, np.ascontiguousarray(bd.T)),
-        lambda g: tensor._matmul_arrays(np.ascontiguousarray(ad.T), g),
+        needs[0] and tensor._matmul_arrays(g, np.ascontiguousarray(bd.T)),
+        needs[1] and tensor._matmul_arrays(np.ascontiguousarray(ad.T), g),
     )
 
 
 def matmul(a, b) -> Variable:
     a, b = _binary_operands(a, b)
     out = tensor.matmul(a.value, b.value)
-    return record(a.tape, "matmul", (a, b), out, matmul_vjps(a.value.data, b.value.data))
+    ad, bd = a.value.data, b.value.data
+    return record(a.tape, "matmul", (a, b), out,
+                  lambda g, needs: matmul_grads(g, needs, ad, bd))
 
 
 def reshape(a, shape) -> Variable:
     out = a.value.reshape(shape)
     old = a.value.shape
-    return record(a.tape, "reshape", (a,), out, (lambda g: g.reshape(old),))
+    return record(a.tape, "reshape", (a,), out, lambda g, needs: (g.reshape(old),))
 
 
 # ---------------------------------------------------------------------------

@@ -107,15 +107,28 @@ def _cmd_train(args) -> int:
         cfg = replace(cfg, train=replace(cfg.train, seed=env_seed))
     data = _load_dataset(cfg.dataset)
 
-    os.makedirs(out_dir, exist_ok=True)
     model = cfg.build_model()
     journal_path = os.path.join(out_dir, "metrics.jsonl")
+    writer = None
+
+    def open_journal() -> journal.JournalWriter:
+        nonlocal writer
+        if writer is None:
+            os.makedirs(out_dir, exist_ok=True)
+            writer = journal.JournalWriter(journal_path)
+        return writer
+
+    # Nothing is written before the first epoch ends: by then nn.train has
+    # checked every row, so a data mistake (exit 2) leaves no output.
     try:
-        with journal.JournalWriter(journal_path) as writer:
-            nn.train(model, cfg.train, data, on_epoch=writer.append)
+        nn.train(model, cfg.train, data, on_epoch=lambda record: open_journal().append(record))
+        open_journal()  # zero epochs: an empty journal
     except nn.DivergenceError as exc:
         print(f"diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
+    finally:
+        if writer is not None:
+            writer.close()
     journal.save_model_dump(os.path.join(out_dir, "model.bin"), model.params)
     print(f"wrote {journal_path} and model.bin ({cfg.train.epochs} epochs)")
     return EXIT_OK

@@ -128,8 +128,9 @@ def dense(x: Variable, w: Variable, b: Variable) -> Variable:
     if b.value.shape != (w.value.shape[-1],):
         raise ShapeError(f"dense bias must be ({w.value.shape[-1]},), got {b.value.shape}")
     out = Tensor._wrap(tensor.matmul(x.value, w.value).data + b.value.data)
-    vjps = ad.matmul_vjps(x.value.data, w.value.data) + (lambda g: g.sum(axis=0),)
-    return ad.record(x.tape, "dense", (x, w, b), out, vjps)
+    xd, wd = x.value.data, w.value.data
+    return ad.record(x.tape, "dense", (x, w, b), out, lambda g, needs: (
+        ad.matmul_grads(g, needs, xd, wd) + (needs[2] and g.sum(axis=0),)))
 
 
 def conv_patches(x: Variable, kh: int, kw: int) -> Variable:
@@ -141,25 +142,20 @@ def conv_patches(x: Variable, kh: int, kw: int) -> Variable:
     oh, ow = h - kh + 1, w - kw + 1
     if oh < 1 or ow < 1:
         raise ShapeError(f"kernel ({kh}x{kw}) larger than input ({h}x{w})")
+    offsets = [(dy, dx) for dy in range(kh) for dx in range(kw)]  # patch slot order
     cols = np.empty((b, oh, ow, kh * kw * c))
-    slot = 0
-    for dy in range(kh):
-        for dx in range(kw):
-            cols[:, :, :, slot * c:(slot + 1) * c] = data[:, dy:dy + oh, dx:dx + ow, :]
-            slot += 1
+    for slot, (dy, dx) in enumerate(offsets):
+        cols[:, :, :, slot * c:(slot + 1) * c] = data[:, dy:dy + oh, dx:dx + ow, :]
     out = Tensor._wrap(cols.reshape(b * oh * ow, kh * kw * c))
 
-    def vjp(g):
+    def vjp(g, needs):
         g = g.reshape(b, oh, ow, kh * kw * c)
         grad = np.zeros((b, h, w, c))
-        slot = 0
-        for dy in range(kh):
-            for dx in range(kw):
-                grad[:, dy:dy + oh, dx:dx + ow, :] += g[:, :, :, slot * c:(slot + 1) * c]
-                slot += 1
-        return grad
+        for slot, (dy, dx) in enumerate(offsets):
+            grad[:, dy:dy + oh, dx:dx + ow, :] += g[:, :, :, slot * c:(slot + 1) * c]
+        return (grad,)
 
-    return ad.record(x.tape, "conv_patches", (x,), out, (vjp,))
+    return ad.record(x.tape, "conv_patches", (x,), out, vjp)
 
 
 def _apply_layer(layer: Layer, name: str, x: Variable,
@@ -273,11 +269,8 @@ def softmax_xent(logits: Variable, targets) -> Variable:
     value = (lse.sum() - float((z * hot).sum())) / b
     out = Tensor._wrap(np.array([value]))
     softmax = ez / se
-
-    def vjp(g):
-        return g.reshape(-1)[0] * (softmax - hot) / b
-
-    return ad.record(logits.tape, "softmax_xent", (logits,), out, (vjp,))
+    return ad.record(logits.tape, "softmax_xent", (logits,), out,
+                     lambda g, needs: (g.reshape(-1)[0] * (softmax - hot) / b,))
 
 
 def mse(pred: Variable, target) -> Variable:

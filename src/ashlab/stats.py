@@ -107,27 +107,31 @@ def kth_largest(values: np.ndarray, m: int) -> float:
     """Value of the m-th largest element (1-based) by quickselect.
 
     Three-way Hoare-style partitioning with a median-of-three pivot;
-    average O(N) total work, done with vectorized passes.
+    average O(N) total work, done with vectorized passes that compress
+    the kept side, in order, into two buffers allocated once per call.
     """
     arr = np.asarray(values, dtype=np.float64).reshape(-1)
     if not 1 <= m <= arr.size:
         raise ValueError(f"m must be in [1, {arr.size}], got {m}")
     k = m
+    mask = np.empty(arr.size, dtype=bool)
+    bufs = np.empty((2, arr.size))
+    side = 0
     while True:
         n = arr.size
         if n == 1:
             return float(arr[0])
         pivot = _median3(float(arr[0]), float(arr[n // 2]), float(arr[-1]))
-        greater = arr[arr > pivot]
-        ng = greater.size
-        if k <= ng:
-            arr = greater
-            continue
-        less = arr[arr < pivot]
-        if k <= n - less.size:
-            return pivot
-        k -= n - less.size
-        arr = less
+        keep = np.greater(arr, pivot, out=mask[:n])
+        kept = int(np.count_nonzero(keep))
+        if k > kept:
+            keep = np.less(arr, pivot, out=mask[:n])
+            kept = int(np.count_nonzero(keep))
+            if k <= n - kept:
+                return pivot
+            k -= n - kept
+        arr = np.compress(keep, arr, out=bufs[side, :kept])
+        side = 1 - side
 
 
 def topk_count(n: int, k: float) -> int:

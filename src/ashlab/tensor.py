@@ -31,7 +31,9 @@ from . import _normal
 
 MAX_RANK = 4
 
-EWISE_OPS = ("add", "sub", "mul", "div", "max")
+_EWISE = {"add": np.add, "sub": np.subtract, "mul": np.multiply, "div": np.divide,
+          "max": np.maximum}
+EWISE_OPS = tuple(_EWISE)
 REDUCE_OPS = ("mean", "var_pop", "min", "max", "sum")
 
 
@@ -198,26 +200,14 @@ def _ewise_operands(a: Tensor, b: Tensor) -> None:
 def ewise(op: str, a: Tensor, b: Tensor) -> Tensor:
     """Elementwise {add, sub, mul, div, max}; only scalar broadcast."""
     _ewise_operands(a, b)
+    if op not in _EWISE:
+        raise ValueError(f"unknown ewise op {op!r}; expected one of {EWISE_OPS}")
+    if op == "div" and np.any(b.data == 0.0):
+        raise ZeroDivisionError("elementwise division by zero")
     # Overflow to inf is caught by the output tensor's finiteness check,
     # so the intermediate warning is just noise.
     with np.errstate(over="ignore", invalid="ignore"):
-        return _ewise_dispatch(op, a.data, b.data)
-
-
-def _ewise_dispatch(op: str, x: np.ndarray, y: np.ndarray) -> Tensor:
-    if op == "add":
-        return Tensor._wrap(x + y)
-    if op == "sub":
-        return Tensor._wrap(x - y)
-    if op == "mul":
-        return Tensor._wrap(x * y)
-    if op == "div":
-        if np.any(y == 0.0):
-            raise ZeroDivisionError("elementwise division by zero")
-        return Tensor._wrap(x / y)
-    if op == "max":
-        return Tensor._wrap(np.maximum(x, y))
-    raise ValueError(f"unknown ewise op {op!r}; expected one of {EWISE_OPS}")
+        return Tensor._wrap(_EWISE[op](a.data, b.data))
 
 
 # Above this many buffer elements (1 MiB) the rank-1 loop beats the
@@ -263,13 +253,15 @@ def moments(data: np.ndarray, axes=None):
     np.mean(centered**2, axes) bit for bit. A constant group gets its
     exact value as mu and 0 as centered and m2: for any summation order
     its rounded m2 is below 2n(n*eps*mu)^2, and only groups under that
-    bound pay for the min == max test.
+    bound pay for the min == max test. Overflow warns nothing: it stays in
+    the result as inf or NaN, for the caller's finiteness check to report.
     """
-    mu = data.mean(axis=axes, keepdims=True)
-    n = data.size // mu.size
-    centered = data - mu
-    m2 = np.sum(centered * centered, axis=axes, keepdims=True)
-    suspect = m2 <= np.square((2.0 * n) ** 0.5 * n * 2.0**-52 * mu)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = data.mean(axis=axes, keepdims=True)
+        n = data.size // mu.size
+        centered = data - mu
+        m2 = np.sum(centered * centered, axis=axes, keepdims=True)
+        suspect = m2 <= np.square((2.0 * n) ** 0.5 * n * 2.0**-52 * mu)
     if suspect.any():
         lo = data.min(axis=axes, keepdims=True)
         const = suspect & (lo == data.max(axis=axes, keepdims=True))

@@ -6,15 +6,18 @@ independently computed routes (brute-force statistics, the generalized
 form, finite differences).
 """
 
+import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ashlab import activations as act
 from ashlab import autodiff as ad
+from ashlab import nn
 from ashlab import stats as st
-from ashlab.tensor import RngState, Tensor, randn
+from ashlab.tensor import RngState, Tensor, moments, randn
 
 SIGMOID_2 = 0.8807970779778823
 SWISH_1 = 0.7310585786300049     # S(1)
@@ -265,6 +268,144 @@ class TestSmoothForm:
         out = act.smooth_ash(Tensor(np.full(8, 2.0)), z_k=0.0)
         # threshold = 2.0 exactly (z = 0), so the gate is S(0) = 1/2
         np.testing.assert_allclose(out.data, 1.0, atol=1e-15)
+
+
+def _bits(a) -> bytes:
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64).tobytes()
+
+
+def _where_sigmoid(u):
+    # The branchy writing stable_sigmoid replaced.
+    t = np.exp(-np.abs(u))
+    return np.where(u >= 0.0, 1.0 / (1.0 + t), t / (1.0 + t))
+
+
+def _ash_reference(x, z, alpha, leak, stats_mode, grad_mode, g):
+    """Out-of-place smooth-ASH forward and its four grads for upstream g,
+    as the primitive computed them before it ran in place."""
+    axes = act._stats_axes(x.ndim, stats_mode)
+    n, mu, centered, m2 = moments(x, axes)
+    sigma_raw = np.sqrt(m2 / n)
+    sigma = np.maximum(sigma_raw, st.SIGMA_FLOOR)
+    z_b = z if z.size == 1 else z.reshape((1,) * (x.ndim - 1) + (-1,))
+    u = centered - z_b * sigma
+    u *= 2.0 * alpha
+    s = _where_sigmoid(u)
+    gate = (1.0 - leak) * s
+    gate += leak
+    out = x * gate
+    floored = sigma_raw < st.SIGMA_FLOOR
+    sigma_safe = np.where(floored, 1.0, sigma_raw)
+    w = g * x * (1.0 - leak) * s * (1.0 - s)
+    gx = g * gate + 2.0 * alpha * w
+    if grad_mode == "through-stats":
+        a_sum = w.sum(axis=axes, keepdims=True)
+        gx = gx - 2.0 * alpha * a_sum / n
+        b_sum = (w * z_b).sum(axis=axes, keepdims=True)
+        chain = np.where(floored, 0.0, b_sum / (n * sigma_safe))
+        gx = gx - 2.0 * alpha * centered * chain
+    gz = (-2.0 * alpha) * (sigma * w)
+    gz = np.sum(gz).reshape(z.shape) if z.size == 1 else gz.reshape(-1, z.size).sum(axis=0)
+    return out, {"x": 0.0 + gx, "z": 0.0 + gz,
+                 "leak": 0.0 + np.sum(g * x * (1.0 - s)).reshape(1),
+                 "alpha": 0.0 + (np.sum(w * u) / alpha).reshape(1)}
+
+
+class TestInPlaceAshBits:
+    """The in-place smooth-ASH primitive keeps every bit of the out-of-place one."""
+
+    SPECIAL = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                        -2.2250738585072014e-308, 1e-17, -1e-17, 36.7, -36.7, 700.0, -700.0,
+                        745.2, -745.2, 1e300, -1e300, 1.7976931348623157e308,
+                        -1.7976931348623157e308])
+
+    def test_sigmoid_matches_where_formula_on_special_values(self):
+        grid = np.concatenate([self.SPECIAL, np.random.default_rng(3).normal(size=4096)
+                               * np.repeat(10.0 ** np.arange(-17, 303, 20), 256)])
+        want = _bits(_where_sigmoid(grid))
+        assert _bits(ad.stable_sigmoid(grid)) == want
+        buf = grid.copy()
+        assert ad.stable_sigmoid(buf, out=buf) is buf
+        assert _bits(buf) == want
+
+    @pytest.mark.parametrize("grad_mode", act.GRAD_MODES)
+    @pytest.mark.parametrize("shape,stats_mode", [
+        ((23,), "per-sample"), ((6, 5), "per-sample"), ((2, 3, 4, 5), "per-sample"),
+        ((2, 3, 4, 5), "per-channel")])
+    def test_output_and_grads_match_out_of_place_formulas(self, shape, stats_mode, grad_mode):
+        rng = np.random.default_rng(sum(shape))
+        for leak, alpha, per_channel, constant in itertools.product(
+                (0.0, 0.3), (1.0, 2.5), (False, True), (False, True)):
+            x = rng.normal(size=shape) * 3.0
+            if constant:  # the first sample; a rank-1 input is one sample
+                x[0 if x.ndim > 1 else slice(None)] = 1.7
+            z = rng.normal(size=shape[-1]) if per_channel else np.array([0.4])
+            g = rng.normal(size=shape)
+            case = f"leak={leak} alpha={alpha} per_channel={per_channel} constant={constant}"
+            want_out, want = _ash_reference(x, z, alpha, leak, stats_mode, grad_mode, g)
+
+            t = ad.Tape()
+            xv, zv, lv, av = (t.variable(Tensor(v), requires_grad=True)
+                              for v in (x, z, [leak], [alpha]))
+            out = act.leaky_ash(xv, zv, leak=lv, alpha=av, stats_mode=stats_mode,
+                                grad_mode=grad_mode)
+            ad.backward(ad.sum_all(ad.mul(out, t.constant(Tensor(g)))))
+            assert _bits(out.value.data) == _bits(want_out), case
+            for key, var in (("x", xv), ("z", zv), ("leak", lv), ("alpha", av)):
+                assert _bits(var.grad.data) == _bits(want[key]), f"{key} grad, {case}"
+
+            # Constant leak and alpha, x alone trainable: s shares u's buffer.
+            t = ad.Tape()
+            xv = t.variable(Tensor(x), requires_grad=True)
+            zc = t.variable(Tensor(z))
+            out = act.leaky_ash(xv, zc, leak=leak, alpha=alpha, stats_mode=stats_mode,
+                                grad_mode=grad_mode)
+            ad.backward(ad.sum_all(ad.mul(out, t.constant(Tensor(g)))))
+            assert _bits(out.value.data) == _bits(want_out), case
+            assert _bits(xv.grad.data) == _bits(want["x"]), f"x-only grad, {case}"
+
+            # Forward only: a Tensor input (scalar z) and a Variable that needs no grad.
+            if not per_channel:
+                fwd = act.leaky_ash(Tensor(x), float(z[0]), leak=leak, alpha=alpha,
+                                    stats_mode=stats_mode, grad_mode=grad_mode)
+                assert _bits(fwd.data) == _bits(want_out), case
+            t = ad.Tape()
+            fwd = act.leaky_ash(t.variable(Tensor(x)), t.variable(Tensor(z)), leak=leak,
+                                alpha=alpha, stats_mode=stats_mode, grad_mode=grad_mode)
+            assert _bits(fwd.value.data) == _bits(want_out), case
+            assert len(t) == 0
+
+    def test_tensor_input_builds_no_tape(self, monkeypatch):
+        def no_tape(*args, **kwargs):
+            raise AssertionError("a forward-only call built a tape")
+
+        x = Tensor(np.random.default_rng(4).normal(size=(8, 6)))
+        want = {name: act.apply_spec(act.preset(name), x).data
+                for name in ("ash", "l_ash", "f_ash_10")}
+        monkeypatch.setattr(ad.Tape, "__init__", no_tape)
+        monkeypatch.setattr(ad, "record", no_tape)
+        for name, data in want.items():
+            assert _bits(act.apply_spec(act.preset(name), x).data) == _bits(data)
+
+    def test_no_grad_model_forward_records_nothing(self):
+        layers = [nn.Dense(3, 8), nn.Activation(act.preset("ash")),
+                  nn.Activation(act.preset("l_ash")), nn.Dense(8, 2)]
+        out, _ = nn.Model(layers, seed=2).forward(
+            Tensor(np.random.default_rng(5).normal(size=(4, 3))), trainable=False)
+        assert len(out.tape) == 0
+
+    def test_forward_allocates_at_most_three_inputs(self):
+        # Tooling, not timing: the peak of traced allocations of one forward.
+        x = Tensor(np.random.default_rng(6).normal(size=1 << 16))
+        spec = act.preset("ash")
+        act.apply_spec(spec, x)  # warm-up
+        tracemalloc.start()
+        try:
+            act.apply_spec(spec, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * x.data.nbytes, f"peak {peak / x.data.nbytes:.2f}x the input"
 
 
 class TestStatsModes:

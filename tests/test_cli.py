@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -75,7 +76,7 @@ class TestVerifyCommand:
             t = np.exp(-np.abs(x))
             s = np.where(x >= 0.0, 1.0 / (1.0 + t), t / (1.0 + t))
             return real_record(a.tape, "sigmoid", (a,), Tensor._wrap(s),
-                               (lambda g: g,))  # wrong rule
+                               lambda g, needs: (g,))  # wrong rule
 
         monkeypatch.setattr(ad, "sigmoid", broken_sigmoid)
         code = cli.main(["verify", "--suite", "gradient_checks"])
@@ -167,6 +168,31 @@ class TestTrainCommand:
         assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
         assert capsys.readouterr().err == (
             "error: val_split 0.75 leaves no training rows: 2 of 2 rows go to validation\n")
+
+    @pytest.mark.parametrize("mistake", ["label", "split"])
+    def test_data_mistake_writes_nothing(self, tmp_path, capsys, mistake):
+        doc = json.loads(json.dumps(CONFIG))
+        if mistake == "label":
+            data = tmp_path / "labels.csv"
+            data.write_text("x0,x1,label\n" + "0.1,0.2,0\n0.5,0.5,1\n" * 4 + "0.3,0.1,5\n")
+            doc["dataset"] = {"csv": str(data)}
+        else:
+            doc["dataset"] = {"builtin": "two_moons", "n": 2}
+            doc["train"]["val_split"] = 0.75
+        out = tmp_path / "x"
+        assert cli.main(["train", "--config", write_config(tmp_path, doc),
+                         "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_divergence_prints_no_runtime_warning(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(CONFIG))
+        doc["train"]["optimizer"] = {"kind": "sgd", "lr": 1e200}
+        cfg = write_config(tmp_path, doc)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "x")]) == 3
+        assert "diverged" in capsys.readouterr().err
+        assert [str(w.message) for w in caught if w.category is RuntimeWarning] == []
 
     def test_layer_shape_mismatch_is_exit_2(self, tmp_path, capsys):
         doc = json.loads(json.dumps(CONFIG))
