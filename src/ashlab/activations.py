@@ -125,10 +125,9 @@ def _accepts_tensor(fn):
     return wrapper
 
 
-def _param_value(p) -> np.ndarray:
-    if isinstance(p, Variable):
-        return p.value.data
-    return np.asarray(float(p)).reshape(())
+def _scalar(p) -> float:
+    """A scalar parameter, a Variable or a number, as a float."""
+    return float(p.value.data.reshape(-1)[0]) if isinstance(p, Variable) else float(p)
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +255,7 @@ def _grouped_stats(data: np.ndarray, stats_mode: str):
 
 def _broadcast_z(z, x_shape: tuple[int, ...]) -> np.ndarray:
     """z as an array that broadcasts against x: a scalar, or one per channel (last axis)."""
-    zval = _param_value(z)
+    zval = z.value.data if isinstance(z, Variable) else np.asarray(float(z)).reshape(())
     if zval.size == 1:
         return zval
     if zval.ndim == 1 and len(x_shape) >= 1 and zval.shape[0] == x_shape[-1]:
@@ -288,7 +287,7 @@ def hard_ash(x, z_k=0.0, stats: st.InputStats | None = None, stats_mode: str = "
     if stats is None or isinstance(x, Variable):
         return _gate_op(x, z_k, stats_mode, keep_boundary=True, name="hard_ash")
     data = x.data if isinstance(x, Tensor) else Tensor(x).data
-    thr = stats.threshold(float(_param_value(z_k).reshape(-1)[0]))
+    thr = stats.threshold(_scalar(z_k))
     return Tensor._wrap(np.where(data >= thr, data, 0.0))
 
 
@@ -297,15 +296,26 @@ def heaviside_ash(x, z_k=0.0, stats_mode: str = "per-sample"):
     return _gate_op(x, z_k, stats_mode, keep_boundary=False, name="heaviside_ash")
 
 
-@_accepts_tensor
-def _gate_op(x: Variable, z_k, stats_mode: str, keep_boundary: bool, name: str) -> Variable:
-    data = x.value.data
-    z_b = _broadcast_z(z_k, x.value.shape)
-    _, _, mu, centered, _, sigma = _grouped_stats(data, stats_mode)
-    margin = centered - z_b * sigma
-    mask = (margin >= 0.0) if keep_boundary else (margin > 0.0)
-    out = Tensor._wrap(np.where(mask, data, 0.0))
+def _gate_op(x, z_k, stats_mode: str, keep_boundary: bool, name: str):
+    """x where the margin x - mu - z_k*sigma is >= 0 (> 0 without the boundary).
 
+    A Tensor (or array) `x` runs forward only, builds no tape and returns
+    a Tensor. The margin is formed in the `centered` buffer from `moments`,
+    and the output np.where(mask, x, 0.0) is then written over it.
+    """
+    taped = isinstance(x, Variable)
+    xt = x.value if taped else x if isinstance(x, Tensor) else Tensor(x)
+    data = xt.data
+    z_b = _broadcast_z(z_k, xt.shape)
+    _, _, _, centered, _, sigma = _grouped_stats(data, stats_mode)
+    margin = np.subtract(centered, z_b * sigma, out=centered)
+    mask = (margin >= 0.0) if keep_boundary else (margin > 0.0)
+    margin.fill(0.0)
+    np.copyto(margin, data, where=mask)
+    out = Tensor._wrap(margin)
+
+    if not taped:
+        return out
     if isinstance(z_k, Variable):
         # The threshold lives inside the comparison only: its slot is None.
         return ad.record(x.tape, name, (x, z_k), out,
@@ -360,10 +370,10 @@ def _ash_op(x, z, alpha, leak, stats_mode: str, grad_mode: str, name: str):
     taped = isinstance(x, Variable)
     xt = x.value if taped else x if isinstance(x, Tensor) else Tensor(x)
     data = xt.data
-    aval = float(_param_value(alpha).reshape(-1)[0])
+    aval = _scalar(alpha)
     if aval <= 0:
         raise ValueError(f"alpha must be > 0, got {aval}")
-    lval = float(_param_value(leak).reshape(-1)[0])
+    lval = _scalar(leak)
     if lval < 0:
         raise ValueError(f"leak must be >= 0, got {lval}")
     z_b = _broadcast_z(z, xt.shape)
@@ -390,23 +400,26 @@ def _ash_op(x, z, alpha, leak, stats_mode: str, grad_mode: str, name: str):
         with np.errstate(over="ignore", invalid="ignore"):
             w = g * data
             one_minus_s = 1.0 - s
+            tmp = np.empty_like(w)  # scratch for each product that is then summed
             if need.get("leak"):
-                grads["leak"] = np.sum(w * one_minus_s).reshape(shapes["leak"])
+                grads["leak"] = np.sum(np.multiply(w, one_minus_s, out=tmp)).reshape(
+                    shapes["leak"])
             if lval:
                 w *= 1.0 - lval
             w *= s
             w *= one_minus_s
             if need.get("z"):
-                wz = sigma * w
+                wz = np.multiply(sigma, w, out=tmp)
                 wz *= -2.0 * aval
                 grads["z"] = _reduce_to_param(wz, shapes["z"])
             if need.get("alpha"):
-                grads["alpha"] = (np.sum(w * u) / aval).reshape(shapes["alpha"])
+                grads["alpha"] = (np.sum(np.multiply(w, u, out=tmp)) / aval).reshape(
+                    shapes["alpha"])
             if need["x"]:
                 gx = _times_gate(s, lval, g, one_minus_s)
                 if through:
                     a_sum = w.sum(axis=axes, keepdims=True)
-                    b_sum = (w * z_b).sum(axis=axes, keepdims=True)
+                    b_sum = np.multiply(w, z_b, out=tmp).sum(axis=axes, keepdims=True)
                 w *= 2.0 * aval
                 gx += w
                 if through:

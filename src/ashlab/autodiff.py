@@ -317,7 +317,7 @@ def sum_all(a) -> Variable:
     out = Tensor._wrap(np.array([np.sum(a.value.data)]))
     shape = a.value.shape
     return record(a.tape, "sum", (a,), out,
-                  lambda g, needs: (np.full(shape, g.reshape(-1)[0]),))
+                  lambda g, needs: (np.broadcast_to(g.reshape(-1)[0], shape),))
 
 
 def mean_all(a) -> Variable:
@@ -325,7 +325,7 @@ def mean_all(a) -> Variable:
     out = Tensor._wrap(np.array([np.sum(a.value.data) / n]))
     shape = a.value.shape
     return record(a.tape, "mean", (a,), out,
-                  lambda g, needs: (np.full(shape, g.reshape(-1)[0] / n),))
+                  lambda g, needs: (np.broadcast_to(g.reshape(-1)[0] / n, shape),))
 
 
 def matmul_grads(g: np.ndarray, needs, ad: np.ndarray, bd: np.ndarray) -> tuple:

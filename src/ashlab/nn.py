@@ -5,10 +5,16 @@ registry; every forward pass wraps the current parameters as Variables
 on a fresh tape (define-by-run). Training is single-threaded and fully
 deterministic for a given seed: weight init and data ordering draw from
 disjoint counter ranges of one seeded stream.
+
+The optimizers keep flat state: their first `step` fixes a layout of
+(name, offset, shape) rows, and each step then updates every parameter
+in one elementwise expression on one concatenated vector, checks that
+vector once and returns the new parameters as read-only views of it.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -263,14 +269,15 @@ def softmax_xent(logits: Variable, targets) -> Variable:
     if hot.shape[0] != b:
         raise ShapeError(f"{hot.shape[0]} targets for {b} logits rows")
     zmax = z.max(axis=1, keepdims=True)
-    ez = np.exp(z - zmax)
+    ez = np.subtract(z, zmax)
+    np.exp(ez, out=ez)
     se = ez.sum(axis=1, keepdims=True)
     lse = zmax[:, 0] + np.log(se[:, 0])
     value = (lse.sum() - float((z * hot).sum())) / b
     out = Tensor._wrap(np.array([value]))
-    softmax = ez / se
+    # The softmax ez / se is formed only by a backward pass.
     return ad.record(logits.tape, "softmax_xent", (logits,), out,
-                     lambda g, needs: (g.reshape(-1)[0] * (softmax - hot) / b,))
+                     lambda g, needs: (g.reshape(-1)[0] * (ez / se - hot) / b,))
 
 
 def mse(pred: Variable, target) -> Variable:
@@ -325,28 +332,77 @@ class OptimizerSpec:
             raise ValueError(f"eps must be > 0, got {self.eps}")
 
 
-class SGD:
-    """W <- W - lr * (g + momentum * v), with v the running update."""
+class _FlatParams:
+    """The parameters of a `step` as one float64 vector.
+
+    The first call fixes the layout: the names in order, with each
+    parameter's shape and its (start, end) in the vector. A later call
+    with other names, order or shapes raises ValueError. The update is
+    elementwise, so running it on the concatenated vector gives every
+    element the bits of a per-parameter update.
+    """
+
+    _layout: list[tuple[str, tuple[int, ...]]] | None = None
+
+    def _gather(self, values: dict[str, Tensor],
+                grads: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        """(values, grads) as two new vectors in the layout."""
+        layout = [(name, t.shape) for name, t in values.items()]
+        if self._layout is None:
+            sizes = [math.prod(shape) for _, shape in layout]
+            self._layout = layout
+            self._names = [name for name, _ in layout]
+            self._ends = np.cumsum(sizes, dtype=np.int64)
+            self._parts = [(slice(end - size, end), shape) for size, end, (_, shape)
+                           in zip(sizes, self._ends.tolist(), layout)]
+        elif layout != self._layout:
+            raise ValueError(f"optimizer parameters {layout} differ from the layout "
+                             f"{self._layout} fixed by the first step")
+        if not layout:
+            return np.zeros(0), np.zeros(0)
+        w = np.concatenate([t.data for t in values.values()], axis=None)
+        g = np.concatenate([grads[name] for name in self._names], axis=None)
+        if g.size != w.size:
+            raise ShapeError(f"grads hold {g.size} elements for {w.size} parameter elements")
+        return w, g
+
+    def _scatter(self, w: np.ndarray) -> dict[str, Tensor]:
+        """Read-only Tensor views of the new vector `w`, checked finite once.
+
+        A non-finite element raises DivergenceError naming its parameter.
+        """
+        try:
+            return dict(zip(self._names, tensor._views(w, self._parts)))
+        except NonFiniteError as exc:
+            first = np.searchsorted(self._ends, np.argmin(np.isfinite(w)), side="right")
+            raise DivergenceError(self._names[first]) from exc
+
+
+class SGD(_FlatParams):
+    """W <- W - lr * (g + momentum * v), with v the running update.
+
+    v is one vector over every parameter, in the layout its first `step`
+    fixes (see `_FlatParams`); it starts from 0.0.
+    """
 
     def __init__(self, lr: float = 1e-3, momentum: float = 0.0):
         self.lr = lr
         self.momentum = momentum
-        self._v: dict[str, np.ndarray] = {}
+        self._v = 0.0
 
     def step(self, values: dict[str, Tensor], grads: dict[str, np.ndarray]) -> dict[str, Tensor]:
-        new = {}
-        for name, w in values.items():
-            v = grads[name] + self.momentum * self._v.get(name, 0.0)
-            self._v[name] = v
-            try:
-                new[name] = Tensor._wrap(w.data - self.lr * v)
-            except NonFiniteError as exc:
-                raise DivergenceError(name) from exc
-        return new
+        w, g = self._gather(values, grads)
+        self._v = v = g + self.momentum * self._v
+        w -= self.lr * v
+        return self._scatter(w)
 
 
-class Adam:
-    """Bias-corrected Adam with the standard defaults."""
+class Adam(_FlatParams):
+    """Bias-corrected Adam with the standard defaults.
+
+    The moments m and v are one vector each over every parameter, in the
+    layout the first `step` fixes (see `_FlatParams`); both start from 0.0.
+    """
 
     def __init__(self, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999,
                  eps: float = 1e-8):
@@ -355,26 +411,18 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self._m: dict[str, np.ndarray] = {}
-        self._v: dict[str, np.ndarray] = {}
+        self._m = 0.0
+        self._v = 0.0
 
     def step(self, values: dict[str, Tensor], grads: dict[str, np.ndarray]) -> dict[str, Tensor]:
+        w, g = self._gather(values, grads)
         self.t += 1
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
-        new = {}
-        for name, w in values.items():
-            g = grads[name]
-            m = self.beta1 * self._m.get(name, 0.0) + (1.0 - self.beta1) * g
-            v = self.beta2 * self._v.get(name, 0.0) + (1.0 - self.beta2) * g * g
-            self._m[name] = m
-            self._v[name] = v
-            update = self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
-            try:
-                new[name] = Tensor._wrap(w.data - update)
-            except NonFiniteError as exc:
-                raise DivergenceError(name) from exc
-        return new
+        self._m = m = self.beta1 * self._m + (1.0 - self.beta1) * g
+        self._v = v = self.beta2 * self._v + (1.0 - self.beta2) * g * g
+        w -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+        return self._scatter(w)
 
 
 def make_optimizer(spec: OptimizerSpec):

@@ -113,6 +113,20 @@ class Tensor:
         return f"Tensor(shape={self.shape}, data={self._data!r})"
 
 
+def _views(flat: np.ndarray, parts) -> list[Tensor]:
+    """Read-only Tensors of flat[sl].reshape(shape), one per (sl, shape) in
+    `parts`: the vector is checked finite once and no view is rescanned."""
+    if not np.isfinite(flat).all():
+        raise NonFiniteError("tensor values must be finite (no NaN/Inf)")
+    flat.setflags(write=False)
+    views = []
+    for sl, shape in parts:
+        view = Tensor.__new__(Tensor)
+        view._data = flat[sl].reshape(shape)
+        views.append(view)
+    return views
+
+
 # ---------------------------------------------------------------------------
 # Seeded counter-based RNG (splitmix64 stream).
 # ---------------------------------------------------------------------------
@@ -228,7 +242,10 @@ def _matmul_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             return out
         buf = np.empty((k + 1, m, n), dtype=np.float64)
         buf[0] = 0.0
-        np.multiply(a.T[:, :, None], b[:, None, :], out=buf[1:])
+        # einsum forms the products faster than a broadcast multiply. It may
+        # store a -0.0 product as +0.0, which moves no output bit: each sum
+        # starts from slot 0's +0.0 and so is never -0.0.
+        np.einsum("ik,kj->kij", a, b, out=buf[1:])
         return np.add.reduce(buf, axis=0)
 
 
@@ -249,18 +266,20 @@ def moments(data: np.ndarray, axes=None):
     """Grouped two-pass statistics: (n, mu, data - mu, m2 = sum((data - mu)^2)).
 
     Groups reduce over `axes` (None: all), kept with extent 1. The fixed
-    order data.mean(axes), data - mu, sum of squares makes m2 / n equal
-    np.mean(centered**2, axes) bit for bit. A constant group gets its
+    order mu = sum(data) / n (what data.mean(axes) computes), data - mu,
+    sum of squares makes m2 / n equal np.mean(centered**2, axes) bit for
+    bit; the sums call np.add.reduce directly. A constant group gets its
     exact value as mu and 0 as centered and m2: for any summation order
     its rounded m2 is below 2n(n*eps*mu)^2, and only groups under that
     bound pay for the min == max test. Overflow warns nothing: it stays in
     the result as inf or NaN, for the caller's finiteness check to report.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        mu = data.mean(axis=axes, keepdims=True)
+        mu = np.add.reduce(data, axis=axes, keepdims=True)
         n = data.size // mu.size
+        mu /= n
         centered = data - mu
-        m2 = np.sum(centered * centered, axis=axes, keepdims=True)
+        m2 = np.add.reduce(centered * centered, axis=axes, keepdims=True)
         suspect = m2 <= np.square((2.0 * n) ** 0.5 * n * 2.0**-52 * mu)
     if suspect.any():
         lo = data.min(axis=axes, keepdims=True)

@@ -408,6 +408,83 @@ class TestInPlaceAshBits:
         assert peak <= 3 * x.data.nbytes, f"peak {peak / x.data.nbytes:.2f}x the input"
 
 
+    def test_forward_backward_allocates_at_most_seven_and_a_half_inputs(self):
+        # Tooling, not timing: x and a scalar z_k trainable, loss = sum, grad read.
+        x = Tensor(np.random.default_rng(8).normal(size=(16, 4096)))
+
+        def forward_backward():
+            t = ad.Tape()
+            xv = t.variable(x, requires_grad=True)
+            ad.backward(ad.sum_all(act.smooth_ash(xv, t.variable(Tensor([0.3]),
+                                                                 requires_grad=True))))
+            return xv.grad
+
+        forward_backward()  # warm-up
+        tracemalloc.start()
+        try:
+            forward_backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7.5 * x.data.nbytes, f"peak {peak / x.data.nbytes:.2f}x the input"
+
+
+def _gate_reference(x, z, stats_axes, keep_boundary):
+    # The out-of-place margin the in-place gate replaced.
+    n, _, centered, m2 = moments(x, stats_axes)
+    sigma = np.maximum(np.sqrt(m2 / n), st.SIGMA_FLOOR)
+    margin = centered - z * sigma
+    mask = (margin >= 0.0) if keep_boundary else (margin > 0.0)
+    return np.where(mask, x, 0.0), mask
+
+
+class TestInPlaceGate:
+    """hard_ash and heaviside_ash: tape-free on Tensors, in place, same bits."""
+
+    @pytest.mark.parametrize("gate,keep_boundary", [(act.hard_ash, True),
+                                                    (act.heaviside_ash, False)])
+    @pytest.mark.parametrize("shape,stats_mode,stats_axes", [
+        ((23,), "per-sample", (0,)), ((6, 5), "per-sample", (1,)),
+        ((2, 3, 4, 5), "per-channel", (1, 2))])
+    def test_matches_out_of_place_margin_and_builds_no_tape(
+            self, monkeypatch, gate, keep_boundary, shape, stats_mode, stats_axes):
+        rng = np.random.default_rng(len(shape))
+        x = rng.normal(size=shape) * 3.0
+        x[0 if x.ndim > 1 else slice(None)] = -1.7  # constant: a margin of exactly 0 at z = 0
+        g = rng.normal(size=shape)
+        for z in (0.0, 0.4):
+            want, mask = _gate_reference(x, z, stats_axes, keep_boundary)
+            t = ad.Tape()
+            xv = t.variable(Tensor(x), requires_grad=True)
+            out = gate(xv, t.variable(Tensor([z]), requires_grad=True), stats_mode=stats_mode)
+            ad.backward(ad.sum_all(ad.mul(out, t.constant(Tensor(g)))))
+            assert _bits(out.value.data) == _bits(want)
+            assert _bits(xv.grad.data) == _bits(0.0 + g * mask)  # a first grad lands on 0.0
+
+        def no_tape(*args, **kwargs):
+            raise AssertionError("a forward-only call built a tape")
+
+        monkeypatch.setattr(ad.Tape, "__init__", no_tape)
+        monkeypatch.setattr(ad, "record", no_tape)
+        for z in (0.0, 0.4):
+            want, _ = _gate_reference(x, z, stats_axes, keep_boundary)
+            assert _bits(gate(Tensor(x), z, stats_mode=stats_mode).data) == _bits(want)
+            assert _bits(gate(x, z, stats_mode=stats_mode).data) == _bits(want)
+
+    @pytest.mark.parametrize("gate", [act.hard_ash, act.heaviside_ash])
+    def test_forward_allocates_at_most_two_and_a_quarter_inputs(self, gate):
+        # Tooling, not timing: the peak of traced allocations of one forward.
+        x = Tensor(np.random.default_rng(7).normal(size=1 << 16))
+        gate(x, 0.5)  # warm-up
+        tracemalloc.start()
+        try:
+            gate(x, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.25 * x.data.nbytes, f"peak {peak / x.data.nbytes:.2f}x the input"
+
+
 class TestStatsModes:
     def test_per_sample_rows_independent(self):
         a = np.random.default_rng(17).normal(size=16)

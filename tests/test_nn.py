@@ -10,6 +10,10 @@ from ashlab.harness import datasets
 from ashlab.tensor import NonFiniteError, ShapeError, Tensor
 
 
+def _bits(a) -> bytes:
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64).tobytes()
+
+
 def mlp(spec_name, widths=(2, 16, 16, 2)):
     spec = act.preset(spec_name)
     layers = []
@@ -148,6 +152,29 @@ class TestLosses:
                           Tensor(np.random.default_rng(4).normal(size=(5, 3))))
         assert rep.max_rel_err < 1e-5
 
+    @pytest.mark.parametrize("shape,scale,one_hot", [
+        ((1, 2), 1.0, False), ((5, 3), 4.0, False), ((32, 2), 30.0, True), ((7, 16), 700.0, False)])
+    def test_xent_value_and_grad_bits_are_pinned(self, shape, scale, one_hot):
+        # The formula as it stood when the softmax was still formed in the forward.
+        rng = np.random.default_rng(shape[0])
+        z = rng.normal(size=shape) * scale
+        labels = rng.integers(0, shape[1], size=shape[0])
+        hot = np.eye(shape[1])[labels]
+        zmax = z.max(axis=1, keepdims=True)
+        ez = np.exp(z - zmax)
+        se = ez.sum(axis=1, keepdims=True)
+        lse = zmax[:, 0] + np.log(se[:, 0])
+        want_value = (lse.sum() - float((z * hot).sum())) / shape[0]
+        softmax = ez / se
+        want_grad = 1.0 * (softmax - hot) / shape[0]
+
+        t = ad.Tape()
+        zv = t.variable(Tensor(z), requires_grad=True)
+        loss = nn.softmax_xent(zv, hot if one_hot else labels)
+        ad.backward(loss)
+        assert _bits(loss.value.data) == _bits([want_value])
+        assert _bits(zv.grad.data) == _bits(want_grad)
+
     def test_one_hot_targets_accepted(self):
         t = ad.Tape()
         logits = t.variable(Tensor(np.random.default_rng(5).normal(size=(4, 3))))
@@ -243,6 +270,86 @@ class TestOptimizers:
             ("dense0.W", None, None, None)
         assert str(err.value) == "non-finite value in dense0.W"
         assert isinstance(err.value.__cause__, NonFiniteError)
+
+    @staticmethod
+    def _reference_step(kind, state, values, grads, t, lr=1e-3, momentum=0.9, beta1=0.9,
+                        beta2=0.999, eps=1e-8):
+        # The per-parameter loops the flat optimizers replaced, formulas unchanged.
+        new = {}
+        for name, w in values.items():
+            g = grads[name]
+            if kind == "sgd":
+                v = g + momentum * state.get(name, 0.0)
+                state[name] = v
+                new[name] = w - lr * v
+            else:
+                c1 = 1.0 - beta1 ** t
+                c2 = 1.0 - beta2 ** t
+                m = beta1 * state.get(("m", name), 0.0) + (1.0 - beta1) * g
+                v = beta2 * state.get(("v", name), 0.0) + (1.0 - beta2) * g * g
+                state[("m", name)] = m
+                state[("v", name)] = v
+                new[name] = w - lr * (m / c1) / (np.sqrt(v / c2) + eps)
+        return new
+
+    @pytest.mark.parametrize("kind", ["sgd", "adam"])
+    def test_flat_step_matches_per_parameter_formulas_bitwise(self, kind):
+        rng = np.random.default_rng(9)
+        shapes = {"s": (1,), "v": (5,), "m": (3, 4), "b": (2,)}
+        ref = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+        values = {name: Tensor(w) for name, w in ref.items()}
+        opt = nn.SGD(lr=1e-3, momentum=0.9) if kind == "sgd" else nn.Adam(lr=1e-3)
+        state = {}
+        for t in range(1, 51):
+            grads = {name: rng.normal(size=shape) * 10.0 ** rng.integers(-8, 3)
+                     for name, shape in shapes.items()}
+            grads["v"][:2] = [-0.0, 0.0]
+            if t % 7 == 0:  # an all-zero step, signs mixed
+                grads = {name: np.copysign(np.zeros(shape), rng.normal(size=shape))
+                         for name, shape in shapes.items()}
+            ref = self._reference_step(kind, state, ref, grads, t)
+            values = opt.step(values, grads)
+            assert list(values) == list(shapes)
+            for name, w in ref.items():
+                assert values[name].shape == shapes[name]
+                assert not values[name].data.flags.writeable
+                assert _bits(values[name].data) == _bits(w), f"{name} at step {t}"
+
+    @pytest.mark.parametrize("make", [nn.SGD, nn.Adam], ids=["sgd", "adam"])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_element_names_its_parameter(self, make):
+        values = {"a": Tensor([1.0, 2.0]), "b": Tensor(np.ones((2, 3))), "c": Tensor(np.ones(5)),
+                  "d": Tensor([3.0])}
+        # The middle element of the third parameter, then the first of the second.
+        for bad, index, where in (("c", 2, "c"), ("b", (0, 0), "b")):
+            opt = make(lr=1e-3)
+            grads = {name: np.zeros(t.shape) for name, t in values.items()}
+            start = opt.step(values, grads)
+            grads[bad][index] = np.inf
+            grads["d"][0] = np.nan  # a later parameter is not the one named
+            with pytest.raises(nn.DivergenceError) as err:
+                opt.step(start, grads)
+            assert err.value.where == where
+            assert isinstance(err.value.__cause__, NonFiniteError)
+
+    @pytest.mark.parametrize("make", [nn.SGD, nn.Adam], ids=["sgd", "adam"])
+    def test_changed_layout_raises(self, make):
+        values = {"a": Tensor([1.0, 2.0]), "b": Tensor([[3.0]])}
+        grads = {name: np.ones(t.shape) for name, t in values.items()}
+        opt, untouched = make(), make()
+        opt.step(values, grads)
+        untouched.step(values, grads)
+        for changed in ({"a": values["a"]},
+                        {"b": values["b"], "a": values["a"]},
+                        {"a": values["a"], "b": Tensor([3.0])},
+                        {**values, "c": Tensor([0.0])}):
+            with pytest.raises(ValueError, match="layout"):
+                opt.step(changed, {name: np.ones(t.shape) for name, t in changed.items()})
+        # A refused step changes no state: the next step is the untouched one's.
+        after, want = opt.step(values, grads), untouched.step(values, grads)
+        assert all(_bits(after[name].data) == _bits(want[name].data) for name in values)
+        assert make().step({}, {}) == {}  # a model with no parameters
+        assert make().step({"r": Tensor(2.0)}, {"r": np.array(1.0)})["r"].shape == ()
 
     @pytest.mark.parametrize("name,value", [
         ("beta1", 1.0), ("beta1", -0.1), ("beta2", 1.0), ("beta2", float("nan")),

@@ -52,3 +52,17 @@ def test_install_counts_apply_spec_calls_and_uninstall_restores(monkeypatch):
         now = vars(owner)
         assert set(now) == set(attrs), owner
         assert all(now[name] is value for name, value in attrs.items()), owner
+
+
+def test_train_epoch_counts_every_optimizer_step(monkeypatch):
+    # nn.optimizer.self_ms reads 0 if the tracer no longer finds Adam.step.
+    x, labels = datasets.two_moons(n=40, noise=0.1, seed=3)
+    model = nn.Model([nn.Dense(2, 8), nn.Activation(act.preset("ash")), nn.Dense(8, 2)], seed=1)
+    config = nn.TrainConfig(epochs=1, batch_size=16, seed=2)
+    tracer = load_tracing(monkeypatch).install(MODULES)
+    try:
+        nn.train(model, config, (x, labels))
+    finally:
+        tracer.uninstall()
+    assert tracer.steps == 3  # ceil(40 / 16) batches
+    assert tracer.acc("nn.optimizer").calls >= 1

@@ -228,6 +228,18 @@ class TestReduce:
         assert centered[rows].tobytes() == plain_c[rows].tobytes()
         assert (m2 / n)[rows].tobytes() == plain_var[rows].tobytes()
 
+    @pytest.mark.parametrize("shape,axes", [((1000,), None), ((3, 5, 7), None),
+                                            ((2, 4, 4, 3), (1, 2)), ((2, 4, 4, 3), (1, 2, 3))])
+    def test_moments_match_mean_and_sum_bits(self, shape, axes):
+        data = np.random.default_rng(len(shape)).normal(2.0, 3.0, size=shape)
+        n, mu, centered, m2 = tensor.moments(data, axes)
+        plain_mu = data.mean(axis=axes, keepdims=True)
+        plain_c = data - plain_mu
+        assert n * mu.size == data.size
+        assert mu.tobytes() == plain_mu.tobytes()
+        assert centered.tobytes() == plain_c.tobytes()
+        assert m2.tobytes() == np.sum(plain_c * plain_c, axis=axes, keepdims=True).tobytes()
+
     def test_welford_deterministic(self):
         data = np.random.default_rng(5).normal(size=12345)
         assert tensor.welford(data) == tensor.welford(data)
