@@ -138,16 +138,21 @@ def suite_tensor_kernels() -> None:
                f"kernel mean {mu} vs fsum {ref_mu} at n={n}")
         _check(abs(m2 / cnt - ref_var) <= 1e-12 * max(1.0, ref_var),
                f"kernel var {m2 / cnt} vs fsum {ref_var} at n={n}")
-    for size in (2, 5, 8, 16):
+    # 2 to 16 fit the single product buffer; 96 runs the tiled kernel over
+    # six row tiles of two k-slabs each.
+    for size in (2, 5, 8, 16, 96):
         a = Tensor(rng.normal(size=(size, size)))
         b = Tensor(rng.normal(size=(size, size)))
         got = tensor.matmul(a, b).data
+        # Python floats round each * and + as float64 does, and are faster
+        # to index than numpy scalars.
+        al, bl = a.tolist(), b.tolist()
         want = np.zeros((size, size))
         for i in range(size):
             for j in range(size):
                 acc = 0.0
                 for kk in range(size):
-                    acc += a.data[i, kk] * b.data[kk, j]
+                    acc += al[i][kk] * bl[kk][j]
                 want[i, j] = acc
         _check(np.array_equal(got, want), f"matmul differs from triple loop at {size}x{size}")
     t1 = randn([64], RngState(5, 123))

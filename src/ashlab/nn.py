@@ -133,7 +133,7 @@ def dense(x: Variable, w: Variable, b: Variable) -> Variable:
     """
     if b.value.shape != (w.value.shape[-1],):
         raise ShapeError(f"dense bias must be ({w.value.shape[-1]},), got {b.value.shape}")
-    out = Tensor._wrap(tensor.matmul(x.value, w.value).data + b.value.data)
+    out = tensor.matmul(x.value, w.value, b.value)
     xd, wd = x.value.data, w.value.data
     return ad.record(x.tape, "dense", (x, w, b), out, lambda g, needs: (
         ad.matmul_grads(g, needs, xd, wd) + (needs[2] and g.sum(axis=0),)))

@@ -8,18 +8,26 @@ is bitwise reproducible.
 
 Matmul order contract: every output element is
 ((((0.0 + a[i,0]*b[0,j]) + a[i,1]*b[1,j]) + ...) + a[i,k-1]*b[k-1,j]),
-exactly the order of a naive triple loop, for every shape. Two kernels
-keep it:
-  * small products are laid out as a (k+1, m, n) buffer whose slot 0
-    holds 0.0 and summed by one numpy reduction over the leading axis,
-    which numpy walks slot by slot. Slot 0 fixes the start at +0.0 on
-    every numpy version; a reduction seeded with its first element would
-    leave a sum of -0.0 products at -0.0.
-  * large buffers and m*n == 1 use a Python loop of rank-1 updates. For
-    large buffers the loop is the faster kernel. For m*n == 1 the
-    reduced axis is the only axis left, and numpy sums a lone contiguous
-    axis pairwise, which reorders the additions (k = 9 or 128 already
-    gives different bits).
+exactly the order of a naive triple loop, for every shape. The kernel
+lays products out as a (k+1, rows, n) buffer whose slot 0 is added
+first, and sums it by one numpy reduction over the leading axis, which
+numpy walks slot by slot:
+  * a product whose whole buffer fits the budget (_REDUCE_MAX_ELEMS) is
+    one such buffer, with slot 0 at 0.0. Slot 0 fixes the start at +0.0
+    on every numpy version; a reduction seeded with its first element
+    would leave a sum of -0.0 products at -0.0.
+  * a larger product is cut into tiles of at most 16 rows, and each
+    tile's k into slabs whose buffer fits the budget (a slab holds at
+    least one product), so the buffer stays in cache. Slot 0 carries
+    the tile's running sum: +0.0 before the first slab, then each slab's
+    result. Adding the carry first continues the same left-to-right sum,
+    so tiling moves no bit.
+  * m*n == 1 is one np.add.accumulate over [0.0, products]. A buffer
+    would leave the reduced axis as the only one, and numpy sums a lone
+    contiguous axis pairwise, which reorders the additions (k = 9 or 128
+    already gives different bits); accumulate is sequential by
+    definition. For the same reason row tiles are balanced: only m == 1
+    gives a one-row tile, and then n >= 2.
 BLAS is never used because it reorders the accumulation too.
 """
 
@@ -74,8 +82,9 @@ class Tensor:
     @classmethod
     def _wrap(cls, arr: np.ndarray) -> "Tensor":
         # Internal fast path for kernel-owned arrays: skips the defensive
-        # copy but keeps the finiteness and shape invariants.
-        arr = np.ascontiguousarray(arr, dtype=np.float64)
+        # copy but keeps the finiteness and shape invariants. asarray, not
+        # ascontiguousarray, which would turn a rank-0 array into shape (1,).
+        arr = np.asarray(arr, dtype=np.float64, order="C")
         if arr.ndim > MAX_RANK or arr.size == 0:
             check_shape(arr.shape)  # raises the matching ShapeError
         if not np.isfinite(arr).all():
@@ -224,38 +233,74 @@ def ewise(op: str, a: Tensor, b: Tensor) -> Tensor:
         return Tensor._wrap(_EWISE[op](a.data, b.data))
 
 
-# Above this many buffer elements (1 MiB) the rank-1 loop beats the
-# (k+1, m, n) reduction, whose buffer no longer fits in cache.
+# Budget, in float64 elements (1 MiB), of the (k+1, rows, n) product
+# buffer. A product whose whole buffer fits runs as one reduction; a
+# larger one is cut into 16-row tiles and k-slabs of this size, which
+# stay in cache.
 _REDUCE_MAX_ELEMS = 1 << 17
 
 
 def _matmul_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # Both branches add a[i,k]*b[k,j] onto 0.0 in increasing k; see the
+    # Every branch adds a[i,k]*b[k,j] onto 0.0 in increasing k; see the
     # order contract in the module docstring.
     m, k = a.shape
     _, n = b.shape
     with np.errstate(over="ignore", invalid="ignore"):
-        if m * n == 1 or (k + 1) * m * n > _REDUCE_MAX_ELEMS:
-            out = np.zeros((m, n), dtype=np.float64)
-            for kk in range(k):
-                out += a[:, kk : kk + 1] * b[kk : kk + 1, :]
-            return out
-        buf = np.empty((k + 1, m, n), dtype=np.float64)
-        buf[0] = 0.0
-        # einsum forms the products faster than a broadcast multiply. It may
-        # store a -0.0 product as +0.0, which moves no output bit: each sum
-        # starts from slot 0's +0.0 and so is never -0.0.
-        np.einsum("ik,kj->kij", a, b, out=buf[1:])
-        return np.add.reduce(buf, axis=0)
+        if m * n == 1:
+            terms = np.empty(k + 1, dtype=np.float64)
+            terms[0] = 0.0
+            np.multiply(a[0], b[:, 0], out=terms[1:])
+            return np.add.accumulate(terms)[-1:].reshape(1, 1)
+        if (k + 1) * m * n <= _REDUCE_MAX_ELEMS:
+            buf = np.empty((k + 1, m, n), dtype=np.float64)
+            buf[0] = 0.0
+            # einsum forms the products faster than a broadcast multiply. It
+            # may store a -0.0 product as +0.0, which moves no output bit:
+            # each sum starts from slot 0's +0.0 and so is never -0.0.
+            np.einsum("ik,kj->kij", a, b, out=buf[1:])
+            return np.add.reduce(buf, axis=0)
+        return _matmul_tiled(a, b)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product with deterministic left-to-right accumulation."""
+def _matmul_tiled(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # Balanced tiles of at most 16 rows, so that no slab is (kc+1, 1, 1).
+    m, k = a.shape
+    _, n = b.shape
+    tiles = -(-m // 16)
+    rows = -(-m // tiles)
+    kc = min(k, max(1, _REDUCE_MAX_ELEMS // (rows * n) - 1))
+    buf = np.empty((kc + 1, rows, n), dtype=np.float64)
+    out = np.zeros((m, n), dtype=np.float64)
+    for t in range(tiles):
+        i0, i1 = t * m // tiles, (t + 1) * m // tiles
+        acc = out[i0:i1]
+        for k0 in range(0, k, kc):
+            k1 = min(k0 + kc, k)
+            slab = buf[: k1 - k0 + 1, : i1 - i0]
+            # Slot 0 carries the running sum into the slab. The sum lands in
+            # `out`, not in slot 0: numpy copies an input its output overlaps.
+            slab[0] = acc
+            np.einsum("ik,kj->kij", a[i0:i1, k0:k1], b[k0:k1], out=slab[1:])
+            np.add.reduce(slab, axis=0, out=acc)
+    return out
+
+
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
+    """Matrix product with deterministic left-to-right accumulation.
+
+    A `bias` of shape (n,) is added to every row of the (m, n) product
+    before the one finiteness check.
+    """
     if len(a.shape) != 2 or len(b.shape) != 2:
         raise ShapeError(f"matmul needs rank-2 operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"inner dimensions disagree: {a.shape} x {b.shape}")
-    return Tensor._wrap(_matmul_arrays(a.data, b.data))
+    if bias is not None and bias.shape != (b.shape[1],):
+        raise ShapeError(f"bias must be ({b.shape[1]},), got {bias.shape}")
+    out = _matmul_arrays(a.data, b.data)
+    if bias is not None:
+        out += bias.data
+    return Tensor._wrap(out)
 
 
 # ---------------------------------------------------------------------------

@@ -66,6 +66,15 @@ class TestConstruction:
             Tensor([1.0, 2.0]).item()
         assert Tensor([1.0, 2.0, 3.0, 4.0]).reshape((2, 2)).shape == (2, 2)
 
+    def test_kernel_results_keep_rank_zero(self):
+        # A rank-0 Tensor stays rank 0 through the kernels, as through Tensor().
+        assert Tensor(2.0).shape == ()
+        assert ewise("add", Tensor(2.0), Tensor(1.0)).shape == ()
+        assert ewise("add", Tensor(2.0), Tensor(1.0)).item() == 3.0
+        assert Tensor(2.0).reshape(()).shape == ()
+        assert Tensor([2.0]).reshape(()).shape == ()
+        assert Tensor._wrap(np.float64(2.0)).shape == ()
+
 
 class TestRng:
     def test_normal_sample_mean(self):
@@ -144,38 +153,92 @@ class TestMatmul:
     def test_hand_example(self):
         assert matmul(Tensor([[1.0, 2.0]]), Tensor([[3.0], [4.0]])).tolist() == [[11.0]]
 
+    @staticmethod
+    def _operands(rng, m, k, n, heavy):
+        a = rng.normal(size=(m, k))
+        b = rng.normal(size=(k, n))
+        if heavy:
+            a *= np.exp(8.0 * rng.normal(size=(m, k)))
+            b *= np.exp(8.0 * rng.normal(size=(k, n)))
+        if m > 1:
+            # Every product of out[0, 0] is -0.0, so only the leading 0.0
+            # makes that element +0.0.
+            a[0] = -0.0
+            b[:, 0] = np.abs(b[:, 0])
+        return a, b
+
+    @staticmethod
+    def _triple_loop(a, b):
+        # Every element starts at 0.0 and adds the products in increasing k.
+        m, k = a.shape
+        want = np.zeros((m, b.shape[1]))
+        for i in range(m):
+            for j in range(b.shape[1]):
+                acc = 0.0
+                for kk in range(k):
+                    acc += a[i, kk] * b[kk, j]
+                want[i, j] = acc
+        return want
+
+    @staticmethod
+    def _rank1_loop(a, b):
+        # The same order, one k at a time over the whole output.
+        out = np.zeros((a.shape[0], b.shape[1]))
+        for kk in range(a.shape[1]):
+            out += a[:, kk : kk + 1] * b[kk : kk + 1, :]
+        return out
+
+    @staticmethod
+    def _bits(x):
+        return x.view(np.uint64)  # bit-level equality, so -0.0 != +0.0
+
     def test_matches_triple_loop_exactly(self):
-        # Bit-level equality (so -0.0 != +0.0) with a naive triple loop that
-        # starts every element at 0.0 and adds the products in increasing k.
-        limit = tensor._REDUCE_MAX_ELEMS
         shapes = [(s, s, s) for s in (3, 8, 17, 32)]
         shapes += [(32, 16, 2), (2, 32, 16), (5, 3, 7), (1, 6, 4), (4, 6, 1)]
         shapes += [(1, 7, 1), (1, 9, 1), (1, 128, 1)]  # m*n == 1
-        shapes += [(64, 40, 64)]  # buffer above the switch
-        assert (40 + 1) * 64 * 64 > limit >= (32 + 1) * 32 * 32
+        shapes += [(64, 40, 64)]  # tiled
         rng = np.random.default_rng(8)
         for m, k, n in shapes:
             for heavy in (False, True):
-                a = rng.normal(size=(m, k))
-                b = rng.normal(size=(k, n))
-                if heavy:
-                    a *= np.exp(8.0 * rng.normal(size=(m, k)))
-                    b *= np.exp(8.0 * rng.normal(size=(k, n)))
-                if m > 1:
-                    # Every product of out[0, 0] is -0.0, so only the
-                    # leading 0.0 makes that element +0.0.
-                    a[0] = -0.0
-                    b[:, 0] = np.abs(b[:, 0])
+                a, b = self._operands(rng, m, k, n, heavy)
                 got = matmul(Tensor(a), Tensor(b)).data
-                want = np.zeros((m, n))
-                for i in range(m):
-                    for j in range(n):
-                        acc = 0.0
-                        for kk in range(k):
-                            acc += a[i, kk] * b[kk, j]
-                        want[i, j] = acc
-                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), \
+                want = self._triple_loop(a, b)
+                assert np.array_equal(self._bits(got), self._bits(want)), \
                     f"mismatch at {m}x{k}x{n}, heavy={heavy}"
+                if m * n > 1:  # pins the rank-1 oracle to the triple loop
+                    assert np.array_equal(self._bits(self._rank1_loop(a, b)), self._bits(want))
+
+    def test_tile_boundaries_match_rank1_loop_exactly(self):
+        # Tiles hold at most 16 rows and a tile's (kc+1, rows, n) buffer at
+        # most the budget. These shapes span several row tiles and, since
+        # even a 16-row tile's full-k buffer is over the budget, several
+        # k-slabs, the last one partial; (40, 200, 100) has 13- and 14-row
+        # tiles.
+        limit = tensor._REDUCE_MAX_ELEMS
+        multi = [(64, 128, 128), (256, 128, 128), (40, 200, 100)]
+        assert all(m > 16 and (k + 1) * 16 * n > limit for m, k, n in multi)
+        shapes = multi + [(128, 64, 128)]  # with the first two: mlp_wide's shapes
+        shapes += [(17, 129, 1), (1, 300, 33), (33, 129, 65)]
+        # Unequal row tiles with n == 1 (8 and 9 rows), one row and many
+        # k-slabs, and a row wider than half the budget (one product a slab).
+        shapes += [(17, 8000, 1), (1, 5000, 40), (3, 2, 70000)]
+        rng = np.random.default_rng(9)
+        for m, k, n in shapes:
+            for heavy in (False, True):
+                a, b = self._operands(rng, m, k, n, heavy)
+                got = matmul(Tensor(a), Tensor(b)).data
+                want = self._rank1_loop(a, b)
+                assert np.array_equal(self._bits(got), self._bits(want)), \
+                    f"mismatch at {m}x{k}x{n}, heavy={heavy}"
+
+    def test_bias_is_added_to_every_row(self):
+        rng = np.random.default_rng(10)
+        a, b, bias = rng.normal(size=(64, 128)), rng.normal(size=(128, 96)), rng.normal(size=96)
+        got = matmul(Tensor(a), Tensor(b), Tensor(bias)).data
+        want = matmul(Tensor(a), Tensor(b)).data + bias
+        assert np.array_equal(self._bits(got), self._bits(want))
+        with pytest.raises(ShapeError, match=r"bias must be \(96,\), got \(95,\)"):
+            matmul(Tensor(a), Tensor(b), Tensor(bias[:95]))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ShapeError):
