@@ -16,12 +16,15 @@ numpy walks slot by slot:
     one such buffer, with slot 0 at 0.0. Slot 0 fixes the start at +0.0
     on every numpy version; a reduction seeded with its first element
     would leave a sum of -0.0 products at -0.0.
-  * a larger product is cut into tiles of at most 16 rows, and each
-    tile's k into slabs whose buffer fits the budget (a slab holds at
-    least one product), so the buffer stays in cache. Slot 0 carries
-    the tile's running sum: +0.0 before the first slab, then each slab's
-    result. Adding the carry first continues the same left-to-right sum,
-    so tiling moves no bit.
+  * a larger product is cut into balanced row tiles, each as tall as a
+    full-k buffer within the budget allows but at least 16 rows, and
+    each tile's k into slabs whose buffer fits the budget (a slab holds
+    at least one product), so the buffer stays in cache. A small-k
+    product (an im2col convolution, say) thus runs as a few tall tiles
+    of one slab each, and a wide layer as 16-row tiles of several slabs.
+    Slot 0 carries the tile's running sum: +0.0 before the first slab,
+    then each slab's result. Adding the carry first continues the same
+    left-to-right sum, so tiling moves no bit.
   * m*n == 1 is one np.add.accumulate over [0.0, products]. A buffer
     would leave the reduced axis as the only one, and numpy sums a lone
     contiguous axis pairwise, which reorders the additions (k = 9 or 128
@@ -235,8 +238,8 @@ def ewise(op: str, a: Tensor, b: Tensor) -> Tensor:
 
 # Budget, in float64 elements (1 MiB), of the (k+1, rows, n) product
 # buffer. A product whose whole buffer fits runs as one reduction; a
-# larger one is cut into 16-row tiles and k-slabs of this size, which
-# stay in cache.
+# larger one is cut into row tiles and k-slabs of this size, which stay
+# in cache.
 _REDUCE_MAX_ELEMS = 1 << 17
 
 
@@ -263,10 +266,14 @@ def _matmul_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _matmul_tiled(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # Balanced tiles of at most 16 rows, so that no slab is (kc+1, 1, 1).
+    # A tile is as tall as a full-k buffer within the budget allows, so a
+    # small-k product (an im2col convolution) runs as a few tall one-slab
+    # tiles. Below 16 rows k is cut into slabs instead: with the floor,
+    # balanced tiles hold 8 rows or more unless m < 8, so no slab is
+    # (kc+1, 1, 1) unless m == 1, and then n >= 2.
     m, k = a.shape
     _, n = b.shape
-    tiles = -(-m // 16)
+    tiles = -(-m // max(16, _REDUCE_MAX_ELEMS // ((k + 1) * n)))
     rows = -(-m // tiles)
     kc = min(k, max(1, _REDUCE_MAX_ELEMS // (rows * n) - 1))
     buf = np.empty((kc + 1, rows, n), dtype=np.float64)

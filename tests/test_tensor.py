@@ -209,11 +209,11 @@ class TestMatmul:
                     assert np.array_equal(self._bits(self._rank1_loop(a, b)), self._bits(want))
 
     def test_tile_boundaries_match_rank1_loop_exactly(self):
-        # Tiles hold at most 16 rows and a tile's (kc+1, rows, n) buffer at
-        # most the budget. These shapes span several row tiles and, since
-        # even a 16-row tile's full-k buffer is over the budget, several
-        # k-slabs, the last one partial; (40, 200, 100) has 13- and 14-row
-        # tiles.
+        # A tile's (kc+1, rows, n) buffer holds at most the budget, and a
+        # tile is 16 rows unless a taller one fits a full-k buffer. These
+        # shapes span several row tiles and, since even a 16-row tile's
+        # full-k buffer is over the budget, several k-slabs, the last one
+        # partial; (40, 200, 100) has 13- and 14-row tiles.
         limit = tensor._REDUCE_MAX_ELEMS
         multi = [(64, 128, 128), (256, 128, 128), (40, 200, 100)]
         assert all(m > 16 and (k + 1) * 16 * n > limit for m, k, n in multi)
@@ -222,6 +222,13 @@ class TestMatmul:
         # Unequal row tiles with n == 1 (8 and 9 rows), one row and many
         # k-slabs, and a row wider than half the budget (one product a slab).
         shapes += [(17, 8000, 1), (1, 5000, 40), (3, 2, 70000)]
+        # Tall and small-k: a 3x3 conv's im2col product and its input grad
+        # on 32 28x28 images, and 1024 rows into a 128-wide layer. Over the
+        # budget as a whole, but a full-k buffer of 32 rows fits, so each
+        # runs as a few tall one-slab tiles; (21632, 9, 4) has unequal ones.
+        tall = [(21632, 9, 4), (21632, 4, 9), (1024, 2, 128)]
+        assert all((k + 1) * m * n > limit > (k + 1) * 32 * n for m, k, n in tall)
+        shapes += tall
         rng = np.random.default_rng(9)
         for m, k, n in shapes:
             for heavy in (False, True):
