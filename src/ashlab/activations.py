@@ -29,7 +29,7 @@ import numpy as np
 from . import autodiff as ad
 from . import stats as st
 from .autodiff import Variable
-from .tensor import ShapeError, Tensor, moments
+from .tensor import ShapeError, Tensor, _row_blocks, moments
 
 SELU_LAMBDA = 1.0507009873554805
 SELU_ALPHA = 1.6732632423543772
@@ -300,19 +300,22 @@ def _gate_op(x, z_k, stats_mode: str, keep_boundary: bool, name: str):
     """x where the margin x - mu - z_k*sigma is >= 0 (> 0 without the boundary).
 
     A Tensor (or array) `x` runs forward only, builds no tape and returns
-    a Tensor. The margin is formed in the `centered` buffer from `moments`,
-    and the output np.where(mask, x, 0.0) is then written over it.
+    a Tensor. In row blocks, the margin is formed in the `centered` buffer
+    from `moments`, and the output np.where(mask, x, 0.0) is written over it.
     """
     taped = isinstance(x, Variable)
     xt = x.value if taped else x if isinstance(x, Tensor) else Tensor(x)
     data = xt.data
     z_b = _broadcast_z(z_k, xt.shape)
     _, _, _, centered, _, sigma = _grouped_stats(data, stats_mode)
-    margin = np.subtract(centered, z_b * sigma, out=centered)
-    mask = (margin >= 0.0) if keep_boundary else (margin > 0.0)
-    margin.fill(0.0)
-    np.copyto(margin, data, where=mask)
-    out = Tensor._wrap(margin)
+    keep = np.greater_equal if keep_boundary else np.greater
+    mask = np.empty(data.shape, dtype=bool)
+    for margin, zsig, x_b, mask_b in _row_blocks((centered, z_b * sigma, data, mask)):
+        np.subtract(margin, zsig, out=margin)
+        keep(margin, 0.0, out=mask_b)
+        margin.fill(0.0)
+        np.copyto(margin, x_b, where=mask_b)
+    out = Tensor._wrap(centered)
 
     if not taped:
         return out
@@ -360,10 +363,17 @@ def _ash_op(x, z, alpha, leak, stats_mode: str, grad_mode: str, name: str):
     then s*(1-leak) + leak, * x. Each step is the IEEE operation of the
     out-of-place writing on the same operands (a product's commute
     exactly), so writing it into an earlier step's buffer keeps every bit.
-    With no grad needed all steps write into the `centered` buffer from
-    `moments` and nothing is kept; otherwise the forward keeps s (centered
-    for through-stats, u for a trainable alpha) and the backward forms w
-    once for every grad.
+    u is formed in the `centered` buffer from `moments`; with no grad
+    needed every later step writes there too and nothing is kept.
+    Otherwise the forward keeps s (and u for a trainable alpha), and the
+    backward forms w once for every grad and recomputes centered as
+    x - mu: the bits `moments` made, as a constant group's mu is its value.
+
+    After the whole-array `moments`, both passes run in row blocks
+    (`tensor._row_blocks`); the backward is one block if a through-stats
+    group spans axis 0. A block's steps are elementwise or group sums, so
+    no bit moves; the z, leak and alpha grads, which sum the whole array,
+    are written to full-size buffers and each reduced once.
     """
     if grad_mode not in GRAD_MODES:
         raise ValueError(f"grad_mode must be one of {GRAD_MODES}, got {grad_mode!r}")
@@ -377,61 +387,78 @@ def _ash_op(x, z, alpha, leak, stats_mode: str, grad_mode: str, name: str):
     if lval < 0:
         raise ValueError(f"leak must be >= 0, got {lval}")
     z_b = _broadcast_z(z, xt.shape)
-    axes, n, _, centered, sigma_raw, sigma = _grouped_stats(data, stats_mode)
+    axes, n, mu, centered, sigma_raw, sigma = _grouped_stats(data, stats_mode)
 
     params = {key: p for key, p in (("z", z), ("leak", leak), ("alpha", alpha))
               if isinstance(p, Variable)}
     inputs = (x, *params.values()) if taped else ()
     grad = any(v.requires_grad for v in inputs)
     through = grad_mode == "through-stats"
+    u = centered
+    s = np.empty_like(u) if grad and "alpha" in params else u
+    y = np.empty_like(s) if grad else s
     # Overflow can only reach the output, whose finiteness check reports it.
     with np.errstate(over="ignore", invalid="ignore"):
-        u = np.subtract(centered, z_b * sigma, out=None if grad and through else centered)
-        u *= 2.0 * aval
-        s = ad.stable_sigmoid(u, out=None if grad and "alpha" in params else u)
-        out = Tensor._wrap(_times_gate(s, lval, data, None if grad else s))
+        # With a grad, y holds the sigmoid's denominator until the product.
+        for u_b, zsig, s_b, x_b, y_b, t_b in _row_blocks(
+                (u, z_b * sigma, s, data, y, y if grad else None)):
+            u_b -= zsig
+            u_b *= 2.0 * aval
+            ad.stable_sigmoid(u_b, out=s_b, scratch=t_b)
+            _times_gate(s_b, lval, x_b, y_b)
+    out = Tensor._wrap(y)
     # The VJP takes shapes, not Variables: a tape holds no Variable. Without a
     # grad, record keeps no VJP, and the buffers it names hold the output.
     shapes = {key: p.value.shape for key, p in params.items()}
 
     def vjp(g, needs):
         need = dict(zip(("x", *shapes), needs))
-        grads = {}
+        # Products before gx: after it they top the heap beside the scratch, are
+        # trimmed with it on return and fault again (a loop of 1024 x 128
+        # forward+backward calls took 1984 faults a call that way, 1760 so).
+        prods = {key: np.empty_like(data) for key in shapes if need[key]}
+        gx = np.empty_like(data)  # also 1 - s, and the scratch of b_sum's product
+        arrays = (data, g, s, u, mu, sigma, sigma_raw, z_b, gx,
+                  *map(prods.get, ("leak", "z", "alpha")))
+        blocks = (arrays,) if through and 0 in axes else _row_blocks(arrays)
+        w_buf = np.empty_like(blocks[0][0])  # block scratch, shared by every block
         with np.errstate(over="ignore", invalid="ignore"):
-            w = g * data
-            one_minus_s = 1.0 - s
-            tmp = np.empty_like(w)  # scratch for each product that is then summed
-            if need.get("leak"):
-                grads["leak"] = np.sum(np.multiply(w, one_minus_s, out=tmp)).reshape(
-                    shapes["leak"])
-            if lval:
-                w *= 1.0 - lval
-            w *= s
-            w *= one_minus_s
-            if need.get("z"):
-                wz = np.multiply(sigma, w, out=tmp)
-                wz *= -2.0 * aval
-                grads["z"] = _reduce_to_param(wz, shapes["z"])
-            if need.get("alpha"):
-                grads["alpha"] = (np.sum(np.multiply(w, u, out=tmp)) / aval).reshape(
-                    shapes["alpha"])
-            if need["x"]:
-                gx = _times_gate(s, lval, g, one_minus_s)
+            for x_b, g_b, s_b, u_b, mu_b, sig_b, raw_b, zb_b, gx_b, leak_b, z_pb, alpha_b \
+                    in blocks:
+                w = np.multiply(g_b, x_b, out=w_buf[:len(x_b)])
+                one_minus_s = np.subtract(1.0, s_b, out=gx_b)
+                if leak_b is not None:
+                    np.multiply(w, one_minus_s, out=leak_b)
+                if lval:
+                    w *= 1.0 - lval
+                w *= s_b
+                w *= one_minus_s
+                if z_pb is not None:
+                    np.multiply(sig_b, w, out=z_pb)
+                    z_pb *= -2.0 * aval
+                if alpha_b is not None:
+                    np.multiply(w, u_b, out=alpha_b)
+                if not need["x"]:
+                    continue
                 if through:
                     a_sum = w.sum(axis=axes, keepdims=True)
-                    b_sum = np.multiply(w, z_b, out=tmp).sum(axis=axes, keepdims=True)
+                    b_sum = np.multiply(w, zb_b, out=gx_b).sum(axis=axes, keepdims=True)
+                _times_gate(s_b, lval, g_b, gx_b)
                 w *= 2.0 * aval
-                gx += w
+                gx_b += w
                 if through:
-                    gx -= 2.0 * aval * a_sum / n
-                    floored = sigma_raw < st.SIGMA_FLOOR
+                    gx_b -= 2.0 * aval * a_sum / n
+                    floored = raw_b < st.SIGMA_FLOOR
                     chain = np.where(floored, 0.0,
-                                     b_sum / (n * np.where(floored, 1.0, sigma_raw)))
-                    np.multiply(centered, 2.0 * aval, out=w)
+                                     b_sum / (n * np.where(floored, 1.0, raw_b)))
+                    np.subtract(x_b, mu_b, out=w)  # centered
+                    w *= 2.0 * aval
                     w *= chain
-                    gx -= w
-                grads["x"] = gx
-        return tuple(grads.get(key) for key in need)
+                    gx_b -= w
+        grads = {key: _reduce_to_param(p, shapes[key]) for key, p in prods.items()}
+        if "alpha" in grads:
+            grads["alpha"] /= aval
+        return (gx if need["x"] else None, *map(grads.get, shapes))
 
     return ad.record(x.tape, name, inputs, out, vjp) if taped else out
 

@@ -257,15 +257,17 @@ def sqrt(a) -> Variable:
         np.where(g == 0.0, 0.0, g / np.maximum(2.0 * od, 1e-300)),))
 
 
-def stable_sigmoid(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def stable_sigmoid(u: np.ndarray, out: np.ndarray | None = None,
+                   scratch: np.ndarray | None = None) -> np.ndarray:
     """Logistic exp(min(u, 0)) / (1 + exp(-|u|)), into `out` (which may be u).
 
     Bit for bit np.where(u >= 0, 1/(1+t), t/(1+t)), t = exp(-|u|), without
     its branches: the numerator is exp(0) = 1 for u >= 0 (and -0.0) and
     exp(u) = t for u < 0, where -|u| is u exactly. The denominator is made
-    first, so the call allocates one array of u's size (two without out).
+    first, in `scratch` (distinct from u and out) or in one array of u's
+    size that the call allocates.
     """
-    t = np.copysign(u, -1.0)  # -|u|, one pass
+    t = np.copysign(u, -1.0, out=scratch)  # -|u|, one pass
     np.exp(t, out=t)
     t += 1.0
     s = np.minimum(u, 0.0, out=out)

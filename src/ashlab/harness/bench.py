@@ -1,10 +1,10 @@
 """Throughput benchmark: threshold activation vs. explicit selection.
 
 For each input size, times (a) the named activation's forward pass
-(single-pass statistics plus elementwise gate), (b) the exact top-k
-mask via quickselect, and (c) top-k selection via a full sort. Reports
-the median of 9 runs in ns/element; rankings are machine-dependent and
-deliberately not asserted anywhere.
+(the two-pass `moments` statistics, then the elementwise gate in row
+blocks), (b) the exact top-k mask via quickselect, and (c) top-k
+selection via a full sort. Reports the median of 9 runs in ns/element;
+rankings are machine-dependent and deliberately not asserted anywhere.
 """
 
 from __future__ import annotations

@@ -13,6 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from ashlab import _normal, tensor
 from ashlab import activations as act
 from ashlab import autodiff as ad
 from ashlab import nn
@@ -483,6 +484,130 @@ class TestInPlaceGate:
         finally:
             tracemalloc.stop()
         assert peak <= 2.25 * x.data.nbytes, f"peak {peak / x.data.nbytes:.2f}x the input"
+
+
+def _gate_run(x, z, leak, alpha, stats_mode, grad_mode, g):
+    """Bits of every output of the gates on x: the leaky smooth form with x,
+    z, leak and alpha trainable, and tape-free, and hard_ash with its grad."""
+    t = ad.Tape()
+    xv, zv, lv, av = (t.variable(Tensor(v), requires_grad=True)
+                      for v in (x, z, [leak], [alpha]))
+    out = act.leaky_ash(xv, zv, leak=lv, alpha=av, stats_mode=stats_mode, grad_mode=grad_mode)
+    ad.backward(ad.sum_all(ad.mul(out, t.constant(Tensor(g)))))
+    bits = {"out": out.value.data}
+    bits.update((key, v.grad.data) for key, v in (("x", xv), ("z", zv), ("leak", lv),
+                                                 ("alpha", av)))
+    bits["tensor"] = act.leaky_ash(Tensor(x), float(z[0]), leak=leak, alpha=alpha,
+                                   stats_mode=stats_mode, grad_mode=grad_mode).data
+    t = ad.Tape()
+    xv = t.variable(Tensor(x), requires_grad=True)
+    hard = act.hard_ash(xv, float(z[0]), stats_mode=stats_mode)
+    ad.backward(ad.sum_all(ad.mul(hard, t.constant(Tensor(g)))))
+    bits.update(hard=hard.value.data, hard_x=xv.grad.data)
+    return {key: _bits(v) for key, v in bits.items()}
+
+
+class TestRowBlocks:
+    """The leading-axis block walk (tensor._row_blocks) moves no bit."""
+
+    @pytest.mark.parametrize("grad_mode", act.GRAD_MODES)
+    @pytest.mark.parametrize("shape,stats_mode", [
+        ((37,), "per-sample"), ((7, 13), "per-sample"), ((7, 3, 11), "per-sample"),
+        ((5, 3, 11), "per-channel"), ((7, 3, 4, 5), "per-sample"),
+        ((7, 3, 4, 5), "per-channel")])
+    def test_tiny_blocks_match_one_block(self, monkeypatch, shape, stats_mode, grad_mode):
+        rng = np.random.default_rng(sum(shape))
+        # Mixed magnitudes over non-power-of-two extents: a sum of block sums
+        # would round differently from the one whole-array sum.
+        x = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+        x.reshape(-1)[::5] = -0.0
+        if len(shape) == 3 and stats_mode == "per-channel":
+            x[..., 0] = 1.7  # a constant (sigma-floored) group
+        elif len(shape) > 1:
+            x[0] = 1.7
+        g = rng.normal(size=shape)
+        row = x.size // shape[0]
+        for leak, per_channel in itertools.product((0.0, 0.3), (False, True)):
+            z = rng.normal(size=shape[-1]) if per_channel else np.array([0.4])
+            monkeypatch.setattr(tensor, "_WHOLE_ELEMS", 1 << 62)
+            want = _gate_run(x, z, leak, 1.5, stats_mode, grad_mode, g)
+            # 3 rows a block leaves a shorter last block (7 or 5 rows, 37 elements).
+            for rows in (1, 3):
+                monkeypatch.setattr(tensor, "_WHOLE_ELEMS", 0)
+                monkeypatch.setattr(tensor, "_BLOCK_ELEMS", rows * row)
+                got = _gate_run(x, z, leak, 1.5, stats_mode, grad_mode, g)
+                for key in want:
+                    assert got[key] == want[key], f"{key}: leak={leak} " \
+                        f"per_channel={per_channel} rows={rows}"
+
+    def test_constant_input_and_normal_kernels_match_one_block(self, monkeypatch):
+        x = np.full(37, -2.5)
+        g = np.random.default_rng(2).normal(size=37)
+        p = RngState(4).uniform(1000)
+        monkeypatch.setattr(tensor, "_WHOLE_ELEMS", 1 << 62)
+        want = _gate_run(x, np.array([0.4]), 0.3, 1.5, "per-sample", "stop-stats", g)
+        ppf, cdf = _normal.norm_ppf(p), _normal.norm_cdf(20.0 * p - 10.0)
+        monkeypatch.setattr(tensor, "_WHOLE_ELEMS", 0)
+        monkeypatch.setattr(tensor, "_BLOCK_ELEMS", 3)
+        assert _gate_run(x, np.array([0.4]), 0.3, 1.5, "per-sample", "stop-stats", g) == want
+        assert _bits(_normal.norm_ppf(p)) == _bits(ppf)
+        assert _bits(_normal.norm_cdf(20.0 * p - 10.0)) == _bits(cdf)
+
+    @pytest.mark.parametrize("shape,blocks", [
+        ((32, 16), 1), ((256, 16), 1), ((64, 128), 1), ((1024, 128), 1), ((1 << 17,), 1),
+        ((64, 16384), 32), ((1 << 18,), 8)])
+    def test_small_inputs_run_as_one_block_of_the_arrays_themselves(
+            self, monkeypatch, shape, blocks):
+        # Structural, not timing: mlp_small- and mlp_wide-sized gates run one
+        # pass over the whole arrays, with no slicing; larger ones are walked.
+        walks = []
+        real = act._row_blocks
+
+        def recording(arrays, *args, **kwargs):
+            out = real(arrays, *args, **kwargs)
+            walks.append((arrays, out))
+            return out
+
+        monkeypatch.setattr(act, "_row_blocks", recording)
+        x = Tensor(np.random.default_rng(1).normal(size=shape))
+        t = ad.Tape()
+        xv = t.variable(x, requires_grad=True)
+        out = act.smooth_ash(xv, t.variable(Tensor([0.3]), requires_grad=True))
+        ad.backward(ad.sum_all(out))
+        act.smooth_ash(x, 0.3)
+        act.hard_ash(x, 0.3)
+        # Forward, VJP, tape-free forward, hard gate; a rank-1 through-stats
+        # VJP spans axis 0 and is one block without a walk.
+        assert len(walks) == (4 if len(shape) > 1 else 3)
+        for arrays, walk in walks:
+            assert len(walk) == blocks
+            if blocks == 1:
+                assert walk[0] is arrays
+            else:
+                assert sum(len(b[0]) for b in walk) == shape[0]
+                assert max(b[0].size for b in walk) <= tensor._BLOCK_ELEMS
+
+    def test_walked_forward_backward_allocates_at_most_four_and_a_quarter_inputs(self):
+        # Tooling, not timing: above the one-block size, the backward's scratch
+        # is block-sized. The same call on one block peaks near 5x.
+        x = Tensor(np.random.default_rng(8).normal(size=(64, 4096)))
+        assert x.size > tensor._WHOLE_ELEMS
+
+        def forward_backward():
+            t = ad.Tape()
+            xv = t.variable(x, requires_grad=True)
+            ad.backward(ad.sum_all(act.smooth_ash(xv, t.variable(Tensor([0.3]),
+                                                                 requires_grad=True))))
+            return xv.grad
+
+        forward_backward()  # warm-up
+        tracemalloc.start()
+        try:
+            forward_backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.25 * x.data.nbytes, f"peak {peak / x.data.nbytes:.2f}x the input"
 
 
 class TestStatsModes:
