@@ -115,8 +115,9 @@ class Tape:
         return self._new_variable(value, requires_grad, name)
 
     def constant(self, value) -> Variable:
+        """A number is a rank-0 constant: it broadcasts without adding an axis."""
         if isinstance(value, (int, float)):
-            value = tensor.full((1,), float(value))
+            value = tensor.full((), float(value))
         return self.variable(value, requires_grad=False)
 
     def __len__(self) -> int:
@@ -265,12 +266,13 @@ def stable_sigmoid(u: np.ndarray, out: np.ndarray | None = None,
     its branches: the numerator is exp(0) = 1 for u >= 0 (and -0.0) and
     exp(u) = t for u < 0, where -|u| is u exactly. The denominator is made
     first, in `scratch` (distinct from u and out) or in one array of u's
-    size that the call allocates.
+    size that the call allocates. Both are arrays even for a rank-0 u, for
+    which a ufunc without `out` returns a numpy scalar.
     """
-    t = np.copysign(u, -1.0, out=scratch)  # -|u|, one pass
+    t = np.copysign(u, -1.0, out=np.empty_like(u) if scratch is None else scratch)  # -|u|
     np.exp(t, out=t)
     t += 1.0
-    s = np.minimum(u, 0.0, out=out)
+    s = np.minimum(u, 0.0, out=np.empty_like(u) if out is None else out)
     np.exp(s, out=s)
     s /= t
     return s

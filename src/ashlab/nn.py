@@ -6,15 +6,16 @@ on a fresh tape (define-by-run). Training is single-threaded and fully
 deterministic for a given seed: weight init and data ordering draw from
 disjoint counter ranges of one seeded stream.
 
-The optimizers keep flat state: their first `step` fixes a layout of
-(name, offset, shape) rows, and each step then updates every parameter
-in one elementwise expression on one concatenated vector, checks that
-vector once and returns the new parameters as read-only views of it.
+The model owns the parameter layout: one (name, slice, shape) row per
+parameter and one vector of lower bounds (-inf where a parameter has
+none). `train` steps every parameter as one float64 vector: the
+optimizers are elementwise math on (w, g) vectors, and after each step
+the model checks the new vector finite once, applies the bounds and
+points its parameters at read-only views of it.
 """
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 
@@ -36,8 +37,8 @@ LOSS_KINDS = ("softmax_xent", "mse")
 class DivergenceError(RuntimeError):
     """A non-finite value in `where`: a layer, "loss" or a parameter.
 
-    `Model.forward`, `loss_fn` and the optimizers' `step` raise it with
-    epoch, batch and phase None; `train` and `evaluate` fill them in.
+    `Model.forward` and `loss_fn` raise it with epoch, batch and phase
+    None; `train` and `evaluate` fill them in.
     `phase` is "training" for an optimizer step, "validation" for the
     evaluation pass that closes each epoch and "evaluation" for a
     standalone `evaluate`, which has no epoch (None).
@@ -196,21 +197,55 @@ def _apply_layer(layer: Layer, name: str, x: Variable,
 # Model.
 # ---------------------------------------------------------------------------
 
+def _flat(arrays) -> np.ndarray:
+    """The arrays, raveled in order, as one new float64 vector (empty for none)."""
+    return np.concatenate([np.zeros(0), *arrays], axis=None)
+
+
 class Model:
-    """Ordered layers plus the current parameter tensors, keyed by name."""
+    """Ordered layers plus the current parameter tensors, keyed by name.
+
+    The model owns the parameter layout: `params` is in vector order, each
+    parameter a (name, slice, shape) row of `_layout`, and `_lower` holds
+    every element's lower bound (-inf where its parameter has none).
+    """
 
     def __init__(self, layers: list[Layer], seed: int | RngState = 0):
         rng = seed if isinstance(seed, RngState) else RngState(seed)
         self.layers = list(layers)
         self.layer_names = [f"{_LAYER_BASENAME[type(l)]}{i}" for i, l in enumerate(self.layers)]
         self.params: dict[str, Tensor] = {}
+        lower = []
         for layer, name in zip(self.layers, self.layer_names):
-            self.params.update(_init_layer_params(layer, name, rng))
-        self.param_bounds: dict[str, float] = {}
-        for layer, name in zip(self.layers, self.layer_names):
-            if isinstance(layer, Activation):
-                for short, lo in act.param_lower_bounds(layer.spec).items():
-                    self.param_bounds[f"{name}.{short}"] = lo
+            bounds = act.param_lower_bounds(layer.spec) if isinstance(layer, Activation) else {}
+            for pname, t in _init_layer_params(layer, name, rng).items():
+                self.params[pname] = t
+                lower.append(np.full(t.size, bounds.get(pname.rpartition(".")[2], -np.inf)))
+        self._lower = _flat(lower)
+        ends = np.cumsum([t.size for t in self.params.values()]).tolist()
+        self._layout = [(pname, slice(end - t.size, end), t.shape)
+                        for (pname, t), end in zip(self.params.items(), ends)]
+
+    def _load(self, w: np.ndarray) -> None:
+        """Point `params` at read-only views of the parameter vector `w`.
+
+        `w` is checked finite before the bounds apply, so a step that drives
+        a bounded parameter to -inf is divergence, not a clamp: a non-finite
+        element raises DivergenceError naming its parameter. Then each
+        element below its bound is set to the bound (w < lo, so a -0.0 at a
+        +0.0 bound keeps its bits), in place.
+        """
+        finite = np.isfinite(w)
+        if not finite.all():
+            where = next(pname for pname, sl, _ in self._layout if not finite[sl].all())
+            raise DivergenceError(where) from NonFiniteError(
+                "tensor values must be finite (no NaN/Inf)")
+        np.copyto(w, self._lower, where=w < self._lower)
+        w.setflags(write=False)
+        for pname, sl, shape in self._layout:
+            view = Tensor.__new__(Tensor)
+            view._data = w[sl].reshape(shape)
+            self.params[pname] = view
 
     def forward(self, batch: Tensor, trainable: bool = True) -> tuple[Variable, dict[str, Variable]]:
         """Run the layers on a fresh tape; returns (output, param Variables)."""
@@ -332,57 +367,11 @@ class OptimizerSpec:
             raise ValueError(f"eps must be > 0, got {self.eps}")
 
 
-class _FlatParams:
-    """The parameters of a `step` as one float64 vector.
-
-    The first call fixes the layout: the names in order, with each
-    parameter's shape and its (start, end) in the vector. A later call
-    with other names, order or shapes raises ValueError. The update is
-    elementwise, so running it on the concatenated vector gives every
-    element the bits of a per-parameter update.
-    """
-
-    _layout: list[tuple[str, tuple[int, ...]]] | None = None
-
-    def _gather(self, values: dict[str, Tensor],
-                grads: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-        """(values, grads) as two new vectors in the layout."""
-        layout = [(name, t.shape) for name, t in values.items()]
-        if self._layout is None:
-            sizes = [math.prod(shape) for _, shape in layout]
-            self._layout = layout
-            self._names = [name for name, _ in layout]
-            self._ends = np.cumsum(sizes, dtype=np.int64)
-            self._parts = [(slice(end - size, end), shape) for size, end, (_, shape)
-                           in zip(sizes, self._ends.tolist(), layout)]
-        elif layout != self._layout:
-            raise ValueError(f"optimizer parameters {layout} differ from the layout "
-                             f"{self._layout} fixed by the first step")
-        if not layout:
-            return np.zeros(0), np.zeros(0)
-        w = np.concatenate([t.data for t in values.values()], axis=None)
-        g = np.concatenate([grads[name] for name in self._names], axis=None)
-        if g.size != w.size:
-            raise ShapeError(f"grads hold {g.size} elements for {w.size} parameter elements")
-        return w, g
-
-    def _scatter(self, w: np.ndarray) -> dict[str, Tensor]:
-        """Read-only Tensor views of the new vector `w`, checked finite once.
-
-        A non-finite element raises DivergenceError naming its parameter.
-        """
-        try:
-            return dict(zip(self._names, tensor._views(w, self._parts)))
-        except NonFiniteError as exc:
-            first = np.searchsorted(self._ends, np.argmin(np.isfinite(w)), side="right")
-            raise DivergenceError(self._names[first]) from exc
-
-
-class SGD(_FlatParams):
+class SGD:
     """W <- W - lr * (g + momentum * v), with v the running update.
 
-    v is one vector over every parameter, in the layout its first `step`
-    fixes (see `_FlatParams`); it starts from 0.0.
+    `step` maps the parameter vector w and its gradient g to a new vector;
+    v is one vector like them and starts from 0.0.
     """
 
     def __init__(self, lr: float = 1e-3, momentum: float = 0.0):
@@ -390,18 +379,16 @@ class SGD(_FlatParams):
         self.momentum = momentum
         self._v = 0.0
 
-    def step(self, values: dict[str, Tensor], grads: dict[str, np.ndarray]) -> dict[str, Tensor]:
-        w, g = self._gather(values, grads)
+    def step(self, w: np.ndarray, g: np.ndarray) -> np.ndarray:
         self._v = v = g + self.momentum * self._v
-        w -= self.lr * v
-        return self._scatter(w)
+        return w - self.lr * v
 
 
-class Adam(_FlatParams):
+class Adam:
     """Bias-corrected Adam with the standard defaults.
 
-    The moments m and v are one vector each over every parameter, in the
-    layout the first `step` fixes (see `_FlatParams`); both start from 0.0.
+    `step` maps the parameter vector w and its gradient g to a new vector;
+    the moments m and v are one vector each like them and start from 0.0.
     """
 
     def __init__(self, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999,
@@ -414,15 +401,13 @@ class Adam(_FlatParams):
         self._m = 0.0
         self._v = 0.0
 
-    def step(self, values: dict[str, Tensor], grads: dict[str, np.ndarray]) -> dict[str, Tensor]:
-        w, g = self._gather(values, grads)
+    def step(self, w: np.ndarray, g: np.ndarray) -> np.ndarray:
         self.t += 1
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
         self._m = m = self.beta1 * self._m + (1.0 - self.beta1) * g
         self._v = v = self.beta2 * self._v + (1.0 - self.beta2) * g * g
-        w -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
-        return self._scatter(w)
+        return w - self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
 
 
 def make_optimizer(spec: OptimizerSpec):
@@ -495,10 +480,12 @@ def train(model: Model, config: TrainConfig, dataset: tuple[Tensor, np.ndarray],
     every epoch's batch order come from one counter-based stream. A
     non-finite activation, loss or update (a non-finite grad included)
     aborts with DivergenceError naming the epoch, batch, phase and the
-    layer, "loss" or parameter. Other errors keep their class: a bad
-    label, a val_split leaving no training rows, or a ShapeError prefixed
-    with the layer name ("act1: ..."). With val_split = 0 the validation
-    metrics are computed on the training split.
+    layer, "loss" or parameter; after a finite step, an element below
+    its parameter's lower bound is set to the bound. Other errors keep
+    their class: a bad label, a val_split leaving no training rows, or a
+    ShapeError prefixed with the layer name ("act1: ..."). With
+    val_split = 0 the validation metrics are computed on the training
+    split.
     """
     x, labels = dataset
     labels = np.asarray(labels).reshape(-1)
@@ -516,6 +503,7 @@ def train(model: Model, config: TrainConfig, dataset: tuple[Tensor, np.ndarray],
     val_idx = order0[n - n_val:]
 
     opt = make_optimizer(config.optimizer)
+    w = _flat(t.data for t in model.params.values())
     records: list[EpochRecord] = []
 
     for epoch in range(config.epochs):
@@ -531,13 +519,10 @@ def train(model: Model, config: TrainConfig, dataset: tuple[Tensor, np.ndarray],
                 batch_loss = loss_fn(config.loss, logits, yb)
                 ad.backward(batch_loss)
                 # Raw grads: a non-finite one is named at the parameter it reaches.
-                grads = {name: pvars[name]._grad_array() for name in model.params}
-                model.params = opt.step(model.params, grads)
+                w = opt.step(w, _flat(v._grad_array() for v in pvars.values()))
+                model._load(w)
             except DivergenceError as exc:
                 raise DivergenceError(exc.where, epoch, bi, "training") from exc
-            for pname, lo in model.param_bounds.items():
-                if float(model.params[pname].data.min()) < lo:
-                    model.params[pname] = Tensor._wrap(np.maximum(model.params[pname].data, lo))
             loss_sum += batch_loss.value.item() * idx.size
 
         eval_idx = val_idx if val_idx.size else train_idx

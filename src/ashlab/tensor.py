@@ -125,20 +125,6 @@ class Tensor:
         return f"Tensor(shape={self.shape}, data={self._data!r})"
 
 
-def _views(flat: np.ndarray, parts) -> list[Tensor]:
-    """Read-only Tensors of flat[sl].reshape(shape), one per (sl, shape) in
-    `parts`: the vector is checked finite once and no view is rescanned."""
-    if not np.isfinite(flat).all():
-        raise NonFiniteError("tensor values must be finite (no NaN/Inf)")
-    flat.setflags(write=False)
-    views = []
-    for sl, shape in parts:
-        view = Tensor.__new__(Tensor)
-        view._data = flat[sl].reshape(shape)
-        views.append(view)
-    return views
-
-
 # ---------------------------------------------------------------------------
 # Seeded counter-based RNG (splitmix64 stream).
 # ---------------------------------------------------------------------------

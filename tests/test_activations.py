@@ -184,6 +184,17 @@ def test_tensor_and_variable_inputs_agree_bitwise(name):
     assert on_tensor.tobytes() == on_variable.tobytes()
 
 
+@pytest.mark.parametrize("name", PRESET_NAMES)
+@pytest.mark.parametrize("value", [1.5, -1.5])
+def test_rank0_input_stays_rank0(name, value):
+    # A rank-0 Tensor is one element: its output is rank 0 and carries the
+    # bits of the same call on the one-element vector.
+    spec = act.preset(name)
+    out = act.apply_spec(spec, Tensor(value))
+    assert out.shape == ()
+    assert out.data.tobytes() == act.apply_spec(spec, Tensor([value])).data.tobytes()
+
+
 class TestSmoothForm:
     def test_unit_element_value(self):
         # Input [1, -1] has mu = 0, sigma = 1, so the element at 1 with

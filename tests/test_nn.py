@@ -212,42 +212,76 @@ class TestLosses:
         assert nn.accuracy(logits, np.array([0, 1, 1, 1])) == 0.75
 
 
+def _saturated_bias_run():
+    """A one-row run whose first step has bias grad (0.5, -0.5) at logits
+    (-1.5e308, -1.5e308): x = 0 makes the logits the bias, the loss is
+    finite and dense0.W gets grad 0."""
+    model = nn.Model([nn.Dense(1, 2)], seed=0)
+    model.params["dense0.b"] = Tensor([-1.5e308, -1.5e308])
+    return model, (Tensor([[0.0]]), np.array([1]))
+
+
+def _overflowing_grad_run():
+    """A one-row run with a finite forward (logits +-6.8e98) whose dense1.W
+    sends 2 * 1.7e308 back into dense0: the gradient of dense0.W is infinite."""
+    model = nn.Model([nn.Dense(2, 2), nn.Dense(2, 2)], seed=0)
+    model.params["dense0.W"] = Tensor(np.full((2, 2), 1e-10))
+    model.params["dense1.W"] = Tensor([[-1.7e308, 1.7e308]] * 2)
+    return model, (Tensor([[1.0, 1.0]]), np.array([0]))
+
+
+def _train_edited(monkeypatch, layers, kind, edit):
+    """Train `layers` for one batch, with `edit` applied in place to the
+    vector each optimizer step returns; returns the model."""
+    cls = nn.SGD if kind == "sgd" else nn.Adam
+    step = cls.step
+
+    def edited(self, w, g):
+        new = step(self, w, g)
+        edit(new)
+        return new
+
+    model = nn.Model(layers, seed=0)
+    with monkeypatch.context() as patch:
+        patch.setattr(cls, "step", edited)
+        nn.train(model, nn.TrainConfig(epochs=1, batch_size=8, optimizer=nn.OptimizerSpec(kind)),
+                 datasets.two_moons(8, 0.1, 0))
+    return model
+
+
 class TestOptimizers:
     def test_sgd_one_step_quadratic(self):
         w = Tensor([1.0])
         t = ad.Tape()
         wv = t.variable(w, requires_grad=True)
         ad.backward(ad.mul(wv, wv))
-        w = nn.SGD(lr=0.1).step({"w": w}, {"w": wv.grad.data})["w"]
-        assert w.data[0] == pytest.approx(0.8, abs=1e-15)
+        w = nn.SGD(lr=0.1).step(w.data, wv.grad.data)
+        assert w[0] == pytest.approx(0.8, abs=1e-15)
 
     def test_sgd_hundred_steps_geometric_decay(self):
         opt = nn.SGD(lr=0.1)
-        w = Tensor([1.0])
+        w = np.array([1.0])
         for _ in range(100):
             t = ad.Tape()
-            wv = t.variable(w, requires_grad=True)
+            wv = t.variable(Tensor(w), requires_grad=True)
             ad.backward(ad.mul(wv, wv))
-            w = opt.step({"w": w}, {"w": wv.grad.data})["w"]
-        assert abs(w.data[0]) < 1e-4
-        assert w.data[0] == pytest.approx(0.8 ** 100, rel=1e-9)
+            w = opt.step(w, wv.grad.data)
+        assert abs(w[0]) < 1e-4
+        assert w[0] == pytest.approx(0.8 ** 100, rel=1e-9)
 
     def test_sgd_momentum_accumulates(self):
         opt = nn.SGD(lr=1.0, momentum=0.5)
-        w = Tensor([0.0])
-        w = opt.step({"w": w}, {"w": np.array([1.0])})["w"]   # v=1, w=-1
-        w = opt.step({"w": w}, {"w": np.array([1.0])})["w"]   # v=1.5, w=-2.5
-        assert w.data[0] == pytest.approx(-2.5, abs=1e-15)
+        w = opt.step(np.array([0.0]), np.array([1.0]))   # v=1, w=-1
+        w = opt.step(w, np.array([1.0]))                 # v=1.5, w=-2.5
+        assert w[0] == pytest.approx(-2.5, abs=1e-15)
 
     def test_adam_zero_grad_is_identity(self):
-        w = Tensor([2.5])
-        out = nn.Adam().step({"w": w}, {"w": np.zeros(1)})["w"]
-        assert out.data[0] == 2.5
+        assert nn.Adam().step(np.array([2.5]), np.zeros(1))[0] == 2.5
 
     def test_adam_first_step_size_is_lr(self):
         # With bias correction the first update has magnitude ~lr.
-        out = nn.Adam(lr=0.01).step({"w": Tensor([1.0])}, {"w": np.array([3.7])})["w"]
-        assert out.data[0] == pytest.approx(1.0 - 0.01, rel=1e-6)
+        out = nn.Adam(lr=0.01).step(np.array([1.0]), np.array([3.7]))
+        assert out[0] == pytest.approx(1.0 - 0.01, rel=1e-6)
 
     def test_optimizer_spec_validation(self):
         with pytest.raises(ValueError):
@@ -255,21 +289,23 @@ class TestOptimizers:
         with pytest.raises(ValueError):
             nn.OptimizerSpec(lr=0.0)
 
-    @pytest.mark.parametrize("opt,w,g", [
-        (nn.SGD(lr=1e308), -1e308, 1.0),
-        (nn.SGD(lr=1e-3), 1.0, np.inf),
-        (nn.Adam(lr=1e308), -1e308, 1.0),
+    @pytest.mark.parametrize("kind,lr,run,where", [
+        ("sgd", 1e308, _saturated_bias_run, "dense0.b"),
+        ("sgd", 1e-3, _overflowing_grad_run, "dense0.W"),
+        ("adam", 1e308, _saturated_bias_run, "dense0.b"),
     ], ids=["sgd-update", "sgd-grad", "adam-update"])
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-    def test_non_finite_update_is_public_divergence(self, opt, w, g):
-        values = {"dense0.b": Tensor([0.0]), "dense0.W": Tensor([w])}
-        grads = {"dense0.b": np.zeros(1), "dense0.W": np.array([g])}
+    def test_non_finite_update_is_public_divergence(self, kind, lr, run, where):
+        model, data = run()
+        before = dict(model.params)
+        cfg = nn.TrainConfig(epochs=1, batch_size=1, optimizer=nn.OptimizerSpec(kind, lr=lr))
         with pytest.raises(nn.DivergenceError) as err:
-            opt.step(values, grads)
+            nn.train(model, cfg, data)
         assert (err.value.where, err.value.epoch, err.value.batch, err.value.phase) == \
-            ("dense0.W", None, None, None)
-        assert str(err.value) == "non-finite value in dense0.W"
-        assert isinstance(err.value.__cause__, NonFiniteError)
+            (where, 0, 0, "training")
+        assert str(err.value) == f"non-finite value at epoch 0, batch 0, in {where} (training)"
+        assert isinstance(err.value.__cause__.__cause__, NonFiniteError)
+        assert model.params == before  # a refused step loads nothing
 
     @staticmethod
     def _reference_step(kind, state, values, grads, t, lr=1e-3, momentum=0.9, beta1=0.9,
@@ -297,7 +333,7 @@ class TestOptimizers:
         rng = np.random.default_rng(9)
         shapes = {"s": (1,), "v": (5,), "m": (3, 4), "b": (2,)}
         ref = {name: rng.normal(size=shape) for name, shape in shapes.items()}
-        values = {name: Tensor(w) for name, w in ref.items()}
+        w = np.concatenate([r.ravel() for r in ref.values()])
         opt = nn.SGD(lr=1e-3, momentum=0.9) if kind == "sgd" else nn.Adam(lr=1e-3)
         state = {}
         for t in range(1, 51):
@@ -308,48 +344,31 @@ class TestOptimizers:
                 grads = {name: np.copysign(np.zeros(shape), rng.normal(size=shape))
                          for name, shape in shapes.items()}
             ref = self._reference_step(kind, state, ref, grads, t)
-            values = opt.step(values, grads)
-            assert list(values) == list(shapes)
-            for name, w in ref.items():
-                assert values[name].shape == shapes[name]
-                assert not values[name].data.flags.writeable
-                assert _bits(values[name].data) == _bits(w), f"{name} at step {t}"
+            w.setflags(write=False)  # a step returns a new vector and leaves w alone
+            w = opt.step(w, np.concatenate([g.ravel() for g in grads.values()]))
+            assert w.shape == (20,)
+            assert _bits(w) == b"".join(_bits(r) for r in ref.values()), f"step {t}"
 
-    @pytest.mark.parametrize("make", [nn.SGD, nn.Adam], ids=["sgd", "adam"])
+    @pytest.mark.parametrize("kind", ["sgd", "adam"])
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_non_finite_element_names_its_parameter(self, make):
-        values = {"a": Tensor([1.0, 2.0]), "b": Tensor(np.ones((2, 3))), "c": Tensor(np.ones(5)),
-                  "d": Tensor([3.0])}
-        # The middle element of the third parameter, then the first of the second.
-        for bad, index, where in (("c", 2, "c"), ("b", (0, 0), "b")):
-            opt = make(lr=1e-3)
-            grads = {name: np.zeros(t.shape) for name, t in values.items()}
-            start = opt.step(values, grads)
-            grads[bad][index] = np.inf
-            grads["d"][0] = np.nan  # a later parameter is not the one named
-            with pytest.raises(nn.DivergenceError) as err:
-                opt.step(start, grads)
-            assert err.value.where == where
-            assert isinstance(err.value.__cause__, NonFiniteError)
+    def test_non_finite_element_names_its_parameter(self, kind, monkeypatch):
+        layers = [nn.Dense(2, 3), nn.Activation(act.preset("ash")), nn.Dense(3, 2)]
+        # The vector: dense0.W at 0-5, dense0.b 6-8, act1.z_k 9, dense2.W 10-15, dense2.b 16-17.
+        assert [(name, t.shape) for name, t in nn.Model(layers).params.items()] == [
+            ("dense0.W", (2, 3)), ("dense0.b", (3,)), ("act1.z_k", (1,)),
+            ("dense2.W", (3, 2)), ("dense2.b", (2,))]
+        # A middle, a last and a first element, and the vector's ends; the NaN
+        # in the last element is not the one named unless it is the first.
+        for index, where in ((12, "dense2.W"), (5, "dense0.W"), (6, "dense0.b"),
+                             (9, "act1.z_k"), (0, "dense0.W"), (17, "dense2.b")):
+            def inject(w, index=index):
+                w[index] = np.inf
+                w[-1] = np.nan
 
-    @pytest.mark.parametrize("make", [nn.SGD, nn.Adam], ids=["sgd", "adam"])
-    def test_changed_layout_raises(self, make):
-        values = {"a": Tensor([1.0, 2.0]), "b": Tensor([[3.0]])}
-        grads = {name: np.ones(t.shape) for name, t in values.items()}
-        opt, untouched = make(), make()
-        opt.step(values, grads)
-        untouched.step(values, grads)
-        for changed in ({"a": values["a"]},
-                        {"b": values["b"], "a": values["a"]},
-                        {"a": values["a"], "b": Tensor([3.0])},
-                        {**values, "c": Tensor([0.0])}):
-            with pytest.raises(ValueError, match="layout"):
-                opt.step(changed, {name: np.ones(t.shape) for name, t in changed.items()})
-        # A refused step changes no state: the next step is the untouched one's.
-        after, want = opt.step(values, grads), untouched.step(values, grads)
-        assert all(_bits(after[name].data) == _bits(want[name].data) for name in values)
-        assert make().step({}, {}) == {}  # a model with no parameters
-        assert make().step({"r": Tensor(2.0)}, {"r": np.array(1.0)})["r"].shape == ()
+            with pytest.raises(nn.DivergenceError) as err:
+                _train_edited(monkeypatch, layers, kind, inject)
+            assert err.value.where == where
+            assert isinstance(err.value.__cause__.__cause__, NonFiniteError)
 
     @pytest.mark.parametrize("name,value", [
         ("beta1", 1.0), ("beta1", -0.1), ("beta2", 1.0), ("beta2", float("nan")),
@@ -436,6 +455,42 @@ class TestTrainLoop:
         leaks = [float(t.data[0]) for n, t in model.params.items() if n.endswith(".leak")]
         assert leaks and all(v >= 0.0 for v in leaks)
 
+    # dense0.W (8 elements), dense0.b (4) and act1.z_k (1) come first, so the
+    # bounded parameter is element 13 of the vector.
+    _LEAKY = [nn.Dense(2, 4), nn.Activation(act.preset("l_ash")), nn.Dense(4, 2)]
+    _ALPHA = [nn.Dense(2, 4), nn.Activation(act.ActivationSpec(
+        "smooth_ash", ash=act.AshParams(trainable_alpha=True))), nn.Dense(4, 2)]
+
+    @pytest.mark.parametrize("kind", ["sgd", "adam"])
+    def test_bounded_parameter_at_minus_inf_is_divergence(self, kind, monkeypatch):
+        # The finiteness check runs before the bound, which would lift -inf to 0.
+        with pytest.raises(nn.DivergenceError) as err:
+            _train_edited(monkeypatch, self._LEAKY, kind, lambda w: w.put(13, -np.inf))
+        assert str(err.value) == "non-finite value at epoch 0, batch 0, in act1.leak (training)"
+
+    @pytest.mark.parametrize("layers,pname,value,want", [
+        (_LEAKY, "act1.leak", -0.5, 0.0),
+        (_LEAKY, "act1.leak", -5e-324, 0.0),
+        (_LEAKY, "act1.leak", -0.0, -0.0),  # not below +0.0: its bits stay
+        (_LEAKY, "act1.leak", 0.25, 0.25),
+        (_ALPHA, "act1.alpha", 0.0, 1e-6),
+        (_ALPHA, "act1.alpha", -0.0, 1e-6),
+        (_ALPHA, "act1.alpha", 1e-6, 1e-6),
+    ], ids=["leak-below", "leak-subnormal", "leak-minus-zero", "leak-above", "alpha-zero",
+            "alpha-minus-zero", "alpha-at"])
+    def test_bound_lifts_only_values_below_it(self, layers, pname, value, want, monkeypatch):
+        model = _train_edited(monkeypatch, layers, "sgd", lambda w: w.put(13, value))
+        assert _bits(model.params[pname].data) == _bits([want])
+        assert not model.params[pname].data.flags.writeable
+
+    def test_model_without_parameters_trains(self):
+        model = nn.Model([nn.Activation(act.preset("relu"))], seed=0)
+        assert model.params == {}
+        recs = nn.train(model, nn.TrainConfig(epochs=2, batch_size=16),
+                        datasets.two_moons(40, 0.1, 0))
+        assert len(recs) == 2 and recs[0].val_loss == recs[1].val_loss
+        assert model.params == {}
+
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_divergence_reports_location(self):
         data = datasets.two_moons(64, 0.1, 6)
@@ -482,18 +537,8 @@ class TestTrainLoop:
             ("dense0", None, None, None)
         assert str(err.value) == "non-finite value in dense0"
 
-    @staticmethod
-    def _overflowing_backward_model():
-        # Finite forward (logits +-6.8e98), but dense1.W sends 2 * 1.7e308
-        # back into dense0: the gradient of dense0.W is infinite.
-        model = nn.Model([nn.Dense(2, 2), nn.Dense(2, 2)], seed=0)
-        model.params["dense0.W"] = Tensor(np.full((2, 2), 1e-10))
-        model.params["dense1.W"] = Tensor([[-1.7e308, 1.7e308]] * 2)
-        return model
-
     def test_non_finite_grad_is_named_at_its_parameter(self):
-        model = self._overflowing_backward_model()
-        data = (Tensor([[1.0, 1.0]]), np.array([0]))
+        model, data = _overflowing_grad_run()
         cfg = nn.TrainConfig(epochs=1, batch_size=1,
                              optimizer=nn.OptimizerSpec(kind="sgd", lr=1e-3))
         with pytest.raises(nn.DivergenceError) as err:

@@ -55,14 +55,18 @@ def test_install_counts_apply_spec_calls_and_uninstall_restores(monkeypatch):
 
 
 def test_train_epoch_counts_every_optimizer_step(monkeypatch):
-    # nn.optimizer.self_ms reads 0 if the tracer no longer finds Adam.step.
+    # nn.optimizer.self_ms reads 0 if the tracer no longer finds Adam.step
+    # or SGD.step, and is off if a step calls them more or less than once.
     x, labels = datasets.two_moons(n=40, noise=0.1, seed=3)
-    model = nn.Model([nn.Dense(2, 8), nn.Activation(act.preset("ash")), nn.Dense(8, 2)], seed=1)
-    config = nn.TrainConfig(epochs=1, batch_size=16, seed=2)
-    tracer = load_tracing(monkeypatch).install(MODULES)
-    try:
-        nn.train(model, config, (x, labels))
-    finally:
-        tracer.uninstall()
-    assert tracer.steps == 3  # ceil(40 / 16) batches
-    assert tracer.acc("nn.optimizer").calls >= 1
+    for kind in ("adam", "sgd"):
+        model = nn.Model([nn.Dense(2, 8), nn.Activation(act.preset("ash")), nn.Dense(8, 2)],
+                         seed=1)
+        config = nn.TrainConfig(epochs=1, batch_size=16, seed=2,
+                                optimizer=nn.OptimizerSpec(kind=kind))
+        tracer = load_tracing(monkeypatch).install(MODULES)
+        try:
+            nn.train(model, config, (x, labels))
+        finally:
+            tracer.uninstall()
+        assert tracer.steps == 3, kind  # ceil(40 / 16) batches
+        assert tracer.acc("nn.optimizer").calls == 3, kind
