@@ -1,9 +1,9 @@
 """Why threshold gating instead of explicit selection: throughput.
 
 Times the smooth-gate forward pass (one statistics pass plus an
-elementwise gate) against exact top-k selection by quickselect and by a
-full sort. Absolute numbers are machine-dependent; the point is the
-scaling behavior.
+elementwise gate) against exact top-k selection by numpy's introselect
+(method `quickselect`) and by a full sort. Absolute numbers are
+machine-dependent; the point is the scaling behavior.
 """
 
 from ashlab.harness.bench import run_bench, ratio_lines

@@ -257,7 +257,7 @@ def _broadcast_z(z, x_shape: tuple[int, ...]) -> np.ndarray:
     """z as an array that broadcasts against x: a scalar, or one per channel (last axis)."""
     zval = z.value.data if isinstance(z, Variable) else np.asarray(float(z)).reshape(())
     if zval.size == 1:
-        return zval
+        return zval.reshape(())  # a (1,) z would lift a rank-0 x to rank 1
     if zval.ndim == 1 and len(x_shape) >= 1 and zval.shape[0] == x_shape[-1]:
         return zval.reshape((1,) * (len(x_shape) - 1) + (-1,))
     raise ShapeError(
@@ -421,11 +421,11 @@ def _ash_op(x, z, alpha, leak, stats_mode: str, grad_mode: str, name: str):
         arrays = (data, g, s, u, mu, sigma, sigma_raw, z_b, gx,
                   *map(prods.get, ("leak", "z", "alpha")))
         blocks = (arrays,) if through and 0 in axes else _row_blocks(arrays)
-        w_buf = np.empty_like(blocks[0][0])  # block scratch, shared by every block
+        w_buf = np.empty(blocks[0][0].size)  # block scratch, shared by every block
         with np.errstate(over="ignore", invalid="ignore"):
             for x_b, g_b, s_b, u_b, mu_b, sig_b, raw_b, zb_b, gx_b, leak_b, z_pb, alpha_b \
                     in blocks:
-                w = np.multiply(g_b, x_b, out=w_buf[:len(x_b)])
+                w = np.multiply(g_b, x_b, out=w_buf[:x_b.size].reshape(x_b.shape))
                 one_minus_s = np.subtract(1.0, s_b, out=gx_b)
                 if leak_b is not None:
                     np.multiply(w, one_minus_s, out=leak_b)

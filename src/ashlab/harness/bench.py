@@ -2,9 +2,10 @@
 
 For each input size, times (a) the named activation's forward pass
 (the two-pass `moments` statistics, then the elementwise gate in row
-blocks), (b) the exact top-k mask via quickselect, and (c) top-k
-selection via a full sort. Reports the median of 9 runs in ns/element;
-rankings are machine-dependent and deliberately not asserted anywhere.
+blocks), (b) the exact top-k mask (method `quickselect`: numpy's
+introselect through `stats.kth_largest`), and (c) top-k selection via a
+full sort. Reports the median of 9 runs in ns/element; rankings are
+machine-dependent and deliberately not asserted anywhere.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 Ties together the two routes for "keep the top k percent of a tensor":
 the Gaussian route (threshold mu + z_k * sigma with z_k from the
 standard-normal quantile, read from the tail so that small k keep their
-relative accuracy) and the exact route (quickselect on the
+relative accuracy) and the exact route (numpy's introselect on the
 actual values). The exact route is the oracle the Gaussian route is
 validated against. Also provides Z-score normalization and moment-based
 normality diagnostics. Every mean and variance here comes from the one
@@ -94,44 +94,21 @@ def zscore(x: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# Exact top-k selection (quickselect oracle).
+# Exact top-k selection (introselect oracle).
 # ---------------------------------------------------------------------------
 
-def _median3(a: float, b: float, c: float) -> float:
-    if a > b:
-        a, b = b, a
-    return a if c <= a else (c if c <= b else b)
-
-
 def kth_largest(values: np.ndarray, m: int) -> float:
-    """Value of the m-th largest element (1-based) by quickselect.
+    """Value of the m-th largest element (1-based) by numpy's introselect.
 
-    Three-way Hoare-style partitioning with a median-of-three pivot;
-    average O(N) total work, done with vectorized passes that compress
-    the kept side, in order, into two buffers allocated once per call.
+    np.partition runs a quickselect that falls back to median-of-medians,
+    O(N) in the worst case. A zero cut is returned as +0.0, so the sign of
+    the result does not depend on which zero the pivots leave in place.
     """
     arr = np.asarray(values, dtype=np.float64).reshape(-1)
-    if not 1 <= m <= arr.size:
-        raise ValueError(f"m must be in [1, {arr.size}], got {m}")
-    k = m
-    mask = np.empty(arr.size, dtype=bool)
-    bufs = np.empty((2, arr.size))
-    side = 0
-    while True:
-        n = arr.size
-        if n == 1:
-            return float(arr[0])
-        pivot = _median3(float(arr[0]), float(arr[n // 2]), float(arr[-1]))
-        keep = np.greater(arr, pivot, out=mask[:n])
-        kept = int(np.count_nonzero(keep))
-        if k > kept:
-            keep = np.less(arr, pivot, out=mask[:n])
-            kept = int(np.count_nonzero(keep))
-            if k <= n - kept:
-                return pivot
-            k -= n - kept
-        arr = np.compress(keep, arr, out=bufs[side, :kept])
-        side = 1 - side
+    n = arr.size
+    if not 1 <= m <= n:
+        raise ValueError(f"m must be in [1, {n}], got {m}")
+    return float(np.partition(arr, n - m)[n - m]) + 0.0
 
 
 def topk_count(n: int, k: float) -> int:
@@ -153,7 +130,7 @@ def exact_topk_mask(x: Tensor, k: float) -> SelectionMask:
         return SelectionMask(mask=np.ones(x.shape, dtype=bool), kept=data.size)
     cut = kth_largest(data, m)
     mask = data > cut
-    short = m - int(mask.sum())
+    short = m - int(np.count_nonzero(mask))
     if short > 0:
         ties = np.flatnonzero(data == cut)[:short]
         mask[ties] = True
@@ -166,7 +143,7 @@ def gaussian_topk_mask(x: Tensor, k: float, stats: InputStats | None = None) -> 
         raise ValueError(f"percentile must lie in (0, 100), got {k}")
     st = stats if stats is not None else compute_stats(x)
     mask = x.data >= st.threshold(z_from_percentile(k))
-    return SelectionMask(mask=mask, kept=int(mask.sum()))
+    return SelectionMask(mask=mask, kept=int(np.count_nonzero(mask)))
 
 
 # ---------------------------------------------------------------------------

@@ -303,21 +303,31 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
 def moments(data: np.ndarray, axes=None):
     """Grouped two-pass statistics: (n, mu, data - mu, m2 = sum((data - mu)^2)).
 
-    Groups reduce over `axes` (None: all), kept with extent 1. The fixed
-    order mu = sum(data) / n (what data.mean(axes) computes), data - mu,
-    sum of squares makes m2 / n equal np.mean(centered**2, axes) bit for
-    bit; the sums call np.add.reduce directly. A constant group gets its
-    exact value as mu and 0 as centered and m2: for any summation order
-    its rounded m2 is below 2n(n*eps*mu)^2, and only groups under that
-    bound pay for the min == max test. Overflow warns nothing: it stays in
-    the result as inf or NaN, for the caller's finiteness check to report.
+    Groups reduce over `axes` (a tuple; None: all), kept with extent 1.
+    The fixed order mu = sum(data) / n (what data.mean(axes) computes),
+    data - mu, sum of squares makes m2 / n equal np.mean(centered**2, axes)
+    bit for bit; the sums call np.add.reduce directly. Above _WHOLE_ELEMS elements
+    of C-contiguous input grouped over trailing axes, the squares are
+    summed in cache-sized blocks in numpy's own pairwise order
+    (`_sum_squares`), so no full-size square is built and no bit moves.
+    A constant group gets its exact value as mu and 0 as centered and m2:
+    for any summation order its rounded m2 is below 2n(n*eps*mu)^2, and
+    only groups under that bound pay for the min == max test. Overflow
+    warns nothing: it stays in the result as inf or NaN, for the caller's
+    finiteness check to report.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         mu = np.add.reduce(data, axis=axes, keepdims=True)
         n = data.size // mu.size
         mu /= n
         centered = data - mu
-        m2 = np.add.reduce(centered * centered, axis=axes, keepdims=True)
+        if data.size > _WHOLE_ELEMS and data.flags.c_contiguous and (
+                axes is None or sorted(a % data.ndim for a in axes)
+                == list(range(data.ndim - len(axes), data.ndim))):
+            # Over trailing axes each group is one row of this (groups, n) view.
+            m2 = _sum_squares(centered.reshape(mu.size, n)).reshape(mu.shape)
+        else:
+            m2 = np.add.reduce(centered * centered, axis=axes, keepdims=True)
         suspect = m2 <= np.square((2.0 * n) ** 0.5 * n * 2.0**-52 * mu)
     if suspect.any():
         lo = data.min(axis=axes, keepdims=True)
@@ -351,6 +361,43 @@ def _row_blocks(arrays: tuple, whole_elems: int | None = None):
     cut = [getattr(a, "ndim", -1) == ndim and a.shape[0] == rows for a in arrays]
     return [tuple(a[i:i + step] if c else a for a, c in zip(arrays, cut))
             for i in range(0, rows, step)]
+
+
+def _sum_squares(groups: np.ndarray) -> np.ndarray:
+    """np.add.reduce(groups * groups, axis=1) of a C-contiguous (G, L) array,
+    bit for bit, squared into one scratch of one leaf (_BLOCK_ELEMS).
+
+    numpy sums a contiguous run pairwise: a run of more than 128 elements
+    is cut at n//2 rounded down to a multiple of 8, and the two halves'
+    sums are added. Every node of that tree is thus a run numpy sums the
+    same way on its own. Runs of up to one leaf (_BLOCK_ELEMS) are reduced
+    whole, in blocks of rows; a longer run is cut as numpy cuts it, down to
+    leaves, and the leaves' sums are added back up the same tree.
+    """
+    # numpy sums a run of up to 128 elements without cutting it, so no leaf
+    # may be shorter.
+    leaf = max(_BLOCK_ELEMS, 128)
+    rows, length = groups.shape
+    sq = np.empty(min(groups.size, leaf))
+    out = np.empty(rows)
+    if length <= leaf:
+        step = leaf // length
+        for i in range(0, rows, step):
+            block = groups[i:i + step]
+            square = np.multiply(block, block, out=sq[:block.size].reshape(block.shape))
+            np.add.reduce(square, axis=1, out=out[i:i + step])
+        return out
+
+    def tree(run, a, b):
+        if b - a <= leaf:
+            return np.add.reduce(np.multiply(run[a:b], run[a:b], out=sq[:b - a]))
+        half = (b - a) // 2
+        half -= half % 8
+        return tree(run, a, a + half) + tree(run, a + half, b)
+
+    for g in range(rows):
+        out[g] = tree(groups[g], 0, length)
+    return out
 
 
 def welford(values: np.ndarray) -> tuple[int, float, float]:

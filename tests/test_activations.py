@@ -188,11 +188,27 @@ def test_tensor_and_variable_inputs_agree_bitwise(name):
 @pytest.mark.parametrize("value", [1.5, -1.5])
 def test_rank0_input_stays_rank0(name, value):
     # A rank-0 Tensor is one element: its output is rank 0 and carries the
-    # bits of the same call on the one-element vector.
+    # bits of the same call on the one-element vector. Backward through a
+    # rank-0 Variable, with every parameter trainable, gives a rank-0 x grad
+    # and the x and parameter grads of the one-element call, bit for bit.
     spec = act.preset(name)
     out = act.apply_spec(spec, Tensor(value))
     assert out.shape == ()
     assert out.data.tobytes() == act.apply_spec(spec, Tensor([value])).data.tobytes()
+
+    def grads(x):
+        tape = ad.Tape()
+        params = {key: tape.variable(v, requires_grad=True)
+                  for key, v in act.trainable_params(spec).items()}
+        xv = tape.variable(x, requires_grad=True)
+        ad.backward(ad.sum_all(act.apply_spec(spec, xv, params)))
+        return xv.grad.data, {key: p.grad.data.tobytes() for key, p in params.items()}
+
+    gx0, params0 = grads(Tensor(value))
+    gx1, params1 = grads(Tensor([value]))
+    assert gx0.shape == ()
+    assert gx0.tobytes() == gx1.tobytes()
+    assert params0 == params1
 
 
 class TestSmoothForm:

@@ -70,3 +70,22 @@ def test_train_epoch_counts_every_optimizer_step(monkeypatch):
             tracer.uninstall()
         assert tracer.steps == 3, kind  # ceil(40 / 16) batches
         assert tracer.acc("nn.optimizer").calls == 3, kind
+
+
+def test_masks_count_their_kernels_once(monkeypatch):
+    # stats.kth_largest.self_ms, stats.gaussian_mask and tensor.welford read
+    # 0 if the masks stop reaching these by the names the tracer wraps, and
+    # are off if one mask calls them more or less than once.
+    x = tensor.Tensor(np.random.default_rng(4).normal(size=1000))
+    tracer = load_tracing(monkeypatch).install(MODULES)
+    try:
+        st.exact_topk_mask(x, 30.0)
+        topk_calls = {name: tracer.acc(name).calls for name in
+                      ("stats.kth_largest", "stats.gaussian_mask", "tensor.welford")}
+        st.gaussian_topk_mask(x, 30.0)
+    finally:
+        tracer.uninstall()
+    assert topk_calls == {"stats.kth_largest": 1, "stats.gaussian_mask": 0, "tensor.welford": 0}
+    assert tracer.acc("stats.kth_largest").calls == 1
+    assert tracer.acc("stats.gaussian_mask").calls == 1
+    assert tracer.acc("tensor.welford").calls == 1

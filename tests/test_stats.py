@@ -259,40 +259,28 @@ class TestExactTopK:
         with pytest.raises(ValueError):
             st.kth_largest(data, 6)
 
-    @staticmethod
-    def _kth_largest_reference(values, m):
-        # The quickselect before its passes wrote into preallocated buffers:
-        # the same pivots and order, each pass allocating its own copies.
-        arr = np.asarray(values, dtype=np.float64).reshape(-1)
-        k = m
-        while True:
-            n = arr.size
-            if n == 1:
-                return float(arr[0])
-            pivot = st._median3(float(arr[0]), float(arr[n // 2]), float(arr[-1]))
-            greater = arr[arr > pivot]
-            if k <= greater.size:
-                arr = greater
-                continue
-            less = arr[arr < pivot]
-            if k <= n - less.size:
-                return pivot
-            k -= n - less.size
-            arr = less
-
     @pytest.mark.parametrize("kind", ["random", "tied", "constant", "signed_zeros"])
-    def test_kth_largest_matches_allocating_reference(self, kind):
+    def test_kth_largest_matches_sort_oracle(self, kind):
+        # The cut is the sorted array's m-th value from the top; a zero cut
+        # is +0.0 whichever zero the selection leaves in place, and the mask
+        # is the stable-argsort oracle's (ties kept lowest index first).
         rng = np.random.default_rng(77)
         for n in (1, 2, 3, 17, 1000, 4099):
             data = {"random": rng.normal(size=n),
                     "tied": np.round(rng.normal(size=n), 1),
                     "constant": np.full(n, -2.5),
                     "signed_zeros": rng.choice([0.0, -0.0, 1.0], size=n)}[kind]
+            order = np.argsort(-data, kind="stable")
             for m in sorted({1, min(2, n), n // 3 + 1, n // 2 + 1, n}):
                 got = st.kth_largest(data, m)
-                want = self._kth_largest_reference(data, m)
-                assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64), \
-                    f"n={n}, m={m}"
+                want = np.sort(data)[-m]
+                assert got == want, f"n={n}, m={m}"
+                if got == 0.0:
+                    assert np.float64(got).view(np.uint64) == 0, f"n={n}, m={m}: -0.0 cut"
+                oracle = np.zeros(n, dtype=bool)
+                oracle[order[:m]] = True
+                mask = st.exact_topk_mask(Tensor(data), 100.0 * m / n)
+                assert mask.kept == m and np.array_equal(mask.mask, oracle), f"n={n}, m={m}"
 
     def test_count_rounding(self):
         assert st.topk_count(10, 30.0) == 3

@@ -310,6 +310,36 @@ class TestReduce:
         assert centered.tobytes() == plain_c.tobytes()
         assert m2.tobytes() == np.sum(plain_c * plain_c, axis=axes, keepdims=True).tobytes()
 
+    # Group lengths straddle a leaf (2^15) and sizes straddle 2^17, above
+    # which moments sums its squares block by block. One transposed and one
+    # per-channel case keep the whole-array path.
+    @pytest.mark.parametrize("shape,axes", [
+        ((1 << 17,), (0,)), (((1 << 17) + 1,), (0,)), (((1 << 17) + 8,), None),
+        (((3 << 15) + 5,), (0,)), ((1 << 20,), None),
+        ((5, (1 << 15) - 1), (1,)), ((5, 1 << 15), (1,)), ((5, (1 << 15) + 1), (1,)),
+        ((64, 1 << 14), (1,)), ((3, 70001), (-1,)), ((1025, 129), (1,)), ((3, 5, 9000), None),
+        ((3, 200, 300), (1, 2)), ((300, 21, 23), (1, 2)), ((2, 30, 40, 60), (1, 2, 3)),
+        ((40, 8, 16, 32), (1, 2, 3)), ((2, 30, 40, 60), (2, 3)), ((2, 30, 40, 60), (1, 2)),
+        ((70001, 3), "transposed")])
+    @pytest.mark.parametrize("kind", ["random", "signed_zeros", "constant_group"])
+    def test_moments_sum_of_squares_is_numpy_pairwise(self, shape, axes, kind):
+        # m2 must carry the bits of numpy's own pairwise sum of the squares.
+        # If a numpy release changes that tree, this fails instead of letting
+        # a bit move silently.
+        rng = np.random.default_rng(sum(shape))
+        data = rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3, size=shape)
+        if kind == "signed_zeros":
+            data.reshape(-1)[::7] = -0.0
+        if axes == "transposed":
+            data, axes = data.T, (1,)
+        if kind == "constant_group":  # group 0, or the one group
+            data[0 if axes is not None and 0 not in axes else ...] = 2.5
+        n, mu, centered, m2 = tensor.moments(data, axes)
+        assert m2.tobytes() == np.add.reduce(centered * centered, axis=axes,
+                                             keepdims=True).tobytes()
+        if kind == "constant_group":
+            assert np.all(m2.reshape(-1)[0] == 0.0)
+
     def test_welford_deterministic(self):
         data = np.random.default_rng(5).normal(size=12345)
         assert tensor.welford(data) == tensor.welford(data)
