@@ -125,6 +125,12 @@ def _accepts_tensor(fn):
     return wrapper
 
 
+def _rank0(p):
+    """A (1,) Variable parameter as rank 0: like a number, it broadcasts
+    without lifting a rank-0 input to shape (1,)."""
+    return ad.reshape(p, ()) if isinstance(p, Variable) and p.value.shape == (1,) else p
+
+
 def _scalar(p) -> float:
     """A scalar parameter, a Variable or a number, as a float."""
     return float(p.value.data.reshape(-1)[0]) if isinstance(p, Variable) else float(p)
@@ -156,7 +162,7 @@ def relu(x):
 def lrelu(x, slope=0.01):
     """x for x > 0, slope*x otherwise. A Variable slope makes this PReLU."""
     pos = ad.maximum(x, 0.0)
-    return ad.add(pos, ad.mul(slope, ad.sub(x, pos)))
+    return ad.add(pos, ad.mul(_rank0(slope), ad.sub(x, pos)))
 
 
 def prelu(x, slope):
@@ -199,7 +205,7 @@ def swish(x):
 @_accepts_tensor
 def gen_swish(x, a=1.0, b=0.0):
     """Generalized swish x * S(a*x + b); recovers swish at a=1, b=0."""
-    return ad.mul(x, ad.sigmoid(ad.add(ad.mul(x, a), b)))
+    return ad.mul(x, ad.sigmoid(ad.add(ad.mul(x, _rank0(a)), _rank0(b))))
 
 
 # ---------------------------------------------------------------------------
@@ -417,16 +423,19 @@ def _ash_op(x, z, alpha, leak, stats_mode: str, grad_mode: str, name: str):
         # trimmed with it on return and fault again (a loop of 1024 x 128
         # forward+backward calls took 1984 faults a call that way, 1760 so).
         prods = {key: np.empty_like(data) for key in shapes if need[key]}
-        gx = np.empty_like(data)  # also 1 - s, and the scratch of b_sum's product
+        # gx also holds 1 - s and b_sum's product; with no x grad, 1 - s takes
+        # a second row of the block scratch, which every block shares.
+        gx = np.empty_like(data) if need["x"] else None
         arrays = (data, g, s, u, mu, sigma, sigma_raw, z_b, gx,
                   *map(prods.get, ("leak", "z", "alpha")))
         blocks = (arrays,) if through and 0 in axes else _row_blocks(arrays)
-        w_buf = np.empty(blocks[0][0].size)  # block scratch, shared by every block
+        buf = np.empty((1 if need["x"] else 2, blocks[0][0].size))
         with np.errstate(over="ignore", invalid="ignore"):
             for x_b, g_b, s_b, u_b, mu_b, sig_b, raw_b, zb_b, gx_b, leak_b, z_pb, alpha_b \
                     in blocks:
-                w = np.multiply(g_b, x_b, out=w_buf[:x_b.size].reshape(x_b.shape))
-                one_minus_s = np.subtract(1.0, s_b, out=gx_b)
+                w = np.multiply(g_b, x_b, out=buf[0, :x_b.size].reshape(x_b.shape))
+                one_minus_s = np.subtract(1.0, s_b, out=buf[-1, :x_b.size].reshape(
+                    x_b.shape) if gx_b is None else gx_b)
                 if leak_b is not None:
                     np.multiply(w, one_minus_s, out=leak_b)
                 if lval:
@@ -458,7 +467,7 @@ def _ash_op(x, z, alpha, leak, stats_mode: str, grad_mode: str, name: str):
         grads = {key: _reduce_to_param(p, shapes[key]) for key, p in prods.items()}
         if "alpha" in grads:
             grads["alpha"] /= aval
-        return (gx if need["x"] else None, *map(grads.get, shapes))
+        return (gx, *map(grads.get, shapes))
 
     return ad.record(x.tape, name, inputs, out, vjp) if taped else out
 

@@ -15,7 +15,12 @@ primitive, `vjp(g, needs) -> tuple` aligned with its inputs. Slot i is
 the grad of inputs[i], reduced to its shape, and is read only where
 needs[i] (that input needs a grad), so a VJP forms shared intermediates
 once and skips what no input needs; None blocks the gradient. An
-application no input of which needs a grad records no entry.
+application no input of which needs a grad records no entry. A VJP never
+writes into its `g`: the tape keeps that array as the output's grad.
+
+Grads are stored as raw sums. The 0.0 a first contribution lands on (so
+a -0.0 reads as +0.0) is added on read, by `Variable.grad` and once over
+the grad vector in `nn.train`; (0.0 + a) + b == 0.0 + (a + b) for all floats.
 
 Conventions:
   * only scalar (single-element) broadcast in binary ops; the gradient
@@ -56,7 +61,7 @@ class Variable:
     @property
     def grad(self) -> Tensor:
         """Accumulated gradient, checked when read; zeros until one arrives."""
-        return Tensor._wrap(self._grad_array())
+        return Tensor._wrap(0.0 + self._grad_array())
 
     def _grad_array(self) -> np.ndarray:
         grad = self.tape._grads.get(self.node_id)
@@ -124,9 +129,9 @@ class Tape:
         return len(self._entries)
 
     def _accumulate(self, node_id: int, g: np.ndarray) -> None:
-        # The first contribution lands on 0.0, as if added to a zero grad:
-        # 0.0 + g turns a -0.0 into +0.0.
-        self._grads[node_id] = self._grads.get(node_id, 0.0) + g
+        # Kept as is, not copied: the 0.0 a first g lands on is added on read.
+        grad = self._grads.get(node_id)
+        self._grads[node_id] = g if grad is None else grad + g
 
 
 def record(tape: Tape, op: str, inputs: tuple[Variable, ...], forward: Tensor,

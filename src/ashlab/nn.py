@@ -276,43 +276,60 @@ class Model:
 # Losses and metrics.
 # ---------------------------------------------------------------------------
 
-def _one_hot(targets, n_classes: int) -> np.ndarray:
+def _targets(targets, n_rows: int, n_classes: int) -> np.ndarray:
+    """Class indices as int64 (B,), or 2-D (one-hot or soft) rows as
+    float64 (B, C), checked against (n_rows, n_classes) logits."""
     arr = targets.data if isinstance(targets, Tensor) else np.asarray(targets)
     if arr.ndim == 2:
         if arr.shape[1] != n_classes:
             raise ShapeError(f"one-hot targets have {arr.shape[1]} columns, logits {n_classes}")
-        return np.asarray(arr, dtype=np.float64)
-    labels = np.asarray(arr, dtype=np.int64).reshape(-1)
-    bad = labels[(labels < 0) | (labels >= n_classes)]
-    if bad.size:
-        raise ValueError(f"class label {bad[0]} is out of range for {n_classes} classes")
-    hot = np.zeros((labels.size, n_classes))
-    hot[np.arange(labels.size), labels] = 1.0
-    return hot
+        arr = np.asarray(arr, dtype=np.float64)
+    else:
+        arr = np.asarray(arr, dtype=np.int64).reshape(-1)
+        bad = arr[(arr < 0) | (arr >= n_classes)]
+        if bad.size:
+            raise ValueError(f"class label {bad[0]} is out of range for {n_classes} classes")
+    if arr.shape[0] != n_rows:
+        raise ShapeError(f"{arr.shape[0]} targets for {n_rows} logits rows")
+    return arr
 
 
 def softmax_xent(logits: Variable, targets) -> Variable:
     """Mean cross-entropy with log-sum-exp stabilization.
 
-    Targets may be class indices (B,) or one-hot rows (B, C).
+    Targets may be class indices (B,) or one-hot or soft rows (B, C). Bit
+    for bit (sum(lse) - sum(z*hot)) / B with grad g*(ez/se - hot)/B, but
+    class indices build no one-hot: z*hot is z*0.0 with z (= z*1.0) at the
+    labels, and the grad subtracts 1.0 there only (x - 0.0 == x).
     """
     z = logits.value.data
     if z.ndim != 2:
         raise ShapeError(f"logits must be (B, C), got {logits.value.shape}")
     b, c = z.shape
-    hot = _one_hot(targets, c)
-    if hot.shape[0] != b:
-        raise ShapeError(f"{hot.shape[0]} targets for {b} logits rows")
+    y = _targets(targets, b, c)
+    rows = np.arange(b)
+    ez = np.multiply(z, y if y.ndim == 2 else 0.0)  # z*hot, then the shifted exp
+    if y.ndim == 1:
+        ez[rows, y] = z[rows, y]
+    picked = float(ez.sum())
     zmax = z.max(axis=1, keepdims=True)
-    ez = np.subtract(z, zmax)
+    np.subtract(z, zmax, out=ez)
     np.exp(ez, out=ez)
     se = ez.sum(axis=1, keepdims=True)
     lse = zmax[:, 0] + np.log(se[:, 0])
-    value = (lse.sum() - float((z * hot).sum())) / b
-    out = Tensor._wrap(np.array([value]))
-    # The softmax ez / se is formed only by a backward pass.
-    return ad.record(logits.tape, "softmax_xent", (logits,), out,
-                     lambda g, needs: (g.reshape(-1)[0] * (ez / se - hot) / b,))
+    out = Tensor._wrap(np.array([(lse.sum() - picked) / b]))
+
+    def vjp(g, needs):
+        p = ez / se  # the softmax, formed only by a backward pass
+        if y.ndim == 2:
+            p -= y
+        else:
+            p[rows, y] -= 1.0
+        p *= g.reshape(-1)[0]
+        p /= b
+        return (p,)
+
+    return ad.record(logits.tape, "softmax_xent", (logits,), out, vjp)
 
 
 def mse(pred: Variable, target) -> Variable:
@@ -328,7 +345,9 @@ def loss_fn(kind: str, logits: Variable, targets) -> Variable:
         if kind == "softmax_xent":
             return softmax_xent(logits, targets)
         if kind == "mse":
-            return mse(logits, _one_hot(targets, logits.value.shape[1]))
+            y = _targets(targets, *logits.value.shape[:2])
+            return mse(logits, y if y.ndim == 2 else
+                       np.equal.outer(y, np.arange(logits.value.shape[1])))
     except NonFiniteError as exc:
         raise DivergenceError("loss") from exc
     raise ValueError(f"unknown loss {kind!r}; expected one of {LOSS_KINDS}")
@@ -518,8 +537,10 @@ def train(model: Model, config: TrainConfig, dataset: tuple[Tensor, np.ndarray],
                 logits, pvars = model.forward(xb)
                 batch_loss = loss_fn(config.loss, logits, yb)
                 ad.backward(batch_loss)
-                # Raw grads: a non-finite one is named at the parameter it reaches.
-                w = opt.step(w, _flat(v._grad_array() for v in pvars.values()))
+                # Raw sums: a non-finite grad is named at the parameter it reaches.
+                g = _flat(v._grad_array() for v in pvars.values())
+                g += 0.0  # the zero every grad lands on (see autodiff)
+                w = opt.step(w, g)
                 model._load(w)
             except DivergenceError as exc:
                 raise DivergenceError(exc.where, epoch, bi, "training") from exc

@@ -188,25 +188,29 @@ def test_tensor_and_variable_inputs_agree_bitwise(name):
 @pytest.mark.parametrize("value", [1.5, -1.5])
 def test_rank0_input_stays_rank0(name, value):
     # A rank-0 Tensor is one element: its output is rank 0 and carries the
-    # bits of the same call on the one-element vector. Backward through a
-    # rank-0 Variable, with every parameter trainable, gives a rank-0 x grad
-    # and the x and parameter grads of the one-element call, bit for bit.
+    # bits of the same call on the one-element vector. Through a rank-0
+    # Variable, with every (1,) parameter trainable, the output and the x
+    # grad are rank 0, and the output, x grad and parameter grads carry the
+    # bits of the one-element call.
     spec = act.preset(name)
     out = act.apply_spec(spec, Tensor(value))
     assert out.shape == ()
     assert out.data.tobytes() == act.apply_spec(spec, Tensor([value])).data.tobytes()
 
-    def grads(x):
+    def run(x):
         tape = ad.Tape()
         params = {key: tape.variable(v, requires_grad=True)
                   for key, v in act.trainable_params(spec).items()}
         xv = tape.variable(x, requires_grad=True)
-        ad.backward(ad.sum_all(act.apply_spec(spec, xv, params)))
-        return xv.grad.data, {key: p.grad.data.tobytes() for key, p in params.items()}
+        out = act.apply_spec(spec, xv, params)
+        ad.backward(ad.sum_all(out))
+        return (out.value.data, xv.grad.data,
+                {key: p.grad.data.tobytes() for key, p in params.items()})
 
-    gx0, params0 = grads(Tensor(value))
-    gx1, params1 = grads(Tensor([value]))
-    assert gx0.shape == ()
+    out0, gx0, params0 = run(Tensor(value))
+    out1, gx1, params1 = run(Tensor([value]))
+    assert out0.shape == () and gx0.shape == ()
+    assert out0.tobytes() == out1.tobytes()
     assert gx0.tobytes() == gx1.tobytes()
     assert params0 == params1
 
@@ -455,6 +459,46 @@ class TestInPlaceAshBits:
         finally:
             tracemalloc.stop()
         assert peak <= 7.5 * x.data.nbytes, f"peak {peak / x.data.nbytes:.2f}x the input"
+
+    def test_zk_only_forward_backward_allocates_at_most_two_and_a_fifth_inputs(self):
+        # Tooling, not timing: only z_k trainable, so no x grad is formed.
+        x = Tensor(np.random.default_rng(9).normal(size=(64, 16384)))
+
+        def forward_backward():
+            t = ad.Tape()
+            zv = t.variable(Tensor([0.3]), requires_grad=True)
+            ad.backward(ad.sum_all(act.smooth_ash(t.variable(x), zv)))
+            return zv.grad
+
+        forward_backward()  # warm-up
+        tracemalloc.start()
+        try:
+            forward_backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.2 * x.data.nbytes, f"peak {peak / x.data.nbytes:.2f}x the input"
+
+    @pytest.mark.parametrize("shape", [(256, 16), (64, 16384)])
+    @pytest.mark.parametrize("spec", [
+        act.preset("ash"), act.preset("l_ash"),
+        act.spec_from_json({"kind": "smooth_ash", "trainable_alpha": True})],
+        ids=["ash", "l_ash", "ash_alpha"])
+    def test_param_grads_do_not_depend_on_x_needing_a_grad(self, shape, spec):
+        # Without an x grad, 1 - s goes to a block scratch instead of gx.
+        x = Tensor(np.random.default_rng(shape[1]).normal(size=shape) * 2.0)
+        up = Tensor(np.random.default_rng(3).normal(size=shape))
+
+        def param_grads(x_trainable):
+            t = ad.Tape()
+            params = {key: t.variable(v, requires_grad=True)
+                      for key, v in act.trainable_params(spec).items()}
+            xv = t.variable(x, requires_grad=x_trainable)
+            out = act.apply_spec(spec, xv, params)
+            ad.backward(ad.sum_all(ad.mul(out, t.constant(up))))
+            return {key: _bits(p.grad.data) for key, p in params.items()}
+
+        assert param_grads(False) == param_grads(True)
 
 
 def _gate_reference(x, z, stats_axes, keep_boundary):

@@ -15,6 +15,10 @@ from ashlab.tensor import NonFiniteError, Tensor
 SWISH_GRAD_AT_1 = 0.9276705118714867  # S(1) + S(1)*(1 - S(1))
 
 
+def _bits(a) -> bytes:
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64).tobytes()
+
+
 class TestRecord:
     def test_add_forward_value(self):
         t = Tape()
@@ -94,6 +98,34 @@ class TestBackward:
         g1 = x.grad.data.copy()
         backward(y)
         assert np.array_equal(x.grad.data, 2.0 * g1)
+
+    def test_intermediate_grad_reads_the_adjoint_plus_zero(self):
+        # The tape keeps the adjoint as is; .grad adds the 0.0 it lands on,
+        # so a -0.0 reads as +0.0.
+        t = Tape()
+        x = t.variable(Tensor([1.0, -2.0, 3.0, 0.5]), requires_grad=True)
+        h = ad.mul(x, 2.0)
+        up = np.array([-0.0, 1.5, -0.0, -3.0])
+        backward(ad.sum_all(ad.mul(h, t.constant(Tensor(up)))))
+        for v, adjoint in ((h, 1.0 * up), (x, (1.0 * up) * 2.0)):
+            assert _bits(v._grad_array()) == _bits(adjoint)
+            assert _bits(v.grad.data) == _bits(0.0 + adjoint)
+            assert not np.signbit(v.grad.data[up == 0.0]).any()
+
+    def test_two_replays_double_every_grad(self):
+        # Leaves, intermediates and a fan-out node, with -0.0 adjoints.
+        t = Tape()
+        x = t.variable(Tensor([1.0, -2.0, 0.0]), requires_grad=True)
+        w = t.variable(Tensor([0.5]), requires_grad=True)
+        h = ad.mul(x, w)
+        y = ad.add(ad.sigmoid(h), ad.mul(h, h))
+        loss = ad.sum_all(ad.mul(y, t.constant(Tensor([-0.0, 1.0, -1.5]))))
+        variables = (x, w, h, y)
+        backward(loss)
+        first = [v.grad.data for v in variables]
+        backward(loss)
+        for v, g in zip(variables, first):
+            assert _bits(v.grad.data) == _bits(2.0 * g)
 
     def test_zero_grad_resets(self):
         t = Tape()

@@ -1,5 +1,7 @@
 """Layers, losses, optimizers, and the training loop."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -153,27 +155,57 @@ class TestLosses:
         assert rep.max_rel_err < 1e-5
 
     @pytest.mark.parametrize("shape,scale,one_hot", [
-        ((1, 2), 1.0, False), ((5, 3), 4.0, False), ((32, 2), 30.0, True), ((7, 16), 700.0, False)])
+        ((1, 2), 1.0, False), ((5, 3), 4.0, False), ((32, 2), 30.0, True), ((7, 16), 700.0, False),
+        ((1, 300), 2.0, False), ((6, 200), 3.0, False), ((6, 200), 3.0, True),
+        ((9, 130), 5.0, "soft"), ((64, 16384), 1.0, False), ((64, 16384), 1.0, "soft")])
     def test_xent_value_and_grad_bits_are_pinned(self, shape, scale, one_hot):
-        # The formula as it stood when the softmax was still formed in the forward.
+        # The formula as it stood when the softmax was still formed in the
+        # forward. Above C = 128 each row sums in more than one pairwise leaf;
+        # those cases also hold -0.0, +-700 and a zero row among the logits,
+        # and the labels 0 and C - 1.
         rng = np.random.default_rng(shape[0])
+        b, c = shape
         z = rng.normal(size=shape) * scale
-        labels = rng.integers(0, shape[1], size=shape[0])
-        hot = np.eye(shape[1])[labels]
+        labels = rng.integers(0, c, size=b)
+        if c >= 128:
+            z[0, :4] = [-0.0, 700.0, -700.0, -0.0]
+            z[-1, -3:] = [-700.0, 699.5, -0.0]
+            if b > 2:
+                z[b // 2] = 0.0
+            labels[0], labels[-1] = 0, c - 1
+        hot = np.zeros(shape)
+        hot[np.arange(b), labels] = 1.0
+        if one_hot == "soft":
+            hot = rng.dirichlet(np.ones(c), size=b)
         zmax = z.max(axis=1, keepdims=True)
         ez = np.exp(z - zmax)
         se = ez.sum(axis=1, keepdims=True)
         lse = zmax[:, 0] + np.log(se[:, 0])
-        want_value = (lse.sum() - float((z * hot).sum())) / shape[0]
+        want_value = (lse.sum() - float((z * hot).sum())) / b
         softmax = ez / se
-        want_grad = 1.0 * (softmax - hot) / shape[0]
+        want_grad = 1.0 * (softmax - hot) / b
 
         t = ad.Tape()
         zv = t.variable(Tensor(z), requires_grad=True)
         loss = nn.softmax_xent(zv, hot if one_hot else labels)
         ad.backward(loss)
         assert _bits(loss.value.data) == _bits([want_value])
-        assert _bits(zv.grad.data) == _bits(want_grad)
+        assert _bits(zv.grad.data) == _bits(0.0 + want_grad)
+
+    @pytest.mark.parametrize("kind", nn.LOSS_KINDS)
+    @pytest.mark.parametrize("targets", ["index", "one_hot"])
+    def test_target_mistakes_keep_their_error_class(self, kind, targets):
+        logits = ad.Tape().variable(Tensor(np.zeros((3, 4))))
+        labels = np.array([0, 3, 1])
+        hot = np.eye(4)[labels]
+        if targets == "index":
+            with pytest.raises(ValueError, match="class label 4 is out of range"):
+                nn.loss_fn(kind, logits, np.array([0, 4, 1]))
+        else:
+            with pytest.raises(ShapeError, match="3 columns"):
+                nn.loss_fn(kind, logits, hot[:, :3])
+        with pytest.raises(ShapeError):
+            nn.loss_fn(kind, logits, (labels if targets == "index" else hot)[:2])
 
     def test_one_hot_targets_accepted(self):
         t = ad.Tape()
@@ -206,6 +238,31 @@ class TestLosses:
         assert (err.value.where, err.value.epoch, err.value.batch, err.value.phase) == \
             ("loss", None, None, None)
         assert str(err.value) == "non-finite value in loss"
+
+    @pytest.mark.parametrize("backward,budget", [(False, 1.1), (True, 3.2)],
+                             ids=["forward", "forward_backward_grad"])
+    def test_xent_allocates_within_budget(self, backward, budget):
+        # Tooling, not timing: class indices build no one-hot, and the tape
+        # keeps the backward's B x C grad without a copy until it is read.
+        z = Tensor(np.random.default_rng(2).normal(size=(64, 16384)))
+        labels = np.random.default_rng(3).integers(0, 16384, 64)
+
+        def run():
+            zv = ad.Tape().variable(z, requires_grad=True)
+            loss = nn.softmax_xent(zv, labels)
+            if backward:
+                ad.backward(loss)
+                return zv.grad
+            return loss
+
+        run()  # warm-up
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= budget * z.data.nbytes, f"peak {peak / z.data.nbytes:.2f}x the logits"
 
     def test_accuracy(self):
         logits = Tensor([[2.0, 1.0], [0.0, 1.0], [3.0, -1.0], [0.0, 0.5]])
@@ -424,6 +481,39 @@ class TestTrainLoop:
             model = nn.Model(mlp(name), seed=1)
             recs = nn.train(model, nn.TrainConfig(epochs=50, seed=1), data)
             assert recs[49].train_loss < recs[0].train_loss, name
+
+    def test_optimizer_steps_the_grads_as_read(self, monkeypatch):
+        # The tape stores raw sums and train adds the 0.0 they land on once,
+        # so the vector each step takes carries the bits of every v.grad. No
+        # layer's VJP hands a parameter a -0.0 today (numpy sums start from
+        # +0.0), so every zero contribution is made one here, which a step
+        # must then read as +0.0.
+        model = nn.Model(mlp("relu"), seed=0)
+        forward, step, accumulate = model.forward, nn.Adam.step, ad.Tape._accumulate
+        pvars, steps = {}, []
+
+        def recording_forward(batch, trainable=True):
+            out, pvars["last"] = forward(batch, trainable)
+            return out, pvars["last"]
+
+        def recording_step(self, w, g):
+            read = [v.grad.data.reshape(-1) for v in pvars["last"].values()]
+            raw = nn._flat(v._grad_array() for v in pvars["last"].values())
+            steps.append((_bits(g), _bits(np.concatenate(read)),
+                          int(np.count_nonzero(np.signbit(raw) & (raw == 0.0)))))
+            return step(self, w, g)
+
+        def signed_zero_accumulate(self, node_id, g):
+            return accumulate(self, node_id, np.where(g == 0.0, -0.0, g))
+
+        monkeypatch.setattr(model, "forward", recording_forward)
+        monkeypatch.setattr(nn.Adam, "step", recording_step)
+        monkeypatch.setattr(ad.Tape, "_accumulate", signed_zero_accumulate)
+        nn.train(model, nn.TrainConfig(epochs=2, batch_size=16, seed=0),
+                 datasets.two_moons(64, 0.1, 3))
+        assert len(steps) == 8
+        assert all(g == read for g, read, _ in steps)
+        assert sum(neg_zeros for _, _, neg_zeros in steps) > 0
 
     def test_gradient_flow_over_one_epoch(self):
         data = datasets.two_moons(64, 0.1, 3)
