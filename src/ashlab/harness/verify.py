@@ -138,23 +138,25 @@ def suite_tensor_kernels() -> None:
                f"kernel mean {mu} vs fsum {ref_mu} at n={n}")
         _check(abs(m2 / cnt - ref_var) <= 1e-12 * max(1.0, ref_var),
                f"kernel var {m2 / cnt} vs fsum {ref_var} at n={n}")
-    # 2 to 16 fit the single product buffer; 96 runs the tiled kernel over
-    # six row tiles of two k-slabs each.
-    for size in (2, 5, 8, 16, 96):
-        a = Tensor(rng.normal(size=(size, size)))
-        b = Tensor(rng.normal(size=(size, size)))
-        got = tensor.matmul(a, b).data
+    # Square products, an n == 1 product (which the kernel runs transposed)
+    # and a transposed operand, as autodiff's grads pass them.
+    cases = [(rng.normal(size=(s, s)), rng.normal(size=(s, s))) for s in (2, 5, 8, 16, 96)]
+    cases += [(rng.normal(size=(5, 300)), rng.normal(size=(300, 1))),
+              (rng.normal(size=(24, 40)), rng.normal(size=(24, 40)).T)]
+    for a, b in cases:
+        got = tensor._matmul_arrays(a, b)
         # Python floats round each * and + as float64 does, and are faster
         # to index than numpy scalars.
         al, bl = a.tolist(), b.tolist()
-        want = np.zeros((size, size))
-        for i in range(size):
-            for j in range(size):
+        want = np.zeros(got.shape)
+        for i in range(a.shape[0]):
+            for j in range(b.shape[1]):
                 acc = 0.0
-                for kk in range(size):
+                for kk in range(a.shape[1]):
                     acc += al[i][kk] * bl[kk][j]
                 want[i, j] = acc
-        _check(np.array_equal(got, want), f"matmul differs from triple loop at {size}x{size}")
+        _check(np.array_equal(got, want),
+               f"matmul differs from triple loop at {a.shape} x {b.shape}, strides {b.strides}")
     t1 = randn([64], RngState(5, 123))
     t2 = randn([64], RngState(5, 123))
     _check(np.array_equal(t1.data, t2.data), "randn is not bit-deterministic")

@@ -243,9 +243,7 @@ class Model:
         np.copyto(w, self._lower, where=w < self._lower)
         w.setflags(write=False)
         for pname, sl, shape in self._layout:
-            view = Tensor.__new__(Tensor)
-            view._data = w[sl].reshape(shape)
-            self.params[pname] = view
+            self.params[pname] = Tensor._wrap(w[sl].reshape(shape), finite=True)
 
     def forward(self, batch: Tensor, trainable: bool = True) -> tuple[Variable, dict[str, Variable]]:
         """Run the layers on a fresh tape; returns (output, param Variables)."""
@@ -480,7 +478,7 @@ def evaluate(model: Model, x: Tensor, labels: np.ndarray, loss_kind: str = "soft
     n = x.shape[0]
     total, correct = 0.0, 0.0
     for bi, start in enumerate(range(0, n, batch_size)):
-        xb = Tensor._wrap(np.ascontiguousarray(x.data[start:start + batch_size]))
+        xb = Tensor._wrap(x.data[start:start + batch_size], finite=True)
         yb = np.asarray(labels)[start:start + batch_size]
         try:
             logits, _ = model.forward(xb, trainable=False)
@@ -531,7 +529,7 @@ def train(model: Model, config: TrainConfig, dataset: tuple[Tensor, np.ndarray],
         loss_sum = 0.0
         for bi, start in enumerate(range(0, order.size, config.batch_size)):
             idx = order[start:start + config.batch_size]
-            xb = Tensor._wrap(x.data[idx])
+            xb = Tensor._wrap(x.data[idx], finite=True)
             yb = labels[idx]
             try:
                 logits, pvars = model.forward(xb)
@@ -548,7 +546,7 @@ def train(model: Model, config: TrainConfig, dataset: tuple[Tensor, np.ndarray],
 
         eval_idx = val_idx if val_idx.size else train_idx
         try:
-            val_loss, val_acc = evaluate(model, Tensor._wrap(x.data[eval_idx]),
+            val_loss, val_acc = evaluate(model, Tensor._wrap(x.data[eval_idx], finite=True),
                                          labels[eval_idx], config.loss, config.batch_size)
         except DivergenceError as exc:
             raise DivergenceError(exc.where, epoch, exc.batch, "validation") from exc

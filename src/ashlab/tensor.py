@@ -8,30 +8,29 @@ is bitwise reproducible.
 
 Matmul order contract: every output element is
 ((((0.0 + a[i,0]*b[0,j]) + a[i,1]*b[1,j]) + ...) + a[i,k-1]*b[k-1,j]),
-exactly the order of a naive triple loop, for every shape. The kernel
-lays products out as a (k+1, rows, n) buffer whose slot 0 is added
-first, and sums it by one numpy reduction over the leading axis, which
-numpy walks slot by slot:
-  * a product whose whole buffer fits the budget (_REDUCE_MAX_ELEMS) is
-    one such buffer, with slot 0 at 0.0. Slot 0 fixes the start at +0.0
-    on every numpy version; a reduction seeded with its first element
-    would leave a sum of -0.0 products at -0.0.
-  * a larger product is cut into balanced row tiles, each as tall as a
-    full-k buffer within the budget allows but at least 16 rows, and
-    each tile's k into slabs whose buffer fits the budget (a slab holds
-    at least one product), so the buffer stays in cache. A small-k
-    product (an im2col convolution, say) thus runs as a few tall tiles
-    of one slab each, and a wide layer as 16-row tiles of several slabs.
-    Slot 0 carries the tile's running sum: +0.0 before the first slab,
-    then each slab's result. Adding the carry first continues the same
-    left-to-right sum, so tiling moves no bit.
-  * m*n == 1 is one np.add.accumulate over [0.0, products]. A buffer
-    would leave the reduced axis as the only one, and numpy sums a lone
-    contiguous axis pairwise, which reorders the additions (k = 9 or 128
-    already gives different bits); accumulate is sequential by
-    definition. For the same reason row tiles are balanced: only m == 1
-    gives a one-row tile, and then n >= 2.
-BLAS is never used because it reorders the accumulation too.
+each product rounded before it is added, exactly the order of a naive
+triple loop, for every shape. The kernel is numpy's einsum "ik,kj->ij"
+without `optimize` (which could hand it to BLAS), in one C call:
+  * einsum zero-fills the output. With both operands C-contiguous and
+    n >= 2, j is the innermost loop (stride 8 in b and in the output), so
+    the inner loop is out[i, :] = a[i, k]*b[k, :] + out[i, :], run for k
+    ascending: the contract's order, with no product buffer.
+  * n == 1 would make k the inner loop, which einsum sums with several
+    accumulators, so (5, 300, 1) already gets different bits. Such a
+    product runs as (b.T @ a.T).T: multiplication commutes exactly, so
+    every element has the same products in the same order.
+  * m*n == 1 is one np.add.accumulate over [0.0, products], sequential
+    by definition.
+  * Operands are made C-contiguous first: a Fortran-ordered or
+    transposed operand could put k innermost too.
+  * On x86-64 wheels einsum's add is unfused (its kernels are built for
+    the SSE-only baseline, which has no FMA); aarch64 NEON and
+    -march=native builds fuse it. So at import one probe (`_ordered`)
+    checks einsum against the rank-1 loop `out += a[:, k:k+1] * b[k]`
+    bit for bit, on inputs that a fused add, a reordered sum or a -0.0
+    start gets wrong. If they differ, every product runs that loop,
+    which is exact on every platform.
+BLAS is never used because it fuses and reorders the accumulation.
 """
 
 from __future__ import annotations
@@ -83,14 +82,16 @@ class Tensor:
         self._data = arr
 
     @classmethod
-    def _wrap(cls, arr: np.ndarray) -> "Tensor":
+    def _wrap(cls, arr: np.ndarray, finite: bool = False) -> "Tensor":
         # Internal fast path for kernel-owned arrays: skips the defensive
         # copy but keeps the finiteness and shape invariants. asarray, not
         # ascontiguousarray, which would turn a rank-0 array into shape (1,).
+        # finite=True skips the scan of views and gathered rows of a Tensor's
+        # buffer, which was checked when that Tensor was made.
         arr = np.asarray(arr, dtype=np.float64, order="C")
         if arr.ndim > MAX_RANK or arr.size == 0:
             check_shape(arr.shape)  # raises the matching ShapeError
-        if not np.isfinite(arr).all():
+        if not finite and not np.isfinite(arr).all():
             raise NonFiniteError("tensor values must be finite (no NaN/Inf)")
         arr.setflags(write=False)
         out = cls.__new__(cls)
@@ -222,11 +223,34 @@ def ewise(op: str, a: Tensor, b: Tensor) -> Tensor:
         return Tensor._wrap(_EWISE[op](a.data, b.data))
 
 
-# Budget, in float64 elements (1 MiB), of the (k+1, rows, n) product
-# buffer. A product whose whole buffer fits runs as one reduction; a
-# larger one is cut into row tiles and k-slabs of this size, which stay
-# in cache.
-_REDUCE_MAX_ELEMS = 1 << 17
+def _einsum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.einsum("ik,kj->ij", a, b, optimize=False)
+
+
+def _rank1_loop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    out = np.zeros((a.shape[0], b.shape[1]))
+    for kk in range(a.shape[1]):
+        out += a[:, kk:kk + 1] * b[kk]
+    return out
+
+
+def _ordered(kernel) -> bool:
+    """Whether kernel(a, b) has the rank-1 loop's bits on a probe that a fused
+    add, a reordered sum or a -0.0 start gets wrong. Its 17 columns run both
+    a SIMD body and a scalar tail."""
+    a = np.zeros((3, 40))
+    # 2^23 only in order: each 1.0 added alone to 2^53 is lost, and the last
+    # product is -2^53 + 2^23.
+    a[0, 0], a[0, 1:-1], a[0, -1] = 2.0**53, 1.0, -2.0**53
+    # -1 + (1 - 2^-60) is 0 with the product rounded first, -2^-60 fused.
+    a[1, -2:] = -1.0, 1.0 + 2.0**-30
+    a[2] = -0.0  # +0.0 only from a 0.0 start
+    b = np.ones((40, 17))
+    b[-1] = 1.0 - 2.0**-30
+    return np.array_equal(kernel(a, b).view(np.uint64), _rank1_loop(a, b).view(np.uint64))
+
+
+_EINSUM_ORDERED = _ordered(_einsum)
 
 
 def _matmul_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -240,42 +264,10 @@ def _matmul_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             terms[0] = 0.0
             np.multiply(a[0], b[:, 0], out=terms[1:])
             return np.add.accumulate(terms)[-1:].reshape(1, 1)
-        if (k + 1) * m * n <= _REDUCE_MAX_ELEMS:
-            buf = np.empty((k + 1, m, n), dtype=np.float64)
-            buf[0] = 0.0
-            # einsum forms the products faster than a broadcast multiply. It
-            # may store a -0.0 product as +0.0, which moves no output bit:
-            # each sum starts from slot 0's +0.0 and so is never -0.0.
-            np.einsum("ik,kj->kij", a, b, out=buf[1:])
-            return np.add.reduce(buf, axis=0)
-        return _matmul_tiled(a, b)
-
-
-def _matmul_tiled(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # A tile is as tall as a full-k buffer within the budget allows, so a
-    # small-k product (an im2col convolution) runs as a few tall one-slab
-    # tiles. Below 16 rows k is cut into slabs instead: with the floor,
-    # balanced tiles hold 8 rows or more unless m < 8, so no slab is
-    # (kc+1, 1, 1) unless m == 1, and then n >= 2.
-    m, k = a.shape
-    _, n = b.shape
-    tiles = -(-m // max(16, _REDUCE_MAX_ELEMS // ((k + 1) * n)))
-    rows = -(-m // tiles)
-    kc = min(k, max(1, _REDUCE_MAX_ELEMS // (rows * n) - 1))
-    buf = np.empty((kc + 1, rows, n), dtype=np.float64)
-    out = np.zeros((m, n), dtype=np.float64)
-    for t in range(tiles):
-        i0, i1 = t * m // tiles, (t + 1) * m // tiles
-        acc = out[i0:i1]
-        for k0 in range(0, k, kc):
-            k1 = min(k0 + kc, k)
-            slab = buf[: k1 - k0 + 1, : i1 - i0]
-            # Slot 0 carries the running sum into the slab. The sum lands in
-            # `out`, not in slot 0: numpy copies an input its output overlaps.
-            slab[0] = acc
-            np.einsum("ik,kj->kij", a[i0:i1, k0:k1], b[k0:k1], out=slab[1:])
-            np.add.reduce(slab, axis=0, out=acc)
-    return out
+        if n == 1:
+            return _matmul_arrays(b.T, a.T).T
+        kernel = _einsum if _EINSUM_ORDERED else _rank1_loop
+        return kernel(np.ascontiguousarray(a), np.ascontiguousarray(b))
 
 
 def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:

@@ -515,6 +515,33 @@ class TestTrainLoop:
         assert all(g == read for g, read, _ in steps)
         assert sum(neg_zeros for _, _, neg_zeros in steps) > 0
 
+    def test_gathered_rows_are_not_scanned_again(self, monkeypatch):
+        # Batch and evaluation rows are gathered from an input Tensor that was
+        # checked finite when it was made, so an epoch scans none of them
+        # again; the model still sees them as read-only C-contiguous Tensors.
+        rng = np.random.default_rng(4)
+        x, labels = Tensor(rng.normal(size=(40, 5))), rng.integers(0, 2, 40)
+        model = nn.Model(mlp("relu", widths=(5, 8, 2)), seed=0)
+        forward, isfinite = model.forward, np.isfinite
+        scans, batches = [], []
+
+        def recording_forward(batch, trainable=True):
+            batches.append(batch.data.flags)
+            return forward(batch, trainable)
+
+        def counting_isfinite(arr, *args, **kwargs):
+            if np.ndim(arr) == 2 and np.shape(arr)[1] == 5:  # rows of x
+                scans.append(np.shape(arr))
+            return isfinite(arr, *args, **kwargs)
+
+        monkeypatch.setattr(model, "forward", recording_forward)
+        monkeypatch.setattr(np, "isfinite", counting_isfinite)
+        records = nn.train(model, nn.TrainConfig(epochs=2, batch_size=10, val_split=0.25,
+                                                 seed=0), (x, labels))
+        assert len(records) == 2 and len(batches) == 8  # 3 training and 1 evaluation batch
+        assert scans == []
+        assert all(not f.writeable and f.c_contiguous for f in batches)
+
     def test_gradient_flow_over_one_epoch(self):
         data = datasets.two_moons(64, 0.1, 3)
         model = nn.Model(mlp("ash"), seed=0)

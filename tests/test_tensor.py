@@ -1,6 +1,8 @@
 """Tensor kernels: construction, elementwise ops, matmul, reductions, RNG."""
 
 import math
+import platform
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -192,11 +194,19 @@ class TestMatmul:
     def _bits(x):
         return x.view(np.uint64)  # bit-level equality, so -0.0 != +0.0
 
-    def test_matches_triple_loop_exactly(self):
+    @pytest.fixture(params=["einsum", "loop"])
+    def kernel(self, request, monkeypatch):
+        # Every bit test runs on both kernels: einsum where the import probe
+        # accepts it, and the rank-1 loop that replaces it where it does not.
+        if request.param == "loop":
+            monkeypatch.setattr(tensor, "_EINSUM_ORDERED", False)
+        return request.param
+
+    def test_matches_triple_loop_exactly(self, kernel):
         shapes = [(s, s, s) for s in (3, 8, 17, 32)]
         shapes += [(32, 16, 2), (2, 32, 16), (5, 3, 7), (1, 6, 4), (4, 6, 1)]
         shapes += [(1, 7, 1), (1, 9, 1), (1, 128, 1)]  # m*n == 1
-        shapes += [(64, 40, 64)]  # tiled
+        shapes += [(64, 40, 64)]
         rng = np.random.default_rng(8)
         for m, k, n in shapes:
             for heavy in (False, True):
@@ -208,27 +218,15 @@ class TestMatmul:
                 if m * n > 1:  # pins the rank-1 oracle to the triple loop
                     assert np.array_equal(self._bits(self._rank1_loop(a, b)), self._bits(want))
 
-    def test_tile_boundaries_match_rank1_loop_exactly(self):
-        # A tile's (kc+1, rows, n) buffer holds at most the budget, and a
-        # tile is 16 rows unless a taller one fits a full-k buffer. These
-        # shapes span several row tiles and, since even a 16-row tile's
-        # full-k buffer is over the budget, several k-slabs, the last one
-        # partial; (40, 200, 100) has 13- and 14-row tiles.
-        limit = tensor._REDUCE_MAX_ELEMS
-        multi = [(64, 128, 128), (256, 128, 128), (40, 200, 100)]
-        assert all(m > 16 and (k + 1) * 16 * n > limit for m, k, n in multi)
-        shapes = multi + [(128, 64, 128)]  # with the first two: mlp_wide's shapes
+    def test_wide_and_tall_shapes_match_rank1_loop_exactly(self, kernel):
+        # mlp_wide's layer shapes and their grads, n == 1 with several rows,
+        # one row with long k, a very wide row, and tall small-k products: a
+        # 3x3 conv's im2col product and its input grad on 32 28x28 images,
+        # and 1024 rows into a 128-wide layer.
+        shapes = [(64, 128, 128), (256, 128, 128), (40, 200, 100), (128, 64, 128)]
         shapes += [(17, 129, 1), (1, 300, 33), (33, 129, 65)]
-        # Unequal row tiles with n == 1 (8 and 9 rows), one row and many
-        # k-slabs, and a row wider than half the budget (one product a slab).
         shapes += [(17, 8000, 1), (1, 5000, 40), (3, 2, 70000)]
-        # Tall and small-k: a 3x3 conv's im2col product and its input grad
-        # on 32 28x28 images, and 1024 rows into a 128-wide layer. Over the
-        # budget as a whole, but a full-k buffer of 32 rows fits, so each
-        # runs as a few tall one-slab tiles; (21632, 9, 4) has unequal ones.
-        tall = [(21632, 9, 4), (21632, 4, 9), (1024, 2, 128)]
-        assert all((k + 1) * m * n > limit > (k + 1) * 32 * n for m, k, n in tall)
-        shapes += tall
+        shapes += [(21632, 9, 4), (21632, 4, 9), (1024, 2, 128)]
         rng = np.random.default_rng(9)
         for m, k, n in shapes:
             for heavy in (False, True):
@@ -237,6 +235,54 @@ class TestMatmul:
                 want = self._rank1_loop(a, b)
                 assert np.array_equal(self._bits(got), self._bits(want)), \
                     f"mismatch at {m}x{k}x{n}, heavy={heavy}"
+
+    def test_kernel_traps_match_rank1_loop_exactly(self, kernel):
+        # n == 1 with m >= 2 and k >= 16, which einsum would sum with several
+        # accumulators; k and n above 8192 (einsum's buffer size); and
+        # operands that are Fortran-ordered or transposed views, which could
+        # put k innermost. The views reach the kernel as autodiff's grads do.
+        shapes = [(5, 300, 1), (17, 8000, 1), (2, 16, 1), (300, 40, 1)]
+        shapes += [(3, 8200, 5), (2, 20, 8200), (1, 9000, 3)]
+        rng = np.random.default_rng(11)
+        for m, k, n in shapes:
+            a, b = self._operands(rng, m, k, n, heavy=True)
+            want = self._bits(self._rank1_loop(a, b))
+            views = [(a, b), (np.asfortranarray(a), b), (a, np.asfortranarray(b)),
+                     (np.ascontiguousarray(a.T).T, np.ascontiguousarray(b.T).T)]
+            for va, vb in views:
+                got = tensor._matmul_arrays(va, vb)
+                assert np.array_equal(self._bits(got), want), \
+                    f"mismatch at {m}x{k}x{n}, strides {va.strides} {vb.strides}"
+
+    def test_probe_accepts_einsum_and_rejects_fused_or_reordered_kernels(self):
+        def fused(a, b):
+            # A fused multiply-add: each step rounds the exact a*b + acc once.
+            out = np.empty((a.shape[0], b.shape[1]))
+            for i, j in np.ndindex(out.shape):
+                acc = 0.0
+                for x, y in zip(a[i], b[:, j]):
+                    acc = float(Fraction(acc) + Fraction(x) * Fraction(y))
+                out[i, j] = acc
+            return out
+
+        def pairwise(a, b):
+            # Unfused, but numpy's multi-accumulator sum of each dot product.
+            return np.array([[np.add.reduce(a[i] * b[:, j]) for j in range(b.shape[1])]
+                             for i in range(a.shape[0])])
+
+        def first_product_start(a, b):
+            # In order, but starting from the first product instead of 0.0.
+            out = a[:, :1] * b[0]
+            for kk in range(1, a.shape[1]):
+                out += a[:, kk:kk + 1] * b[kk]
+            return out
+
+        assert tensor._ordered(tensor._einsum) == tensor._EINSUM_ORDERED
+        if platform.machine() in ("x86_64", "AMD64"):
+            assert tensor._EINSUM_ORDERED  # numpy's wheels build einsum unfused here
+        assert tensor._ordered(self._rank1_loop)
+        for stand_in in (np.matmul, fused, pairwise, first_product_start):
+            assert not tensor._ordered(stand_in), stand_in
 
     def test_bias_is_added_to_every_row(self):
         rng = np.random.default_rng(10)
