@@ -13,8 +13,10 @@ the percentile being kept. The hard and step forms block every gradient
 to z (a variable that appears only inside a comparison has derivative
 zero); the smooth form makes z an ordinary trainable parameter.
 
-Every function here accepts either an autodiff Variable (differentiable,
-recorded on its tape) or a plain Tensor (forward only).
+Every function here takes its input and its parameters as autodiff
+Variables or as constants (Tensors, arrays or numbers), through one code
+path: the output is recorded on the tape of the first Variable among
+them, and a call with no Variable builds no tape and returns a Tensor.
 """
 
 from __future__ import annotations
@@ -109,56 +111,41 @@ class ActivationSpec:
 
 
 # ---------------------------------------------------------------------------
-# Tensor/Variable dispatch plumbing.
+# Parameter readers: a parameter is a Variable or a constant (ad.value).
 # ---------------------------------------------------------------------------
 
-def _accepts_tensor(fn):
-    """Let a Variable-based activation also run forward-only on Tensors."""
-
-    @functools.wraps(fn)
-    def wrapper(x, *args, **kwargs):
-        if isinstance(x, Variable):
-            return fn(x, *args, **kwargs)
-        x = x if isinstance(x, Tensor) else Tensor(x)
-        return fn(ad.Tape().variable(x), *args, **kwargs).value
-
-    return wrapper
-
-
 def _rank0(p):
-    """A (1,) Variable parameter as rank 0: like a number, it broadcasts
-    without lifting a rank-0 input to shape (1,)."""
-    return ad.reshape(p, ()) if isinstance(p, Variable) and p.value.shape == (1,) else p
+    """A (1,) parameter as rank 0: like a number, it broadcasts without
+    lifting a rank-0 input to shape (1,)."""
+    return ad.reshape(p, ()) if ad.value(p).shape == (1,) else p
 
 
 def _scalar(p) -> float:
-    """A scalar parameter, a Variable or a number, as a float."""
-    return float(p.value.data.reshape(-1)[0]) if isinstance(p, Variable) else float(p)
+    """A scalar parameter, a Variable or a constant, as a float."""
+    if isinstance(p, (int, float)):
+        return float(p)  # the common case, without making a Tensor
+    return float(ad.value(p).data.reshape(-1)[0])
 
 
 # ---------------------------------------------------------------------------
 # Baseline zoo.
 # ---------------------------------------------------------------------------
 
-@_accepts_tensor
 def sigmoid(x):
     """Logistic S(x) = 1/(1+e^-x), overflow-free."""
     return ad.sigmoid(x)
 
 
-@_accepts_tensor
 def heaviside(x):
     """Unit step: 1 for x > 0, else 0. Gradient is identically zero."""
     return ad.heaviside(x)
 
 
-@_accepts_tensor
 def relu(x):
     """max(x, 0); subgradient 0 at the kink."""
     return ad.maximum(x, 0.0)
 
 
-@_accepts_tensor
 def lrelu(x, slope=0.01):
     """x for x > 0, slope*x otherwise. A Variable slope makes this PReLU."""
     pos = ad.maximum(x, 0.0)
@@ -170,13 +157,11 @@ def prelu(x, slope):
     return lrelu(x, slope)
 
 
-@_accepts_tensor
 def softplus(x):
     """ln(1 + e^x), computed in the stable split form."""
     return ad.softplus(x)
 
 
-@_accepts_tensor
 def elu(x, a=1.0):
     """x for x > 0, a*(e^x - 1) otherwise."""
     pos = ad.maximum(x, 0.0)
@@ -184,25 +169,21 @@ def elu(x, a=1.0):
     return ad.add(pos, ad.mul(a, ad.sub(ad.exp(neg), 1.0)))
 
 
-@_accepts_tensor
 def selu(x):
     """Self-normalizing ELU: lambda * elu(x, alpha) with the published constants."""
     return ad.mul(SELU_LAMBDA, elu(x, SELU_ALPHA))
 
 
-@_accepts_tensor
 def gelu(x):
     """x * Phi(x) with the exact normal CDF (no tanh approximation)."""
     return ad.mul(x, ad.gauss_cdf(x))
 
 
-@_accepts_tensor
 def swish(x):
     """x * S(x)."""
     return ad.mul(x, ad.sigmoid(x))
 
 
-@_accepts_tensor
 def gen_swish(x, a=1.0, b=0.0):
     """Generalized swish x * S(a*x + b); recovers swish at a=1, b=0."""
     return ad.mul(x, ad.sigmoid(ad.add(ad.mul(x, _rank0(a)), _rank0(b))))
@@ -212,7 +193,6 @@ def gen_swish(x, a=1.0, b=0.0):
 # Conditional threshold unit (the non-trainable strawman).
 # ---------------------------------------------------------------------------
 
-@_accepts_tensor
 def conditional_unit(x, scale=1.0, threshold=0.0):
     """scale*x where x >= threshold, else 0.
 
@@ -220,17 +200,12 @@ def conditional_unit(x, scale=1.0, threshold=0.0):
     threshold appears only inside the comparison, so its gradient is
     identically zero and it can never train.
     """
-    tape = x.tape
-    scale, threshold = (p if isinstance(p, Variable) else tape.constant(p)
-                        for p in (scale, threshold))
-    sval = float(scale.value.data.reshape(-1)[0])
-    tval = float(threshold.value.data.reshape(-1)[0])
-
-    data = x.value.data
+    sval, tval = _scalar(scale), _scalar(threshold)
+    data = ad.value(x).data
     mask = data >= tval
     out = Tensor._wrap(np.where(mask, sval * data, 0.0))
-    shape = scale.value.shape  # the VJP takes shapes: a tape holds no Variable
-    return ad.record(tape, "conditional_unit", (x, scale, threshold), out, lambda g, needs: (
+    shape = ad.value(scale).shape  # the VJP takes shapes: a tape holds no Variable
+    return ad.emit("conditional_unit", (x, scale, threshold), out, lambda g, needs: (
         needs[0] and g * sval * mask,
         needs[1] and np.sum(g * data * mask).reshape(shape),
         None))  # a comparison operand (the threshold) has zero derivative
@@ -261,7 +236,7 @@ def _grouped_stats(data: np.ndarray, stats_mode: str):
 
 def _broadcast_z(z, x_shape: tuple[int, ...]) -> np.ndarray:
     """z as an array that broadcasts against x: a scalar, or one per channel (last axis)."""
-    zval = z.value.data if isinstance(z, Variable) else np.asarray(float(z)).reshape(())
+    zval = ad.value(z).data
     if zval.size == 1:
         return zval.reshape(())  # a (1,) z would lift a rank-0 x to rank 1
     if zval.ndim == 1 and len(x_shape) >= 1 and zval.shape[0] == x_shape[-1]:
@@ -292,7 +267,7 @@ def hard_ash(x, z_k=0.0, stats: st.InputStats | None = None, stats_mode: str = "
     """
     if stats is None or isinstance(x, Variable):
         return _gate_op(x, z_k, stats_mode, keep_boundary=True, name="hard_ash")
-    data = x.data if isinstance(x, Tensor) else Tensor(x).data
+    data = ad.value(x).data
     thr = stats.threshold(_scalar(z_k))
     return Tensor._wrap(np.where(data >= thr, data, 0.0))
 
@@ -305,12 +280,10 @@ def heaviside_ash(x, z_k=0.0, stats_mode: str = "per-sample"):
 def _gate_op(x, z_k, stats_mode: str, keep_boundary: bool, name: str):
     """x where the margin x - mu - z_k*sigma is >= 0 (> 0 without the boundary).
 
-    A Tensor (or array) `x` runs forward only, builds no tape and returns
-    a Tensor. In row blocks, the margin is formed in the `centered` buffer
-    from `moments`, and the output np.where(mask, x, 0.0) is written over it.
+    In row blocks, the margin is formed in the `centered` buffer from
+    `moments`, and the output np.where(mask, x, 0.0) is written over it.
     """
-    taped = isinstance(x, Variable)
-    xt = x.value if taped else x if isinstance(x, Tensor) else Tensor(x)
+    xt = ad.value(x)
     data = xt.data
     z_b = _broadcast_z(z_k, xt.shape)
     _, _, _, centered, _, sigma = _grouped_stats(data, stats_mode)
@@ -321,15 +294,9 @@ def _gate_op(x, z_k, stats_mode: str, keep_boundary: bool, name: str):
         keep(margin, 0.0, out=mask_b)
         margin.fill(0.0)
         np.copyto(margin, x_b, where=mask_b)
-    out = Tensor._wrap(centered)
-
-    if not taped:
-        return out
-    if isinstance(z_k, Variable):
-        # The threshold lives inside the comparison only: its slot is None.
-        return ad.record(x.tape, name, (x, z_k), out,
-                         lambda g, needs: (needs[0] and g * mask, None))
-    return ad.record(x.tape, name, (x,), out, lambda g, needs: (g * mask,))
+    # The threshold lives inside the comparison only: its slot is None.
+    return ad.emit(name, (x, z_k), Tensor._wrap(centered),
+                   lambda g, needs: (needs[0] and g * mask, None))
 
 
 # ---------------------------------------------------------------------------
@@ -350,9 +317,6 @@ def _times_gate(s: np.ndarray, lval: float, y: np.ndarray, out=None) -> np.ndarr
 
 def _ash_op(x, z, alpha, leak, stats_mode: str, grad_mode: str, name: str):
     """out = x * (leak + (1-leak) * S(2*alpha*(x - mu - z*sigma))).
-
-    `x` is a Variable, or a Tensor (or array) for a forward-only call that
-    builds no tape and returns a Tensor.
 
     Hand-written VJP (checked against central differences):
       let sp = s*(1-s), w = g*x*(1-leak)*sp, A = sum_group(w), B = sum_group(w*z)
@@ -383,8 +347,7 @@ def _ash_op(x, z, alpha, leak, stats_mode: str, grad_mode: str, name: str):
     """
     if grad_mode not in GRAD_MODES:
         raise ValueError(f"grad_mode must be one of {GRAD_MODES}, got {grad_mode!r}")
-    taped = isinstance(x, Variable)
-    xt = x.value if taped else x if isinstance(x, Tensor) else Tensor(x)
+    xt = ad.value(x)
     data = xt.data
     aval = _scalar(alpha)
     if aval <= 0:
@@ -397,8 +360,8 @@ def _ash_op(x, z, alpha, leak, stats_mode: str, grad_mode: str, name: str):
 
     params = {key: p for key, p in (("z", z), ("leak", leak), ("alpha", alpha))
               if isinstance(p, Variable)}
-    inputs = (x, *params.values()) if taped else ()
-    grad = any(v.requires_grad for v in inputs)
+    inputs = (x, *params.values())
+    grad = any(isinstance(v, Variable) and v.requires_grad for v in inputs)
     through = grad_mode == "through-stats"
     u = centered
     s = np.empty_like(u) if grad and "alpha" in params else u
@@ -469,7 +432,7 @@ def _ash_op(x, z, alpha, leak, stats_mode: str, grad_mode: str, name: str):
             grads["alpha"] /= aval
         return (gx, *map(grads.get, shapes))
 
-    return ad.record(x.tape, name, inputs, out, vjp) if taped else out
+    return ad.emit(name, inputs, out, vjp)
 
 
 def smooth_ash(x, z_k=0.0, alpha=1.0, stats_mode: str = "per-sample",

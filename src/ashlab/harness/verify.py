@@ -195,15 +195,15 @@ def suite_gradient_checks() -> None:
     base = Tensor(rng.normal(0.0, 1.0, 128))
     param_cases = [
         ("prelu slope", Tensor([0.2]),
-         lambda p: ad.sum_all(act.prelu(p.tape.variable(base), p))),
+         lambda p: ad.sum_all(act.prelu(base, p))),
         ("gen_swish a", Tensor([1.1]),
-         lambda p: ad.sum_all(act.gen_swish(p.tape.variable(base), p, 0.3))),
+         lambda p: ad.sum_all(act.gen_swish(base, p, 0.3))),
         ("gen_swish b", Tensor([0.3]),
-         lambda p: ad.sum_all(act.gen_swish(p.tape.variable(base), 1.1, p))),
+         lambda p: ad.sum_all(act.gen_swish(base, 1.1, p))),
         ("smooth_ash z_k", Tensor([0.25]),
-         lambda p: ad.sum_all(act.smooth_ash(p.tape.variable(base), p))),
+         lambda p: ad.sum_all(act.smooth_ash(base, p))),
         ("leaky_ash leak", Tensor([0.15]),
-         lambda p: ad.sum_all(act.leaky_ash(p.tape.variable(base), 0.2, p))),
+         lambda p: ad.sum_all(act.leaky_ash(base, 0.2, p))),
     ]
     for name, p0, f in param_cases:
         rep = ad.fd_check(f, p0)
@@ -241,7 +241,7 @@ def suite_hard_threshold_gradients() -> None:
     xx = Tensor(rng.normal(0.0, 1.0, 256))
 
     def f_z(zv):
-        return ad.sum_all(act.smooth_ash(zv.tape.variable(xx), z_k=zv))
+        return ad.sum_all(act.smooth_ash(xx, z_k=zv))
 
     rep = ad.fd_check(f_z, Tensor([0.1]))
     _check(float(np.max(np.abs(rep.analytic))) > 0.0, "smooth-form z_k grad is zero")

@@ -332,8 +332,7 @@ def softmax_xent(logits: Variable, targets) -> Variable:
 
 def mse(pred: Variable, target) -> Variable:
     """Mean squared error against a constant target."""
-    tgt = target if isinstance(target, Tensor) else Tensor(np.asarray(target, dtype=np.float64))
-    diff = ad.sub(pred, pred.tape.variable(tgt))
+    diff = ad.sub(pred, target)
     return ad.mean_all(ad.mul(diff, diff))
 
 

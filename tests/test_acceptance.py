@@ -4,7 +4,7 @@ Run with `pytest tests/test_acceptance.py -v` (or -s for the PASS
 lines); each test prints a one-line verdict when it completes.
 """
 
-import os
+from pathlib import Path
 
 import numpy as np
 
@@ -64,7 +64,7 @@ class TestC04SwishGeneralization:
                          "--seeds", "1", "--epochs", "25", "--out", out])
         assert code == 0
         rows = [l.split(",") for l in
-                open(os.path.join(out, "curves.csv")).read().splitlines()[1:]]
+                Path(out, "curves.csv").read_text().splitlines()[1:]]
         swish = [float(r[4]) for r in rows if r[1] == "swish"]
         gen = [float(r[4]) for r in rows if r[1] == "gen_swish_frozen"]
         assert len(swish) == len(gen) == 25
@@ -191,14 +191,14 @@ class TestC10ComparisonRun:
                              "--seeds", "5", "--epochs", "30", "--out", out])
             assert code == 0
         for name in ("curves.csv", "mean_curves.csv", "convergence.csv"):
-            a = open(os.path.join(outs[0], name)).read()
-            b = open(os.path.join(outs[1], name)).read()
+            a = Path(outs[0], name).read_text()
+            b = Path(outs[1], name).read_text()
             assert a == b, f"{name} not deterministic"
 
-        curves = open(os.path.join(outs[0], "curves.csv")).read().splitlines()
+        curves = Path(outs[0], "curves.csv").read_text().splitlines()
         assert curves[0] == "epoch,activation,seed,train_loss,val_loss,val_acc"
         assert len(curves) == 1 + 7 * 5 * 30
-        mean = open(os.path.join(outs[0], "mean_curves.csv")).read().splitlines()
+        mean = Path(outs[0], "mean_curves.csv").read_text().splitlines()
         assert mean[0] == "epoch,activation,mean_train_loss,mean_val_loss,mean_val_acc"
         assert len(mean) == 1 + 7 * 30
         for line in mean[1:]:
@@ -206,7 +206,7 @@ class TestC10ComparisonRun:
             assert cols[1] in self.ACTIVATIONS.split(",")
             float(cols[2]), float(cols[3]), float(cols[4])
 
-        conv = open(os.path.join(outs[0], "convergence.csv")).read().splitlines()
+        conv = Path(outs[0], "convergence.csv").read_text().splitlines()
         assert conv[0] == "activation,seed,status,cut,epochs_to_threshold"
         assert len(conv) == 1 + 7 * 5
         statuses = {line.split(",")[2] for line in conv[1:]}

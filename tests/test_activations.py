@@ -6,6 +6,7 @@ independently computed routes (brute-force statistics, the generalized
 form, finite differences).
 """
 
+import functools
 import itertools
 import json
 import tracemalloc
@@ -184,6 +185,31 @@ def test_tensor_and_variable_inputs_agree_bitwise(name):
     assert on_tensor.tobytes() == on_variable.tobytes()
 
 
+@pytest.mark.parametrize("call", [
+    lambda x, p: act.prelu(x, p),
+    lambda x, p: act.gen_swish(x, p, 0.3),
+    lambda x, p: act.conditional_unit(x, p, 0.1),
+    lambda x, p: act.smooth_ash(x, p),
+    lambda x, p: act.hard_ash(x, p),
+], ids=["prelu", "gen_swish", "conditional_unit", "smooth_ash", "hard_ash"])
+def test_tensor_input_records_on_the_parameter_tape(call):
+    # A Tensor x with a Variable parameter: the output is recorded on the
+    # parameter's tape, and the parameter grad has the bits it has when x
+    # is a Variable that needs no grad.
+    rng = np.random.default_rng(12)
+    x, g = Tensor(rng.normal(size=(4, 6))), Tensor(rng.normal(size=(4, 6)))
+
+    def param_grad(wrap):
+        tape = ad.Tape()
+        p = tape.variable(Tensor([0.3]), requires_grad=True)
+        out = call(tape.variable(x) if wrap else x, p)
+        assert isinstance(out, ad.Variable) and out.tape is tape
+        ad.backward(ad.sum_all(ad.mul(out, g)))
+        return out.value.data.tobytes(), p.grad.data.tobytes()
+
+    assert param_grad(False) == param_grad(True)
+
+
 @pytest.mark.parametrize("name", PRESET_NAMES)
 @pytest.mark.parametrize("value", [1.5, -1.5])
 def test_rank0_input_stays_rank0(name, value):
@@ -194,6 +220,10 @@ def test_rank0_input_stays_rank0(name, value):
     # bits of the one-element call.
     spec = act.preset(name)
     out = act.apply_spec(spec, Tensor(value))
+    assert out.shape == ()
+    assert out.data.tobytes() == act.apply_spec(spec, Tensor([value])).data.tobytes()
+    # The same parameters given as (1,) Tensors, not numbers, change nothing.
+    out = act.apply_spec(spec, Tensor(value), act.trainable_params(spec))
     assert out.shape == ()
     assert out.data.tobytes() == act.apply_spec(spec, Tensor([value])).data.tobytes()
 
@@ -412,12 +442,18 @@ class TestInPlaceAshBits:
             raise AssertionError("a forward-only call built a tape")
 
         x = Tensor(np.random.default_rng(4).normal(size=(8, 6)))
-        want = {name: act.apply_spec(act.preset(name), x).data
-                for name in ("ash", "l_ash", "f_ash_10")}
+        calls = {name: functools.partial(act.apply_spec, act.preset(name))
+                 for name in PRESET_NAMES}
+        calls.update(sigmoid=act.sigmoid, heaviside=act.heaviside,
+                     conditional_unit=functools.partial(act.conditional_unit, scale=1.5,
+                                                        threshold=0.2))
+        want = {name: call(x).data for name, call in calls.items()}
         monkeypatch.setattr(ad.Tape, "__init__", no_tape)
         monkeypatch.setattr(ad, "record", no_tape)
-        for name, data in want.items():
-            assert _bits(act.apply_spec(act.preset(name), x).data) == _bits(data)
+        for name, call in calls.items():
+            out = call(x)
+            assert isinstance(out, Tensor), name
+            assert _bits(out.data) == _bits(want[name]), name
 
     def test_no_grad_model_forward_records_nothing(self):
         layers = [nn.Dense(3, 8), nn.Activation(act.preset("ash")),

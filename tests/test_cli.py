@@ -4,6 +4,7 @@ import json
 import math
 import os
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -94,7 +95,7 @@ class TestTrainCommand:
         cfg = write_config(tmp_path, doc)
         out = str(tmp_path / "run")
         assert cli.main(["train", "--config", cfg, "--out", out]) == 0
-        assert open(os.path.join(out, "metrics.jsonl")).read() == ""
+        assert Path(out, "metrics.jsonl").read_text() == ""
 
     def test_journals_identical_modulo_wall_time(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -102,8 +103,8 @@ class TestTrainCommand:
         for out in outs:
             assert cli.main(["train", "--config", cfg, "--out", out]) == 0
         strip = lambda line: {k: v for k, v in json.loads(line).items() if k != "wall_ms"}
-        a = [strip(l) for l in open(os.path.join(outs[0], "metrics.jsonl"))]
-        b = [strip(l) for l in open(os.path.join(outs[1], "metrics.jsonl"))]
+        a, b = ([strip(l) for l in Path(out, "metrics.jsonl").read_text().splitlines()]
+                for out in outs)
         assert a == b and len(a) == 3
 
     def test_model_dump_written(self, tmp_path, capsys):
@@ -252,8 +253,9 @@ class TestTrainCommand:
         assert cli.main(["train", "--config", cfg, "--out", base]) == 0
         monkeypatch.setenv("ASHLAB_SEED", "123")
         assert cli.main(["train", "--config", cfg, "--out", alt]) == 0
-        a = [json.loads(l)["train_loss"] for l in open(os.path.join(base, "metrics.jsonl"))]
-        b = [json.loads(l)["train_loss"] for l in open(os.path.join(alt, "metrics.jsonl"))]
+        a, b = ([json.loads(l)["train_loss"]
+                 for l in Path(out, "metrics.jsonl").read_text().splitlines()]
+                for out in (base, alt))
         assert a != b
 
     def test_bad_env_seed_is_usage_error(self, tmp_path, capsys, monkeypatch):
@@ -287,7 +289,7 @@ class TestTrainCommand:
         cfg = write_config(tmp_path, doc, name="conv.json")
         out = str(tmp_path / "run")
         assert cli.main(["train", "--config", cfg, "--out", out]) == 0
-        recs = [json.loads(l) for l in open(os.path.join(out, "metrics.jsonl"))]
+        recs = [json.loads(l) for l in Path(out, "metrics.jsonl").read_text().splitlines()]
         assert len(recs) == 3 and all(np.isfinite(r["train_loss"]) for r in recs)
         params = journal.load_model_dump(os.path.join(out, "model.bin"))
         assert params["conv0.W"].shape == (9, 4)
@@ -300,7 +302,7 @@ class TestCompareCommand:
                          "--dataset", "two_moons(n=64,noise=0.1,seed=1)",
                          "--seeds", "1", "--epochs", "4", "--out", out])
         assert code == 0
-        lines = open(os.path.join(out, "curves.csv")).read().splitlines()
+        lines = Path(out, "curves.csv").read_text().splitlines()
         assert lines[0] == "epoch,activation,seed,train_loss,val_loss,val_acc"
         assert len(lines) == 1 + 4  # exactly `epochs` data rows
 
@@ -310,7 +312,7 @@ class TestCompareCommand:
                          "--dataset", "two_moons(n=96,noise=0.1,seed=2)",
                          "--seeds", "1", "--epochs", "6", "--out", out])
         assert code == 0
-        rows = [l.split(",") for l in open(os.path.join(out, "curves.csv")).read().splitlines()[1:]]
+        rows = [l.split(",") for l in Path(out, "curves.csv").read_text().splitlines()[1:]]
         swish = [float(r[4]) for r in rows if r[1] == "swish"]
         gen = [float(r[4]) for r in rows if r[1] == "gen_swish_frozen"]
         assert len(swish) == len(gen) == 6
@@ -323,7 +325,7 @@ class TestCompareCommand:
                          "--dataset", "two_moons(n=64,noise=0.1,seed=1)",
                          "--seeds", "2", "--epochs", "2", "--out", out])
         assert code == 0
-        rows = [l.split(",") for l in open(os.path.join(out, "curves.csv")).read().splitlines()[1:]]
+        rows = [l.split(",") for l in Path(out, "curves.csv").read_text().splitlines()[1:]]
         assert sorted({r[2] for r in rows}) == ["7", "8"]
 
     def test_unknown_activation_is_usage_error(self, tmp_path, capsys):

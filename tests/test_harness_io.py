@@ -4,6 +4,7 @@ import json
 import re
 import struct
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -261,7 +262,7 @@ class TestJournal:
         with journal.JournalWriter(path) as w:
             for r in self.make_records():
                 w.append(r)
-        raw = open(path).read()
+        raw = Path(path).read_text()
         assert raw.endswith("\n")
         lines = raw.splitlines()
         epochs = [json.loads(line)["epoch"] for line in lines]
@@ -290,7 +291,7 @@ class TestJournal:
         with journal.JournalWriter(path) as w:
             for r in records:
                 w.append(r)
-        full = open(path).read()
+        full = Path(path).read_text()
         with open(path, "w") as f:
             f.write(full[: len(full) - 20])  # a crash mid-append of epoch 2
         with pytest.warns(UserWarning, match="metrics.jsonl.*torn"):
@@ -302,7 +303,7 @@ class TestJournal:
         with journal.JournalWriter(path) as w:
             for r in records:
                 w.append(r)
-        full = open(path).read()
+        full = Path(path).read_text()
         with open(path, "w") as f:
             f.write(full.rstrip("\n"))
         assert journal.read_journal(path) == records
@@ -316,7 +317,7 @@ class TestJournal:
         path = str(tmp_path / "metrics.jsonl")
         with journal.JournalWriter(path) as w:
             w.append(self.make_records(1)[0])
-        line = json.loads(open(path).read())
+        line = json.loads(Path(path).read_text())
         line[key] = raw
         with open(path, "w") as f:
             f.write(json.dumps(line) + "\n")
@@ -343,7 +344,7 @@ class TestJournal:
         w = journal.JournalWriter(path)
         w.append(self.make_records(1)[0])
         # Before close, the line must already be on disk and parseable.
-        line = open(path).readline()
+        line = Path(path).read_text().splitlines()[0]
         assert json.loads(line)["epoch"] == 0
         w.close()
 
@@ -367,7 +368,7 @@ class TestModelDump:
     def test_header_is_little_endian(self, tmp_path):
         path = str(tmp_path / "model.bin")
         journal.save_model_dump(path, {"w": Tensor([1.0, 2.0])})
-        raw = open(path, "rb").read()
+        raw = Path(path).read_bytes()
         assert struct.unpack("<I", raw[:4])[0] == 1        # one parameter
         assert struct.unpack("<I", raw[4:8])[0] == 1       # name length
         assert raw[8:9] == b"w"
@@ -378,8 +379,8 @@ class TestModelDump:
     def test_truncated_dump_rejected(self, tmp_path):
         path = str(tmp_path / "model.bin")
         journal.save_model_dump(path, {"w": Tensor([1.0, 2.0])})
-        raw = open(path, "rb").read()
-        open(path, "wb").write(raw[:-5])
+        raw = Path(path).read_bytes()
+        Path(path).write_bytes(raw[:-5])
         with pytest.raises(ValueError, match="truncated"):
             journal.load_model_dump(path)
 
@@ -389,9 +390,9 @@ class TestModelDump:
         # last of them the float64 1.0 (00..F0 3F), which is not UTF-8.
         path = str(tmp_path / "model.bin")
         journal.save_model_dump(path, {"w": Tensor([1.0])})
-        raw = bytearray(open(path, "rb").read())
+        raw = bytearray(Path(path).read_bytes())
         raw[4:8] = struct.pack("<I", 100)
-        open(path, "wb").write(bytes(raw))
+        Path(path).write_bytes(bytes(raw))
         with pytest.raises(ValueError, match="truncated model dump"):
             journal.load_model_dump(path)
 
@@ -409,23 +410,23 @@ class TestComparisonCsvs:
 
     def test_headers_and_shapes(self, tmp_path):
         paths = compare.write_comparison(str(tmp_path), self.fake_results())
-        curves = open(paths["curves"]).read().splitlines()
+        curves = Path(paths["curves"]).read_text().splitlines()
         assert curves[0] == "epoch,activation,seed,train_loss,val_loss,val_acc"
         assert len(curves) == 1 + 6  # two ok runs x three epochs
-        mean = open(paths["mean_curves"]).read().splitlines()
+        mean = Path(paths["mean_curves"]).read_text().splitlines()
         assert mean[0] == "epoch,activation,mean_train_loss,mean_val_loss,mean_val_acc"
-        conv = open(paths["convergence"]).read().splitlines()
+        conv = Path(paths["convergence"]).read_text().splitlines()
         assert conv[0] == "activation,seed,status,cut,epochs_to_threshold"
 
     def test_failed_run_marked(self, tmp_path):
         paths = compare.write_comparison(str(tmp_path), self.fake_results())
-        rows = [line.split(",") for line in open(paths["convergence"]).read().splitlines()[1:]]
+        rows = [line.split(",") for line in Path(paths["convergence"]).read_text().splitlines()[1:]]
         failed = [r for r in rows if r[0] == "ash" and r[1] == "1"]
         assert failed and failed[0][2] == "failed"
 
     def test_relative_cut_uses_relu_best(self, tmp_path):
         paths = compare.write_comparison(str(tmp_path), self.fake_results())
-        rows = [line.split(",") for line in open(paths["convergence"]).read().splitlines()[1:]]
+        rows = [line.split(",") for line in Path(paths["convergence"]).read_text().splitlines()[1:]]
         relu_row = next(r for r in rows if r[0] == "relu")
         assert float(relu_row[3]) == pytest.approx(1.10 * 0.4)
         # relu first dips under 0.44 at epoch 2; ash (seed 0) at epoch 1
@@ -435,6 +436,6 @@ class TestComparisonCsvs:
 
     def test_absolute_cut_override(self, tmp_path):
         paths = compare.write_comparison(str(tmp_path), self.fake_results(), cut=0.45)
-        rows = [line.split(",") for line in open(paths["convergence"]).read().splitlines()[1:]]
+        rows = [line.split(",") for line in Path(paths["convergence"]).read_text().splitlines()[1:]]
         assert next(r for r in rows if r[0] == "relu")[4] == "2"
         assert next(r for r in rows if r[0] == "ash" and r[1] == "0")[4] == "1"
