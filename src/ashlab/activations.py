@@ -393,40 +393,39 @@ def _ash_op(x, z, alpha, leak, stats_mode: str, grad_mode: str, name: str):
                   *map(prods.get, ("leak", "z", "alpha")))
         blocks = (arrays,) if through and 0 in axes else _row_blocks(arrays)
         buf = np.empty((1 if need["x"] else 2, blocks[0][0].size))
-        with np.errstate(over="ignore", invalid="ignore"):
-            for x_b, g_b, s_b, u_b, mu_b, sig_b, raw_b, zb_b, gx_b, leak_b, z_pb, alpha_b \
-                    in blocks:
-                w = np.multiply(g_b, x_b, out=buf[0, :x_b.size].reshape(x_b.shape))
-                one_minus_s = np.subtract(1.0, s_b, out=buf[-1, :x_b.size].reshape(
-                    x_b.shape) if gx_b is None else gx_b)
-                if leak_b is not None:
-                    np.multiply(w, one_minus_s, out=leak_b)
-                if lval:
-                    w *= 1.0 - lval
-                w *= s_b
-                w *= one_minus_s
-                if z_pb is not None:
-                    np.multiply(sig_b, w, out=z_pb)
-                    z_pb *= -2.0 * aval
-                if alpha_b is not None:
-                    np.multiply(w, u_b, out=alpha_b)
-                if not need["x"]:
-                    continue
-                if through:
-                    a_sum = w.sum(axis=axes, keepdims=True)
-                    b_sum = np.multiply(w, zb_b, out=gx_b).sum(axis=axes, keepdims=True)
-                _times_gate(s_b, lval, g_b, gx_b)
+        for x_b, g_b, s_b, u_b, mu_b, sig_b, raw_b, zb_b, gx_b, leak_b, z_pb, alpha_b \
+                in blocks:
+            w = np.multiply(g_b, x_b, out=buf[0, :x_b.size].reshape(x_b.shape))
+            one_minus_s = np.subtract(1.0, s_b, out=buf[-1, :x_b.size].reshape(
+                x_b.shape) if gx_b is None else gx_b)
+            if leak_b is not None:
+                np.multiply(w, one_minus_s, out=leak_b)
+            if lval:
+                w *= 1.0 - lval
+            w *= s_b
+            w *= one_minus_s
+            if z_pb is not None:
+                np.multiply(sig_b, w, out=z_pb)
+                z_pb *= -2.0 * aval
+            if alpha_b is not None:
+                np.multiply(w, u_b, out=alpha_b)
+            if not need["x"]:
+                continue
+            if through:
+                a_sum = w.sum(axis=axes, keepdims=True)
+                b_sum = np.multiply(w, zb_b, out=gx_b).sum(axis=axes, keepdims=True)
+            _times_gate(s_b, lval, g_b, gx_b)
+            w *= 2.0 * aval
+            gx_b += w
+            if through:
+                gx_b -= 2.0 * aval * a_sum / n
+                floored = raw_b < st.SIGMA_FLOOR
+                chain = np.where(floored, 0.0,
+                                 b_sum / (n * np.where(floored, 1.0, raw_b)))
+                np.subtract(x_b, mu_b, out=w)  # centered
                 w *= 2.0 * aval
-                gx_b += w
-                if through:
-                    gx_b -= 2.0 * aval * a_sum / n
-                    floored = raw_b < st.SIGMA_FLOOR
-                    chain = np.where(floored, 0.0,
-                                     b_sum / (n * np.where(floored, 1.0, raw_b)))
-                    np.subtract(x_b, mu_b, out=w)  # centered
-                    w *= 2.0 * aval
-                    w *= chain
-                    gx_b -= w
+                w *= chain
+                gx_b -= w
         grads = {key: _reduce_to_param(p, shapes[key]) for key, p in prods.items()}
         if "alpha" in grads:
             grads["alpha"] /= aval

@@ -158,9 +158,9 @@ def value(v) -> Tensor:
 def record(tape: Tape, op: str, inputs: tuple, forward: Tensor, vjp) -> Variable:
     """Append one primitive application; returns the output Variable.
 
-    `inputs` are Variables on `tape` and constants. `vjp(g, needs)`
-    follows the module's record contract; it is kept only when some input
-    needs a grad.
+    `inputs` are Variables on `tape`, constants and None (an absent
+    operand). `vjp(g, needs)` follows the module's record contract; it is
+    kept only when some input needs a grad.
     """
     needs = []
     for v in inputs:
@@ -187,24 +187,29 @@ def emit(op: str, inputs: tuple, forward: Tensor, vjp) -> Variable | Tensor:
     return forward
 
 
-def backward(loss: Variable) -> None:
-    """Accumulate d(loss)/d(var) into every requires-grad Variable's grad."""
-    if loss.value.size != 1:
-        raise ValueError(f"loss must be scalar, got shape {loss.value.shape}")
+def backward(loss: Variable | Tensor) -> None:
+    """Accumulate d(loss)/d(var) into every requires-grad Variable's grad; a
+    constant loss reaches none. Overflow warns nothing: grads are checked on read."""
+    lv = value(loss)
+    if lv.size != 1:
+        raise ValueError(f"loss must be scalar, got shape {lv.shape}")
+    if not isinstance(loss, Variable):
+        return
     tape = loss.tape
-    adjoint: dict[int, np.ndarray] = {loss.node_id: np.ones(loss.value.shape)}
-    for out, ids, needs, vjp in reversed(tape._entries):
-        g = adjoint.pop(out, None)
-        if g is None:
-            continue
-        tape._accumulate(out, g)  # a recorded output always requires grad
-        for nid, need, contrib in zip(ids, needs, vjp(g, needs)):
-            if need and contrib is not None:
-                adjoint[nid] = adjoint[nid] + contrib if nid in adjoint else contrib
-    # Whatever remains belongs to leaves (Variables no entry produced).
-    for nid, g in adjoint.items():
-        if nid != loss.node_id or loss.requires_grad:
-            tape._accumulate(nid, g)
+    adjoint: dict[int, np.ndarray] = {loss.node_id: np.ones(lv.shape)}
+    with np.errstate(over="ignore", invalid="ignore"):
+        for out, ids, needs, vjp in reversed(tape._entries):
+            g = adjoint.pop(out, None)
+            if g is None:
+                continue
+            tape._accumulate(out, g)  # a recorded output always requires grad
+            for nid, need, contrib in zip(ids, needs, vjp(g, needs)):
+                if need and contrib is not None:
+                    adjoint[nid] = adjoint[nid] + contrib if nid in adjoint else contrib
+        # Whatever remains belongs to leaves (Variables no entry produced).
+        for nid, g in adjoint.items():
+            if nid != loss.node_id or loss.requires_grad:
+                tape._accumulate(nid, g)
 
 
 # ---------------------------------------------------------------------------
@@ -363,19 +368,16 @@ def mean_all(a) -> Variable | Tensor:
                 lambda g, needs: (np.broadcast_to(g.reshape(-1)[0] / n, shape),))
 
 
-def matmul_grads(g: np.ndarray, needs, ad: np.ndarray, bd: np.ndarray) -> tuple:
-    """Grads g @ bd.T and ad.T @ g of ad @ bd, where `needs` asks, in the ordered kernel."""
-    return (
+def matmul(a, b, bias=None) -> Variable | Tensor:
+    """a @ b, plus `bias` (n,) on every row of the (m, n) product, as one entry;
+    g @ b.T and a.T @ g run in the ordered kernel, the bias grad is g.sum(axis=0)."""
+    av, bv = value(a), value(b)
+    out = tensor.matmul(av, bv, None if bias is None else value(bias))
+    ad, bd = av.data, bv.data
+    return emit("matmul", (a, b, bias), out, lambda g, needs: (
         needs[0] and tensor._matmul_arrays(g, np.ascontiguousarray(bd.T)),
         needs[1] and tensor._matmul_arrays(np.ascontiguousarray(ad.T), g),
-    )
-
-
-def matmul(a, b) -> Variable | Tensor:
-    av, bv = value(a), value(b)
-    out = tensor.matmul(av, bv)
-    ad, bd = av.data, bv.data
-    return emit("matmul", (a, b), out, lambda g, needs: matmul_grads(g, needs, ad, bd))
+        needs[2] and g.sum(axis=0)))
 
 
 def reshape(a, shape) -> Variable | Tensor:

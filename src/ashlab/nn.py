@@ -1,10 +1,11 @@
 """Desk-scale neural networks: layers, losses, optimizers, training loop.
 
 Models are containers of layer specs plus a name -> Tensor parameter
-registry; every forward pass wraps the current parameters as Variables
-on a fresh tape (define-by-run). Training is single-threaded and fully
-deterministic for a given seed: weight init and data ordering draw from
-disjoint counter ranges of one seeded stream.
+registry. A trainable forward pass wraps the parameters as Variables on
+a fresh tape (define-by-run); any other runs on the Tensors and records
+nothing. Training is single-threaded and fully deterministic for a given
+seed: weight init and data ordering draw from disjoint counter ranges of
+one seeded stream.
 
 The model owns the parameter layout: one (name, slice, shape) row per
 parameter and one vector of lower bounds (-inf where a parameter has
@@ -23,7 +24,6 @@ import numpy as np
 
 from . import activations as act
 from . import autodiff as ad
-from . import tensor
 from .autodiff import Variable
 from .tensor import NonFiniteError, RngState, ShapeError, Tensor
 
@@ -126,25 +126,11 @@ def _init_layer_params(layer: Layer, name: str, rng: RngState) -> dict[str, Tens
 # Structured primitives used by the layers.
 # ---------------------------------------------------------------------------
 
-def dense(x: Variable, w: Variable, b: Variable) -> Variable:
-    """Affine map x @ w + b, (B, i) x (i, o) + (o,), as one tape record.
-
-    Bitwise equal to recording the matmul and the row-broadcast bias add
-    as two primitives, in value and in all three gradients.
-    """
-    if b.value.shape != (w.value.shape[-1],):
-        raise ShapeError(f"dense bias must be ({w.value.shape[-1]},), got {b.value.shape}")
-    out = tensor.matmul(x.value, w.value, b.value)
-    xd, wd = x.value.data, w.value.data
-    return ad.record(x.tape, "dense", (x, w, b), out, lambda g, needs: (
-        ad.matmul_grads(g, needs, xd, wd) + (needs[2] and g.sum(axis=0),)))
-
-
-def conv_patches(x: Variable, kh: int, kw: int) -> Variable:
+def conv_patches(x, kh: int, kw: int) -> Variable | Tensor:
     """im2col: (B, H, W, C) -> (B*OH*OW, kh*kw*C) sliding patches."""
-    if len(x.value.shape) != 4:
-        raise ShapeError(f"conv input must be rank-4 (B,H,W,C), got {x.value.shape}")
-    data = x.value.data
+    data = ad.value(x).data
+    if data.ndim != 4:
+        raise ShapeError(f"conv input must be rank-4 (B,H,W,C), got {data.shape}")
     b, h, w, c = data.shape
     oh, ow = h - kh + 1, w - kw + 1
     if oh < 1 or ow < 1:
@@ -162,34 +148,32 @@ def conv_patches(x: Variable, kh: int, kw: int) -> Variable:
             grad[:, dy:dy + oh, dx:dx + ow, :] += g[:, :, :, slot * c:(slot + 1) * c]
         return (grad,)
 
-    return ad.record(x.tape, "conv_patches", (x,), out, vjp)
+    return ad.emit("conv_patches", (x,), out, vjp)
 
 
-def _apply_layer(layer: Layer, name: str, x: Variable,
-                 pvars: dict[str, Variable]) -> Variable:
+def _apply_layer(layer: Layer, name: str, x, params: dict) -> Variable | Tensor:
+    shape = ad.value(x).shape
     if isinstance(layer, Dense):
-        if len(x.value.shape) != 2 or x.value.shape[1] != layer.in_dim:
-            raise ShapeError(f"expected (B, {layer.in_dim}), got {x.value.shape}")
-        return dense(x, pvars[f"{name}.W"], pvars[f"{name}.b"])
+        if len(shape) != 2 or shape[1] != layer.in_dim:
+            raise ShapeError(f"expected (B, {layer.in_dim}), got {shape}")
+        return ad.matmul(x, params[f"{name}.W"], params[f"{name}.b"])
     if isinstance(layer, Conv2d):
-        if len(x.value.shape) == 3 and layer.cin == 1:
+        if len(shape) == 3 and layer.cin == 1:
             # Channelless image stacks (e.g. IDX) get an implicit C=1 axis.
-            shape = x.value.shape
-            x = ad.reshape(x, (shape[0], shape[1], shape[2], 1))
-        if len(x.value.shape) != 4 or x.value.shape[3] != layer.cin:
-            raise ShapeError(f"expected (B,H,W,{layer.cin}), got {x.value.shape}")
-        b, h, w, _ = x.value.shape
-        oh, ow = h - layer.kh + 1, w - layer.kw + 1
-        patches = conv_patches(x, layer.kh, layer.kw)
-        pre = dense(patches, pvars[f"{name}.W"], pvars[f"{name}.b"])
-        return ad.reshape(pre, (b, oh, ow, layer.cout))
+            shape += (1,)
+            x = ad.reshape(x, shape)
+        if len(shape) != 4 or shape[3] != layer.cin:
+            raise ShapeError(f"expected (B,H,W,{layer.cin}), got {shape}")
+        b, h, w, _ = shape
+        pre = ad.matmul(conv_patches(x, layer.kh, layer.kw), params[f"{name}.W"],
+                        params[f"{name}.b"])
+        return ad.reshape(pre, (b, h - layer.kh + 1, w - layer.kw + 1, layer.cout))
     if isinstance(layer, Flatten):
-        shape = x.value.shape
         return ad.reshape(x, (shape[0], int(np.prod(shape[1:]))))
     if isinstance(layer, Activation):
         prefix = f"{name}."
-        params = {pn[len(prefix):]: v for pn, v in pvars.items() if pn.startswith(prefix)}
-        return act.apply_spec(layer.spec, x, params)
+        own = {pn[len(prefix):]: p for pn, p in params.items() if pn.startswith(prefix)}
+        return act.apply_spec(layer.spec, x, own)
     raise TypeError(f"unknown layer type {type(layer).__name__}")
 
 
@@ -245,20 +229,24 @@ class Model:
         for pname, sl, shape in self._layout:
             self.params[pname] = Tensor._wrap(w[sl].reshape(shape), finite=True)
 
-    def forward(self, batch: Tensor, trainable: bool = True) -> tuple[Variable, dict[str, Variable]]:
-        """Run the layers on a fresh tape; returns (output, param Variables)."""
-        tape = ad.Tape()
-        pvars = {name: tape.variable(t, requires_grad=trainable, name=name)
-                 for name, t in self.params.items()}
-        h = tape.variable(batch)
+    def forward(self, batch: Tensor, trainable: bool = True) -> tuple[Variable | Tensor, dict]:
+        """Run the layers on `batch`; returns (output, parameters). Trainable,
+        the parameters are requires-grad Variables on a fresh tape; otherwise
+        they are `params` itself, no tape is built and the output is a Tensor."""
+        params = self.params
+        if trainable:
+            tape = ad.Tape()
+            params = {name: tape.variable(t, requires_grad=True, name=name)
+                      for name, t in params.items()}
+        h = batch
         for layer, name in zip(self.layers, self.layer_names):
             try:
-                h = _apply_layer(layer, name, h, pvars)
+                h = _apply_layer(layer, name, h, params)
             except ShapeError as exc:  # name the layer: "act1: ..."
                 raise ShapeError(f"{name}: {exc}") from exc
             except NonFiniteError as exc:
                 raise DivergenceError(name) from exc
-        return h, pvars
+        return h, params
 
     def zk_snapshot(self) -> dict[str, list[float]]:
         """Current trainable-threshold values, keyed by layer name."""
@@ -292,7 +280,7 @@ def _targets(targets, n_rows: int, n_classes: int) -> np.ndarray:
     return arr
 
 
-def softmax_xent(logits: Variable, targets) -> Variable:
+def softmax_xent(logits, targets) -> Variable | Tensor:
     """Mean cross-entropy with log-sum-exp stabilization.
 
     Targets may be class indices (B,) or one-hot or soft rows (B, C). Bit
@@ -300,22 +288,24 @@ def softmax_xent(logits: Variable, targets) -> Variable:
     class indices build no one-hot: z*hot is z*0.0 with z (= z*1.0) at the
     labels, and the grad subtracts 1.0 there only (x - 0.0 == x).
     """
-    z = logits.value.data
+    z = ad.value(logits).data
     if z.ndim != 2:
-        raise ShapeError(f"logits must be (B, C), got {logits.value.shape}")
+        raise ShapeError(f"logits must be (B, C), got {z.shape}")
     b, c = z.shape
     y = _targets(targets, b, c)
     rows = np.arange(b)
-    ez = np.multiply(z, y if y.ndim == 2 else 0.0)  # z*hot, then the shifted exp
-    if y.ndim == 1:
-        ez[rows, y] = z[rows, y]
-    picked = float(ez.sum())
-    zmax = z.max(axis=1, keepdims=True)
-    np.subtract(z, zmax, out=ez)
-    np.exp(ez, out=ez)
-    se = ez.sum(axis=1, keepdims=True)
-    lse = zmax[:, 0] + np.log(se[:, 0])
-    out = Tensor._wrap(np.array([(lse.sum() - picked) / b]))
+    # Overflow is left to the loss's finiteness check to report.
+    with np.errstate(over="ignore", invalid="ignore"):
+        ez = np.multiply(z, y if y.ndim == 2 else 0.0)  # z*hot, then the shifted exp
+        if y.ndim == 1:
+            ez[rows, y] = z[rows, y]
+        picked = float(ez.sum())
+        zmax = z.max(axis=1, keepdims=True)
+        np.subtract(z, zmax, out=ez)
+        np.exp(ez, out=ez)
+        se = ez.sum(axis=1, keepdims=True)
+        lse = zmax[:, 0] + np.log(se[:, 0])
+        out = Tensor._wrap(np.array([(lse.sum() - picked) / b]))
 
     def vjp(g, needs):
         p = ez / se  # the softmax, formed only by a backward pass
@@ -327,24 +317,24 @@ def softmax_xent(logits: Variable, targets) -> Variable:
         p /= b
         return (p,)
 
-    return ad.record(logits.tape, "softmax_xent", (logits,), out, vjp)
+    return ad.emit("softmax_xent", (logits,), out, vjp)
 
 
-def mse(pred: Variable, target) -> Variable:
+def mse(pred, target) -> Variable | Tensor:
     """Mean squared error against a constant target."""
     diff = ad.sub(pred, target)
     return ad.mean_all(ad.mul(diff, diff))
 
 
-def loss_fn(kind: str, logits: Variable, targets) -> Variable:
+def loss_fn(kind: str, logits, targets) -> Variable | Tensor:
     """The `kind` loss; a non-finite loss raises DivergenceError("loss")."""
     try:
         if kind == "softmax_xent":
             return softmax_xent(logits, targets)
         if kind == "mse":
-            y = _targets(targets, *logits.value.shape[:2])
-            return mse(logits, y if y.ndim == 2 else
-                       np.equal.outer(y, np.arange(logits.value.shape[1])))
+            shape = ad.value(logits).shape
+            y = _targets(targets, *shape[:2])
+            return mse(logits, y if y.ndim == 2 else np.equal.outer(y, np.arange(shape[1])))
     except NonFiniteError as exc:
         raise DivergenceError("loss") from exc
     raise ValueError(f"unknown loss {kind!r}; expected one of {LOSS_KINDS}")
@@ -396,8 +386,9 @@ class SGD:
         self._v = 0.0
 
     def step(self, w: np.ndarray, g: np.ndarray) -> np.ndarray:
-        self._v = v = g + self.momentum * self._v
-        return w - self.lr * v
+        with np.errstate(over="ignore", invalid="ignore"):  # the model checks w
+            self._v = v = g + self.momentum * self._v
+            return w - self.lr * v
 
 
 class Adam:
@@ -421,9 +412,10 @@ class Adam:
         self.t += 1
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
-        self._m = m = self.beta1 * self._m + (1.0 - self.beta1) * g
-        self._v = v = self.beta2 * self._v + (1.0 - self.beta2) * g * g
-        return w - self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+        with np.errstate(over="ignore", invalid="ignore"):  # the model checks w
+            self._m = m = self.beta1 * self._m + (1.0 - self.beta1) * g
+            self._v = v = self.beta2 * self._v + (1.0 - self.beta2) * g * g
+            return w - self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
 
 
 def make_optimizer(spec: OptimizerSpec):
@@ -481,10 +473,10 @@ def evaluate(model: Model, x: Tensor, labels: np.ndarray, loss_kind: str = "soft
         yb = np.asarray(labels)[start:start + batch_size]
         try:
             logits, _ = model.forward(xb, trainable=False)
-            total += loss_fn(loss_kind, logits, yb).value.item() * xb.shape[0]
+            total += ad.value(loss_fn(loss_kind, logits, yb)).item() * xb.shape[0]
         except DivergenceError as exc:
             raise DivergenceError(exc.where, None, bi, "evaluation") from exc
-        correct += accuracy(logits.value, yb) * xb.shape[0]
+        correct += accuracy(logits, yb) * xb.shape[0]
     return total / n, correct / n
 
 
@@ -541,7 +533,7 @@ def train(model: Model, config: TrainConfig, dataset: tuple[Tensor, np.ndarray],
                 model._load(w)
             except DivergenceError as exc:
                 raise DivergenceError(exc.where, epoch, bi, "training") from exc
-            loss_sum += batch_loss.value.item() * idx.size
+            loss_sum += ad.value(batch_loss).item() * idx.size
 
         eval_idx = val_idx if val_idx.size else train_idx
         try:

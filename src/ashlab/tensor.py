@@ -65,6 +65,17 @@ def check_shape(dims) -> tuple[int, ...]:
     return dims
 
 
+def _checked(arr: np.ndarray, finite: bool = False) -> np.ndarray:
+    """`arr` made read-only, after the one shape and finiteness check of a
+    Tensor buffer (the scan skipped when `finite`)."""
+    if arr.ndim > MAX_RANK or arr.size == 0:
+        check_shape(arr.shape)  # raises the matching ShapeError
+    if not finite and not np.isfinite(arr).all():
+        raise NonFiniteError("tensor values must be finite (no NaN/Inf)")
+    arr.setflags(write=False)
+    return arr
+
+
 class Tensor:
     """Immutable dense array of float64 in row-major (C) order."""
 
@@ -72,14 +83,7 @@ class Tensor:
 
     def __init__(self, data, shape=None):
         arr = np.array(data, dtype=np.float64, order="C", copy=True)
-        if shape is not None:
-            arr = arr.reshape(check_shape(shape))
-        else:
-            check_shape(arr.shape)
-        if not np.all(np.isfinite(arr)):
-            raise NonFiniteError("tensor values must be finite (no NaN/Inf)")
-        arr.setflags(write=False)
-        self._data = arr
+        self._data = _checked(arr if shape is None else arr.reshape(check_shape(shape)))
 
     @classmethod
     def _wrap(cls, arr: np.ndarray, finite: bool = False) -> "Tensor":
@@ -88,14 +92,8 @@ class Tensor:
         # ascontiguousarray, which would turn a rank-0 array into shape (1,).
         # finite=True skips the scan of views and gathered rows of a Tensor's
         # buffer, which was checked when that Tensor was made.
-        arr = np.asarray(arr, dtype=np.float64, order="C")
-        if arr.ndim > MAX_RANK or arr.size == 0:
-            check_shape(arr.shape)  # raises the matching ShapeError
-        if not finite and not np.isfinite(arr).all():
-            raise NonFiniteError("tensor values must be finite (no NaN/Inf)")
-        arr.setflags(write=False)
         out = cls.__new__(cls)
-        out._data = arr
+        out._data = _checked(np.asarray(arr, dtype=np.float64, order="C"), finite)
         return out
 
     @property
@@ -258,16 +256,15 @@ def _matmul_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # order contract in the module docstring.
     m, k = a.shape
     _, n = b.shape
-    with np.errstate(over="ignore", invalid="ignore"):
-        if m * n == 1:
-            terms = np.empty(k + 1, dtype=np.float64)
-            terms[0] = 0.0
-            np.multiply(a[0], b[:, 0], out=terms[1:])
-            return np.add.accumulate(terms)[-1:].reshape(1, 1)
-        if n == 1:
-            return _matmul_arrays(b.T, a.T).T
-        kernel = _einsum if _EINSUM_ORDERED else _rank1_loop
-        return kernel(np.ascontiguousarray(a), np.ascontiguousarray(b))
+    if m * n == 1:
+        terms = np.empty(k + 1, dtype=np.float64)
+        terms[0] = 0.0
+        np.multiply(a[0], b[:, 0], out=terms[1:])
+        return np.add.accumulate(terms)[-1:].reshape(1, 1)
+    if n == 1:
+        return _matmul_arrays(b.T, a.T).T
+    kernel = _einsum if _EINSUM_ORDERED else _rank1_loop
+    return kernel(np.ascontiguousarray(a), np.ascontiguousarray(b))
 
 
 def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -282,9 +279,11 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
         raise ShapeError(f"inner dimensions disagree: {a.shape} x {b.shape}")
     if bias is not None and bias.shape != (b.shape[1],):
         raise ShapeError(f"bias must be ({b.shape[1]},), got {bias.shape}")
-    out = _matmul_arrays(a.data, b.data)
-    if bias is not None:
-        out += bias.data
+    # Overflow is left to the output's finiteness check to report.
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _matmul_arrays(a.data, b.data)
+        if bias is not None:
+            out += bias.data
     return Tensor._wrap(out)
 
 

@@ -173,7 +173,8 @@ class TestC09GaussianOutputDiagnostic:
         model = nn.Model([nn.Dense(256, 1)], seed=42)
         x = Tensor(np.random.default_rng(42).uniform(0.0, 1.0, size=(100_000, 256)))
         out, _ = model.forward(x, trainable=False)
-        rep = st.normality_report(out.value)
+        assert isinstance(out, Tensor)
+        rep = st.normality_report(out)
         assert abs(rep.skewness) < 0.2, f"skew {rep.skewness:.4f}"
         assert abs(rep.excess_kurtosis) < 0.3, f"exkurt {rep.excess_kurtosis:.4f}"
         report(f"C09 dense-output normality (skew {rep.skewness:+.3f}, "

@@ -73,13 +73,20 @@ class TestBackward:
         with pytest.raises(ValueError):
             backward(ad.mul(x, x))
 
+    def test_constant_loss_backward_is_a_no_op(self):
+        t = Tape()
+        x = t.variable(Tensor([1.0, 2.0]), requires_grad=True)
+        backward(ad.sum_all(Tensor([1.0, 2.0])))
+        assert len(t) == 0 and x._grad_array().tolist() == [0.0, 0.0]
+        with pytest.raises(ValueError, match="loss must be scalar"):
+            backward(Tensor([1.0, 2.0]))
+
     def test_fanout_accumulates(self):
         t = Tape()
         x = t.variable(Tensor([1.0, 1.0]), requires_grad=True)
         backward(ad.sum_all(ad.add(x, x)))
         assert np.array_equal(x.grad.data, np.full(2, 2.0))
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_tape_keeps_raw_grads_and_checks_on_read(self):
         # Finite forward (3.4e298), overflowing backward (2 * 1.7e308).
         t = Tape()

@@ -125,8 +125,6 @@ class TestTrainCommand:
         assert cli.main(["train", "--config", str(tmp_path / "none.json"),
                          "--out", str(tmp_path / "x")]) == 2
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_divergence_is_exit_3(self, tmp_path, capsys):
         doc = json.loads(json.dumps(CONFIG))
         doc["train"]["optimizer"] = {"kind": "sgd", "lr": 1e200}
@@ -135,8 +133,6 @@ class TestTrainCommand:
         assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "x")]) == 3
         assert "diverged" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_divergence_during_validation_is_exit_3(self, tmp_path, capsys):
         doc = json.loads(json.dumps(CONFIG))
         doc["model"]["layers"] = [

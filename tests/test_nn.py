@@ -103,8 +103,8 @@ class TestForward:
 
     @staticmethod
     def _matmul_then_bias(x, w, b):
-        # The two-record composition nn.dense replaces: ad.matmul, then a
-        # row-broadcast bias add.
+        # The two-record composition the bias operand of ad.matmul replaces:
+        # ad.matmul, then a row-broadcast bias add.
         h = ad.matmul(x, w)
         out = Tensor._wrap(h.value.data + b.value.data)
         return ad.record(x.tape, "add_bias", (h, b), out,
@@ -120,7 +120,7 @@ class TestForward:
         b = Tensor(rng.normal(size=4))
         up = Tensor(rng.normal(size=(3 * 4 * 2 if conv else 7, 4)))
         results = []
-        for affine in (nn.dense, self._matmul_then_bias):
+        for affine in (ad.matmul, self._matmul_then_bias):
             t = ad.Tape()
             xv, wv, bv = (t.variable(v, requires_grad=True) for v in (x, w, b))
             h = nn.conv_patches(xv, 2, 3) if conv else xv
@@ -129,6 +129,22 @@ class TestForward:
             results.append([out.value.data, xv.grad.data, wv.grad.data, bv.grad.data])
         for fused, reference in zip(*results):
             assert np.array_equal(fused.view(np.uint64), reference.view(np.uint64))
+
+    @pytest.mark.parametrize("layers", [
+        [nn.Conv2d(2, 2, 1, 3), nn.Activation(act.preset("relu")), nn.Flatten(),
+         nn.Dense(3 * 3 * 3, 2)],
+        mlp("ash") + [nn.Activation(act.preset("l_ash"))],
+    ], ids=["conv", "ash"])
+    def test_forward_without_grad_is_the_trainable_value_bitwise(self, layers):
+        model = nn.Model(layers, seed=3)
+        x = Tensor(np.random.default_rng(7).normal(
+            size=(5, 4, 4) if isinstance(layers[0], nn.Conv2d) else (5, 2)))
+        taped, pvars = model.forward(x)
+        plain, params = model.forward(x, trainable=False)
+        assert isinstance(taped, ad.Variable) and isinstance(plain, Tensor)
+        assert all(isinstance(v, ad.Variable) and v.requires_grad for v in pvars.values())
+        assert params is model.params
+        assert _bits(plain.data) == _bits(taped.value.data)
 
     def test_unique_parameter_names(self):
         model = nn.Model(mlp("ash"), seed=0)
@@ -230,7 +246,6 @@ class TestLosses:
         with pytest.raises(ValueError, match=r"class label -1 .* 2 classes"):
             nn.loss_fn(kind, logits, np.array([0, -1, 5]))
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_non_finite_loss_is_divergence_in_loss(self):
         logits = ad.Tape().variable(Tensor([[-1e308, 1e308]]))
         with pytest.raises(nn.DivergenceError) as err:
@@ -351,7 +366,6 @@ class TestOptimizers:
         ("sgd", 1e-3, _overflowing_grad_run, "dense0.W"),
         ("adam", 1e308, _saturated_bias_run, "dense0.b"),
     ], ids=["sgd-update", "sgd-grad", "adam-update"])
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_non_finite_update_is_public_divergence(self, kind, lr, run, where):
         model, data = run()
         before = dict(model.params)
@@ -407,7 +421,6 @@ class TestOptimizers:
             assert _bits(w) == b"".join(_bits(r) for r in ref.values()), f"step {t}"
 
     @pytest.mark.parametrize("kind", ["sgd", "adam"])
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_element_names_its_parameter(self, kind, monkeypatch):
         layers = [nn.Dense(2, 3), nn.Activation(act.preset("ash")), nn.Dense(3, 2)]
         # The vector: dense0.W at 0-5, dense0.b 6-8, act1.z_k 9, dense2.W 10-15, dense2.b 16-17.
@@ -608,7 +621,6 @@ class TestTrainLoop:
         assert len(recs) == 2 and recs[0].val_loss == recs[1].val_loss
         assert model.params == {}
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_divergence_reports_location(self):
         data = datasets.two_moons(64, 0.1, 6)
         model = nn.Model(mlp("relu"), seed=0)
@@ -620,8 +632,6 @@ class TestTrainLoop:
         assert err.value.where
         assert "epoch" in str(err.value) and "batch" in str(err.value)
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_divergence_during_validation_names_phase(self):
         data = datasets.two_moons(64, 0.1, 0)
         model = nn.Model(mlp("elu", widths=(2, 16, 2)), seed=0)
@@ -633,7 +643,19 @@ class TestTrainLoop:
         assert err.value.where == "dense2"
         assert "epoch" in str(err.value) and "validation" in str(err.value)
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("kind", nn.LOSS_KINDS)
+    def test_evaluate_builds_no_tape(self, kind, monkeypatch):
+        def no_tape(*args, **kwargs):
+            raise AssertionError("evaluate built a tape")
+
+        x, labels = datasets.two_moons(40, 0.1, 2)
+        model = nn.Model(mlp("ash"), seed=0)
+        want = nn.evaluate(model, x, labels, kind, batch_size=16)
+        monkeypatch.setattr(ad.Tape, "__init__", no_tape)
+        monkeypatch.setattr(ad.Variable, "__init__", no_tape)
+        monkeypatch.setattr(ad, "record", no_tape)
+        assert nn.evaluate(model, x, labels, kind, batch_size=16) == want
+
     def test_standalone_evaluate_divergence_is_public(self):
         model = nn.Model([nn.Dense(2, 2)], seed=0)
         model.params["dense0.W"] = Tensor(np.full((2, 2), 1e308))
@@ -644,7 +666,6 @@ class TestTrainLoop:
         assert err.value.phase == "evaluation"
         assert str(err.value) == "non-finite value at batch 1, in dense0 (evaluation)"
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_direct_forward_divergence_is_public(self):
         model = nn.Model([nn.Dense(2, 2), nn.Activation(act.preset("relu"))], seed=0)
         model.params["dense0.W"] = Tensor(np.full((2, 2), 1e308))
@@ -662,7 +683,6 @@ class TestTrainLoop:
             nn.train(model, cfg, data)
         assert str(err.value) == "non-finite value at epoch 0, batch 0, in dense0.W (training)"
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_loss_divergence_messages_are_pinned(self):
         model = nn.Model([nn.Dense(2, 2)], seed=0)
         model.params["dense0.W"] = Tensor([[-1e308, 1e308], [0.0, 0.0]])
@@ -739,6 +759,7 @@ class TestDenseLayerOutputsAreGaussianish:
         model = nn.Model([nn.Dense(256, 1)], seed=42)
         x = Tensor(np.random.default_rng(42).uniform(0, 1, size=(20_000, 256)))
         out, _ = model.forward(x, trainable=False)
-        rep = st.normality_report(out.value)
+        assert isinstance(out, Tensor)
+        rep = st.normality_report(out)
         assert abs(rep.skewness) < 0.2
         assert abs(rep.excess_kurtosis) < 0.3

@@ -293,6 +293,12 @@ class TestMatmul:
         with pytest.raises(ShapeError, match=r"bias must be \(96,\), got \(95,\)"):
             matmul(Tensor(a), Tensor(b), Tensor(bias[:95]))
 
+    def test_overflowing_bias_add_is_a_finiteness_error_not_a_warning(self):
+        # The product [[1e308, 1e308]] is finite; adding the bias overflows.
+        with pytest.raises(NonFiniteError):
+            matmul(Tensor([[1e308, 1.0]]), Tensor([[1.0, 1.0], [0.0, 0.0]]),
+                   Tensor([1e308, 0.0]))
+
     def test_dimension_mismatch(self):
         with pytest.raises(ShapeError):
             matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))
