@@ -2,7 +2,7 @@
 
 The adaptive family follows one derivation chain:
 
-  hard form        x            if x >= mu + z*sigma, else 0
+  hard form        x            if x - mu >= z*sigma, else 0
   step form        x * H(x - mu - z*sigma)
   smooth form      x * S(2*alpha*(x - mu - z*sigma))        (sigmoid gate)
   generalized      x * S(a*x + b)                            (swish at a=1, b=0)
@@ -257,19 +257,16 @@ def _reduce_to_param(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # Hard and step gates.
 # ---------------------------------------------------------------------------
 
-def hard_ash(x, z_k=0.0, stats: st.InputStats | None = None, stats_mode: str = "per-sample"):
-    """Keep x where x >= mu + z_k*sigma, zero the rest (boundary kept).
+def hard_ash(x, z_k=0.0, stats_mode: str = "per-sample"):
+    """Keep x where the margin (x - mu) - z_k*sigma is >= 0, zero the rest.
 
-    Statistics are grouped per stats_mode for Tensor and Variable input
-    alike; the pass-through elements carry gradient 1, and z_k, living
-    only inside the comparison, gets none. A Tensor input may instead
-    take the caller's precomputed `stats` (forward only).
+    The one keep rule of the family: a - b >= 0 holds exactly when a >= b,
+    so this keeps x - mu >= z_k*sigma (sigma floored at 1e-5), the set
+    `stats.gaussian_topk_mask` keeps of a flattened input. Statistics are
+    grouped per stats_mode; kept elements carry gradient 1, and z_k, only
+    inside the comparison, gets none.
     """
-    if stats is None or isinstance(x, Variable):
-        return _gate_op(x, z_k, stats_mode, keep_boundary=True, name="hard_ash")
-    data = ad.value(x).data
-    thr = stats.threshold(_scalar(z_k))
-    return Tensor._wrap(np.where(data >= thr, data, 0.0))
+    return _gate_op(x, z_k, stats_mode, keep_boundary=True, name="hard_ash")
 
 
 def heaviside_ash(x, z_k=0.0, stats_mode: str = "per-sample"):
@@ -304,7 +301,7 @@ def _gate_op(x, z_k, stats_mode: str, keep_boundary: bool, name: str):
 # fixed variants.
 # ---------------------------------------------------------------------------
 
-def _times_gate(s: np.ndarray, lval: float, y: np.ndarray, out=None) -> np.ndarray:
+def _times_gate(s: np.ndarray, lval: float, y: np.ndarray, out: np.ndarray) -> np.ndarray:
     """((1-leak)*s + leak) * y into `out` (which may be s). At leak 0 the
     gate is s: s >= +0, so 1.0*s and s + 0.0 change no bit and are skipped."""
     if not lval:
@@ -566,9 +563,6 @@ KINDS: dict[str, Kind] = {
                                         stats_mode=s.ash.stats_mode, grad_mode=s.ash.grad_mode)),
 }
 
-BASELINE_KINDS = ("relu", "lrelu", "prelu", "softplus", "elu", "selu", "gelu", "swish")
-
-
 # A field's Python type -> (the JSON values it takes, their description).
 _JSON_TYPES = {float: ((int, float), "a finite number"), int: (int, "an integer"),
                bool: (bool, "true or false"), str: (str, "a string")}
@@ -620,13 +614,6 @@ def spec_to_json(spec: ActivationSpec) -> dict:
         out.pop("per_channel_z", None)
         out.pop("channels", None)
     return out
-
-
-def baseline(kind: str, x, slope=0.01, elu_a=1.0):
-    """Apply one of the non-adaptive zoo activations by name."""
-    if kind not in BASELINE_KINDS:
-        raise ValueError(f"unknown baseline activation {kind!r}")
-    return KINDS[kind].apply(ActivationSpec(kind, slope=slope, elu_a=elu_a), x, {})
 
 
 def trainable_params(spec: ActivationSpec) -> dict[str, Tensor]:

@@ -33,13 +33,12 @@ class RunResult:
     error: str = ""
 
 
-def build_layers(activation: str, in_dim: int, n_classes: int,
-                 hidden: tuple[int, ...] = DEFAULT_HIDDEN) -> list[nn.Layer]:
-    """MLP with one activation after every hidden layer."""
+def build_layers(activation: str, in_dim: int, n_classes: int) -> list[nn.Layer]:
+    """MLP with one activation after each DEFAULT_HIDDEN layer."""
     spec = act.preset(activation)
     layers: list[nn.Layer] = []
     prev = in_dim
-    for width in hidden:
+    for width in DEFAULT_HIDDEN:
         layers.append(nn.Dense(prev, width))
         layers.append(nn.Activation(spec))
         prev = width
@@ -49,8 +48,7 @@ def build_layers(activation: str, in_dim: int, n_classes: int,
 
 def run_comparison(activations: list[str], dataset: tuple[Tensor, np.ndarray],
                    seeds: int | list[int], epochs: int, batch_size: int = 32,
-                   lr: float = 1e-3, val_split: float = 0.25,
-                   hidden: tuple[int, ...] = DEFAULT_HIDDEN) -> list[RunResult]:
+                   lr: float = 1e-3, val_split: float = 0.25) -> list[RunResult]:
     """One training run per (activation, seed); failed runs are kept, marked."""
     seed_list = list(range(seeds)) if isinstance(seeds, int) else list(seeds)
     if not seed_list:
@@ -61,7 +59,7 @@ def run_comparison(activations: list[str], dataset: tuple[Tensor, np.ndarray],
     results: list[RunResult] = []
     for name in activations:
         for seed in seed_list:
-            layers = build_layers(name, in_dim, n_classes, hidden)
+            layers = build_layers(name, in_dim, n_classes)
             model = nn.Model(layers, seed=seed)
             cfg = nn.TrainConfig(
                 epochs=epochs, batch_size=batch_size, seed=seed,

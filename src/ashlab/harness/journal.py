@@ -84,17 +84,16 @@ def read_journal(path: str) -> list[EpochRecord]:
 # ---------------------------------------------------------------------------
 
 def save_model_dump(path: str, params: dict[str, Tensor]) -> None:
+    """The count, per parameter its name length, name, rank and dims, then
+    every float64 buffer in order: one header pack, one buffer write."""
+    names = [name.encode("utf-8") for name in params]
+    shapes = [t.shape for t in params.values()]
+    header = struct.pack(
+        "<I" + "".join(f"I{len(b)}sI{len(s)}I" for b, s in zip(names, shapes)), len(params),
+        *(v for b, s in zip(names, shapes) for v in (len(b), b, len(s), *s)))
     with open(path, "wb") as f:
-        f.write(struct.pack("<I", len(params)))
-        for name, t in params.items():
-            blob = name.encode("utf-8")
-            f.write(struct.pack("<I", len(blob)))
-            f.write(blob)
-            f.write(struct.pack("<I", len(t.shape)))
-            for d in t.shape:
-                f.write(struct.pack("<I", d))
-        for t in params.values():
-            f.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
+        f.write(header)
+        f.writelines(np.ascontiguousarray(t.data, dtype="<f8") for t in params.values())
 
 
 def load_model_dump(path: str) -> dict[str, np.ndarray]:

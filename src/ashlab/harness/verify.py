@@ -275,9 +275,9 @@ def suite_sharpness_limit() -> None:
     delta = 0.01
     thr = stats.threshold(0.25)
     off_band = np.abs(x.data - thr) >= delta
+    hard = act.hard_ash(x, 0.25).data
     for alpha in (1.0, 10.0, 100.0, 1000.0):
         smooth = act.smooth_ash(x, z_k=0.25, alpha=alpha).data
-        hard = act.hard_ash(x, 0.25, stats=stats).data
         gate = 1.0 / (1.0 + np.exp(min(2.0 * alpha * delta, 700.0)))
         bound = np.abs(x.data) * gate * (1.0 + 1e-9) + 1e-12
         bad = off_band & (np.abs(smooth - hard) > bound)

@@ -264,17 +264,23 @@ class Model:
 
 def _targets(targets, n_rows: int, n_classes: int) -> np.ndarray:
     """Class indices as int64 (B,), or 2-D (one-hot or soft) rows as
-    float64 (B, C), checked against (n_rows, n_classes) logits."""
+    float64 (B, C), checked against (n_rows, n_classes) logits. A float
+    index must be finite and integral: the cast would read 0.9 as 0."""
     arr = targets.data if isinstance(targets, Tensor) else np.asarray(targets)
     if arr.ndim == 2:
         if arr.shape[1] != n_classes:
             raise ShapeError(f"one-hot targets have {arr.shape[1]} columns, logits {n_classes}")
         arr = np.asarray(arr, dtype=np.float64)
     else:
-        arr = np.asarray(arr, dtype=np.int64).reshape(-1)
+        arr = arr.reshape(-1)
+        if arr.dtype.kind == "f":
+            bad = arr[~np.isfinite(arr) | (np.trunc(arr) != arr)]
+            if bad.size:
+                raise ValueError(f"class label {bad[0]} is not an integer")
         bad = arr[(arr < 0) | (arr >= n_classes)]
         if bad.size:
             raise ValueError(f"class label {bad[0]} is out of range for {n_classes} classes")
+        arr = arr.astype(np.int64, copy=False)
     if arr.shape[0] != n_rows:
         raise ShapeError(f"{arr.shape[0]} targets for {n_rows} logits rows")
     return arr

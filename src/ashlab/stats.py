@@ -35,7 +35,9 @@ class InputStats:
     n: int
 
     def threshold(self, z: float) -> float:
-        """Keep-boundary mu + z * sigma, with sigma floored at 1e-5."""
+        """The boundary mu + z * sigma (sigma floored at 1e-5) as a number to
+        report. The keep rule is x - mu >= z * sigma (`gaussian_topk_mask`):
+        adding mu back can round the boundary to a neighbouring float."""
         return self.mu + z * max(self.sigma, SIGMA_FLOOR)
 
 
@@ -45,9 +47,6 @@ class SelectionMask:
 
     mask: np.ndarray
     kept: int
-
-    def indices(self) -> np.ndarray:
-        return np.flatnonzero(self.mask.reshape(-1))
 
 
 @dataclass(frozen=True)
@@ -137,12 +136,14 @@ def exact_topk_mask(x: Tensor, k: float) -> SelectionMask:
     return SelectionMask(mask=mask.reshape(x.shape), kept=m)
 
 
-def gaussian_topk_mask(x: Tensor, k: float, stats: InputStats | None = None) -> SelectionMask:
-    """Keep-set of the Gaussian threshold rule x >= mu + z_k * sigma."""
+def gaussian_topk_mask(x: Tensor, k: float) -> SelectionMask:
+    """Keep-set of the Gaussian rule x - mu >= z_k * sigma over the whole
+    array (sigma floored at 1e-5): the rule `activations.hard_ash` applies,
+    so the mask is hard_ash's keep set of the flattened input."""
     if not 0.0 < k < 100.0:
         raise ValueError(f"percentile must lie in (0, 100), got {k}")
-    st = stats if stats is not None else compute_stats(x)
-    mask = x.data >= st.threshold(z_from_percentile(k))
+    st = compute_stats(x)
+    mask = x.data - st.mu >= z_from_percentile(k) * max(st.sigma, SIGMA_FLOOR)
     return SelectionMask(mask=mask, kept=int(np.count_nonzero(mask)))
 
 

@@ -80,7 +80,7 @@ class TestC05SharpnessLimit:
         thr = stats.threshold(0.3)
         off_band = np.abs(x.data - thr) >= 0.01
         smooth = act.smooth_ash(x, z_k=0.3, alpha=1000.0).data
-        hard = act.hard_ash(x, 0.3, stats=stats).data
+        hard = act.hard_ash(x, 0.3).data
         worst = float(np.max(np.abs(smooth - hard)[off_band]))
         assert worst < 1e-3, f"off-band diff {worst:.2e}"
 

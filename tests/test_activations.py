@@ -87,7 +87,7 @@ class TestBaselines:
 
     def test_baseline_dispatch_unknown(self):
         with pytest.raises(ValueError):
-            act.baseline("mish", Tensor([1.0]))
+            act.preset("mish")
 
 
 class TestHeaviside:
@@ -159,11 +159,6 @@ class TestHardForm:
         x = Tensor(np.full((2, n), v))
         assert np.all(act.hard_ash(x, 0.0).data == v)
         assert np.all(act.heaviside_ash(x, 0.0).data == 0.0)
-
-    def test_explicit_stats_override(self):
-        x = Tensor([0.0, 1.0, 2.0])
-        out = act.hard_ash(x, 0.0, stats=st.InputStats(mu=1.5, sigma=0.0, n=3))
-        assert out.tolist() == [0.0, 0.0, 2.0]
 
     def test_trainable_z_gets_zero_grad(self):
         t = ad.Tape()
@@ -323,7 +318,7 @@ class TestSmoothForm:
         thr = stats.threshold(0.25)
         off_band = np.abs(x.data - thr) >= 0.01
         smooth = act.smooth_ash(x, z_k=0.25, alpha=1000.0).data
-        hard = act.hard_ash(x, 0.25, stats=stats).data
+        hard = act.hard_ash(x, 0.25).data
         assert np.max(np.abs(smooth - hard)[off_band]) < 1e-3
 
     def test_constant_input_uses_sigma_floor(self):

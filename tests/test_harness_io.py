@@ -375,6 +375,12 @@ class TestModelDump:
         assert struct.unpack("<I", raw[9:13])[0] == 1      # rank
         assert struct.unpack("<I", raw[13:17])[0] == 2     # dim
         np.testing.assert_array_equal(np.frombuffer(raw[17:], dtype="<f8"), [1.0, 2.0])
+        # A rank-0 and a rank-2 parameter: both headers come before both buffers.
+        journal.save_model_dump(path, {"s": Tensor(0.5), "m": Tensor([[1.0, 2.0, 3.0]])})
+        raw = Path(path).read_bytes()
+        assert raw[:30] == struct.pack("<II1sI", 2, 1, b"s", 0) + struct.pack(
+            "<I1sIII", 1, b"m", 2, 1, 3)
+        np.testing.assert_array_equal(np.frombuffer(raw[30:], dtype="<f8"), [0.5, 1.0, 2.0, 3.0])
 
     def test_truncated_dump_rejected(self, tmp_path):
         path = str(tmp_path / "model.bin")

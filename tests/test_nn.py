@@ -1,5 +1,6 @@
 """Layers, losses, optimizers, and the training loop."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -245,6 +246,20 @@ class TestLosses:
         logits = ad.Tape().variable(Tensor(np.zeros((3, 2))))
         with pytest.raises(ValueError, match=r"class label -1 .* 2 classes"):
             nn.loss_fn(kind, logits, np.array([0, -1, 5]))
+
+    @pytest.mark.parametrize("kind", nn.LOSS_KINDS)
+    @pytest.mark.parametrize("label", [0.9, 1.2, -0.5, np.nan, np.inf])
+    def test_non_integral_label_is_rejected_by_name(self, kind, label):
+        # A cast to int64 would read 0.9 as class 0 and NaN as -2**63.
+        logits = ad.Tape().variable(Tensor(np.zeros((2, 2))))
+        with pytest.raises(ValueError, match=re.escape(f"class label {label} is not an integer")):
+            nn.loss_fn(kind, logits, np.array([1.0, label]))
+
+    @pytest.mark.parametrize("kind", nn.LOSS_KINDS)
+    def test_integral_float_labels_match_int_labels_bitwise(self, kind):
+        z = Tensor(np.random.default_rng(4).normal(size=(3, 2)))
+        want = nn.loss_fn(kind, z, np.array([0, 1, 1])).item()
+        assert _bits(nn.loss_fn(kind, z, np.array([0.0, 1.0, 1.0])).item()) == _bits(want)
 
     def test_non_finite_loss_is_divergence_in_loss(self):
         logits = ad.Tape().variable(Tensor([[-1e308, 1e308]]))
@@ -705,6 +720,13 @@ class TestTrainLoop:
         assert not isinstance(err.value, nn.DivergenceError)
         with pytest.raises(ValueError, match=match):
             nn.evaluate(model, *data)
+
+    def test_fractional_label_is_not_trained_as_its_floor(self):
+        model = nn.Model([nn.Dense(2, 2)], seed=0)
+        data = (Tensor([[0.0, 1.0], [1.0, 0.0]]), np.array([0.5, 1.0]))
+        with pytest.raises(ValueError, match="class label 0.5 is not an integer") as err:
+            nn.train(model, nn.TrainConfig(epochs=1, batch_size=1), data)
+        assert not isinstance(err.value, nn.DivergenceError)
 
     @pytest.mark.parametrize("n,val_split", [(2, 0.75), (2, 0.9), (10, 0.96)])
     def test_empty_training_split_rejected_before_training(self, n, val_split):

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from ashlab import _normal
+from ashlab import activations as act
+from ashlab import autodiff as ad
 from ashlab import stats as st
 from ashlab.tensor import RngState, Tensor, randn, reduce
 
@@ -225,7 +227,7 @@ class TestExactTopK:
     def test_one_to_ten_k30(self):
         mask = st.exact_topk_mask(Tensor(np.arange(1.0, 11.0)), 30.0)
         assert mask.kept == 3
-        assert sorted(mask.indices().tolist()) == [7, 8, 9]
+        assert np.flatnonzero(mask.mask).tolist() == [7, 8, 9]
 
     def test_k100_keeps_all(self):
         x = Tensor(np.random.default_rng(0).normal(size=57))
@@ -235,7 +237,7 @@ class TestExactTopK:
     def test_tie_break_low_index_first(self):
         mask = st.exact_topk_mask(Tensor([5.0, 5.0, 5.0, 5.0]), 50.0)
         assert mask.kept == 2
-        assert mask.indices().tolist() == [0, 1]
+        assert np.flatnonzero(mask.mask).tolist() == [0, 1]
 
     def test_matches_sort_oracle_with_ties(self):
         rng = np.random.default_rng(1312)
@@ -326,6 +328,39 @@ class TestGaussianVsExact:
         for c in (1e-3, 0.5, 42.0):
             scaled = st.gaussian_topk_mask(Tensor(c * x), 40.0).mask
             assert np.array_equal(base, scaled)
+
+
+def _hard_ash_keep(data: np.ndarray, z: float) -> np.ndarray:
+    """hard_ash's keep set of the flattened input: where its x grad is 1."""
+    xv = ad.Tape().variable(Tensor(data.reshape(-1)), requires_grad=True)
+    ad.backward(ad.sum_all(act.hard_ash(xv, z)))
+    return (xv.grad.data == 1.0).reshape(data.shape)
+
+
+class TestOneKeepRule:
+    def test_gaussian_mask_is_hard_ash_keep_set_on_the_boundary(self):
+        # Each threshold is placed on an element: z = (x_i - mu)/sigma, and
+        # its float neighbours, read back through k. A nonzero mean makes
+        # mu + z*sigma round off the element, where x >= mu + z*sigma and
+        # x - mu >= z*sigma disagree.
+        rng = np.random.default_rng(1919)
+        checked = 0
+        for loc, scale, shape in [(3.0, 1.0, (200,)), (-50.0, 7.0, (4, 25)),
+                                  (0.1, 1e-3, (10, 3, 5)), (1e4, 2.0, (64,))]:
+            data = rng.normal(loc, scale, size=shape)
+            s = st.compute_stats(Tensor(data))
+            for xi in rng.choice(data.reshape(-1), size=20, replace=False):
+                z0 = (xi - s.mu) / s.sigma
+                for z in (np.nextafter(z0, -np.inf), z0, np.nextafter(z0, np.inf)):
+                    k = st.percentile_from_z(float(z))
+                    if not 0.0 < k < 100.0:
+                        continue
+                    mask = st.gaussian_topk_mask(Tensor(data), k)
+                    keep = _hard_ash_keep(data, st.z_from_percentile(k))
+                    assert np.array_equal(mask.mask, keep), f"loc={loc}, z={z!r}"
+                    assert mask.kept == int(np.count_nonzero(keep))
+                    checked += 1
+        assert checked >= 200
 
 
 class TestNormality:
