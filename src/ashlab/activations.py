@@ -31,7 +31,7 @@ import numpy as np
 from . import autodiff as ad
 from . import stats as st
 from .autodiff import Variable
-from .tensor import ShapeError, Tensor, _row_blocks, moments
+from .tensor import ShapeError, Tensor, _row_blocks, _row_step, _TreeSum, moments
 
 SELU_LAMBDA = 1.0507009873554805
 SELU_ALPHA = 1.6732632423543772
@@ -246,11 +246,29 @@ def _broadcast_z(z, x_shape: tuple[int, ...]) -> np.ndarray:
         f"{zval.shape} for input {x_shape}")
 
 
-def _reduce_to_param(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    if int(np.prod(shape)) == 1:
-        return np.sum(g).reshape(shape)
-    # Channel vector: sum over every leading axis.
-    return g.reshape(-1, shape[0]).sum(axis=0)
+class _ChannelSum:
+    """A channel vector's grad: its per-element products summed down axis 0
+    of their (-1, C) view, taken block by block in order, row by row as
+    numpy's axis-0 reduce sums them. The running sum, which starts as -0.0
+    and so adds to no bit, is the first row of each block's reduce. A
+    block of a rank-1 input is a piece of its one row."""
+
+    def __init__(self, channels: int, block: int):
+        self.acc = np.full(channels, -0.0)
+        self.rows = np.empty(channels + block)
+        self.pos = 0
+
+    def add(self, values: np.ndarray) -> None:
+        cols = min(values.size, self.acc.size)
+        col = self.pos % self.acc.size
+        self.pos += values.size
+        rows = self.rows[:cols + values.size].reshape(-1, cols)
+        rows[0] = self.acc[col:col + cols]
+        rows[1:] = values.reshape(-1, cols)
+        np.add.reduce(rows, axis=0, out=self.acc[col:col + cols])
+
+    def total(self) -> np.ndarray:
+        return self.acc
 
 
 # ---------------------------------------------------------------------------
@@ -289,8 +307,7 @@ def _gate_op(x, z_k, stats_mode: str, keep_boundary: bool, name: str):
     for margin, zsig, x_b, mask_b in _row_blocks((centered, z_b * sigma, data, mask)):
         np.subtract(margin, zsig, out=margin)
         keep(margin, 0.0, out=mask_b)
-        margin.fill(0.0)
-        np.copyto(margin, x_b, where=mask_b)
+        margin[...] = np.where(mask_b, x_b, 0.0)
     # The threshold lives inside the comparison only: its slot is None.
     return ad.emit(name, (x, z_k), Tensor._wrap(centered),
                    lambda g, needs: (needs[0] and g * mask, None))
@@ -339,8 +356,10 @@ def _ash_op(x, z, alpha, leak, stats_mode: str, grad_mode: str, name: str):
     After the whole-array `moments`, both passes run in row blocks
     (`tensor._row_blocks`); the backward is one block if a through-stats
     group spans axis 0. A block's steps are elementwise or group sums, so
-    no bit moves; the z, leak and alpha grads, which sum the whole array,
-    are written to full-size buffers and each reduced once.
+    no bit moves. The z, leak and alpha grads sum the whole array: each
+    block's products go to a block scratch and on into a `tensor._TreeSum`
+    (a scalar) or a `_ChannelSum`, which keep the bits of the one
+    full-size sum.
     """
     if grad_mode not in GRAD_MODES:
         raise ValueError(f"grad_mode must be one of {GRAD_MODES}, got {grad_mode!r}")
@@ -379,33 +398,41 @@ def _ash_op(x, z, alpha, leak, stats_mode: str, grad_mode: str, name: str):
 
     def vjp(g, needs):
         need = dict(zip(("x", *shapes), needs))
-        # Products before gx: after it they top the heap beside the scratch, are
-        # trimmed with it on return and fault again (a loop of 1024 x 128
-        # forward+backward calls took 1984 faults a call that way, 1760 so).
-        prods = {key: np.empty_like(data) for key in shapes if need[key]}
+        whole = through and 0 in axes
+        step = 0 if whole else _row_step(data)
+        size = step * (data.size // len(data)) if step else data.size
+        # A scalar's products are summed as np.sum sums the whole array. Every
+        # parameter's products share one block scratch, made before gx, where
+        # the full-size products were: made after it, it changed the heap
+        # layout enough that perfbench's in-process host probe on mlp_wide ran
+        # in about 1.3 ms instead of 2.0, so its scaled rates read 25% low at
+        # unchanged raw speed.
+        sums = {key: _TreeSum(data.size) if np.prod(shapes[key]) == 1
+                else _ChannelSum(shapes[key][0], size) for key in shapes if need[key]}
+        prod_buf = np.empty(size) if sums else None
         # gx also holds 1 - s and b_sum's product; with no x grad, 1 - s takes
         # a second row of the block scratch, which every block shares.
         gx = np.empty_like(data) if need["x"] else None
-        arrays = (data, g, s, u, mu, sigma, sigma_raw, z_b, gx,
-                  *map(prods.get, ("leak", "z", "alpha")))
-        blocks = (arrays,) if through and 0 in axes else _row_blocks(arrays)
-        buf = np.empty((1 if need["x"] else 2, blocks[0][0].size))
-        for x_b, g_b, s_b, u_b, mu_b, sig_b, raw_b, zb_b, gx_b, leak_b, z_pb, alpha_b \
-                in blocks:
+        arrays = (data, g, s, u, mu, sigma, sigma_raw, z_b, gx)
+        blocks = (arrays,) if whole else _row_blocks(arrays)
+        buf = np.empty((1 if need["x"] else 2, size))
+        for x_b, g_b, s_b, u_b, mu_b, sig_b, raw_b, zb_b, gx_b in blocks:
             w = np.multiply(g_b, x_b, out=buf[0, :x_b.size].reshape(x_b.shape))
+            prod = None if prod_buf is None else prod_buf[:x_b.size].reshape(x_b.shape)
             one_minus_s = np.subtract(1.0, s_b, out=buf[-1, :x_b.size].reshape(
                 x_b.shape) if gx_b is None else gx_b)
-            if leak_b is not None:
-                np.multiply(w, one_minus_s, out=leak_b)
+            if "leak" in sums:
+                sums["leak"].add(np.multiply(w, one_minus_s, out=prod))
             if lval:
                 w *= 1.0 - lval
             w *= s_b
             w *= one_minus_s
-            if z_pb is not None:
-                np.multiply(sig_b, w, out=z_pb)
-                z_pb *= -2.0 * aval
-            if alpha_b is not None:
-                np.multiply(w, u_b, out=alpha_b)
+            if "z" in sums:
+                np.multiply(sig_b, w, out=prod)
+                prod *= -2.0 * aval
+                sums["z"].add(prod)
+            if "alpha" in sums:
+                sums["alpha"].add(np.multiply(w, u_b, out=prod))
             if not need["x"]:
                 continue
             if through:
@@ -423,7 +450,7 @@ def _ash_op(x, z, alpha, leak, stats_mode: str, grad_mode: str, name: str):
                 w *= 2.0 * aval
                 w *= chain
                 gx_b -= w
-        grads = {key: _reduce_to_param(p, shapes[key]) for key, p in prods.items()}
+        grads = {key: np.full(shapes[key], p.total()) for key, p in sums.items()}
         if "alpha" in grads:
             grads["alpha"] /= aval
         return (gx, *map(grads.get, shapes))

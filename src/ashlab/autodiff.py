@@ -304,7 +304,8 @@ def stable_sigmoid(u: np.ndarray, out: np.ndarray | None = None,
     size that the call allocates. Both are arrays even for a rank-0 u, for
     which a ufunc without `out` returns a numpy scalar.
     """
-    t = np.copysign(u, -1.0, out=np.empty_like(u) if scratch is None else scratch)  # -|u|
+    t = np.abs(u, out=np.empty_like(u) if scratch is None else scratch)
+    np.negative(t, out=t)  # -|u|, the bits of copysign(u, -1) in SIMD loops
     np.exp(t, out=t)
     t += 1.0
     s = np.minimum(u, 0.0, out=np.empty_like(u) if out is None else out)

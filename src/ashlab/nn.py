@@ -347,8 +347,13 @@ def loss_fn(kind: str, logits, targets) -> Variable | Tensor:
 
 
 def accuracy(logits: Tensor, labels: np.ndarray) -> float:
-    pred = np.argmax(logits.data, axis=1)
-    return float(np.mean(pred == np.asarray(labels).reshape(-1)))
+    """Fraction of rows whose argmax is the label, checked as the losses
+    check it; a (B, C) one-hot or soft target's label is its row's argmax."""
+    z = logits.data
+    y = _targets(labels, *z.shape)
+    if y.ndim == 2:
+        y = np.argmax(y, axis=1)
+    return float(np.mean(np.argmax(z, axis=1) == y))
 
 
 # ---------------------------------------------------------------------------

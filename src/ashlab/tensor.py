@@ -18,7 +18,11 @@ without `optimize` (which could hand it to BLAS), in one C call:
   * n == 1 would make k the inner loop, which einsum sums with several
     accumulators, so (5, 300, 1) already gets different bits. Such a
     product runs as (b.T @ a.T).T: multiplication commutes exactly, so
-    every element has the same products in the same order.
+    every element has the same products in the same order. Narrow, tall
+    outputs (n <= 4 < m) run the same way, decided from the shapes alone:
+    a short inner j loop is slow (21632x9 @ 9x4 took 1.5x as long on a
+    2-core x86-64). The result is copied back to C order, which the grads
+    summed down axis 0 rely on.
   * m*n == 1 is one np.add.accumulate over [0.0, products], sequential
     by definition.
   * Operands are made C-contiguous first: a Fortran-ordered or
@@ -261,8 +265,8 @@ def _matmul_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         terms[0] = 0.0
         np.multiply(a[0], b[:, 0], out=terms[1:])
         return np.add.accumulate(terms)[-1:].reshape(1, 1)
-    if n == 1:
-        return _matmul_arrays(b.T, a.T).T
+    if n == 1 or n <= 4 < m:
+        return np.ascontiguousarray(_matmul_arrays(b.T, a.T).T)
     kernel = _einsum if _EINSUM_ORDERED else _rank1_loop
     return kernel(np.ascontiguousarray(a), np.ascontiguousarray(b))
 
@@ -339,34 +343,93 @@ _BLOCK_ELEMS = 1 << 15
 _WHOLE_ELEMS = 1 << 17
 
 
+def _row_step(lead: np.ndarray, whole_elems: int | None = None) -> int:
+    """Rows per block of the walk down axis 0 of `lead`; 0 up to
+    `whole_elems` (default _WHOLE_ELEMS) elements, which run as one block."""
+    if lead.size <= (_WHOLE_ELEMS if whole_elems is None else whole_elems):
+        return 0
+    return max(1, _BLOCK_ELEMS * lead.shape[0] // lead.size)
+
+
 def _row_blocks(arrays: tuple, whole_elems: int | None = None):
     """The blocks, in order, of a walk down axis 0 of arrays[0]: per entry,
     the block's rows of an array with arrays[0]'s rank and row count, else
     the entry as it is (a broadcasting array, or None). Up to `whole_elems`
     (default _WHOLE_ELEMS) elements, the one block is `arrays` itself."""
     lead = arrays[0]
-    if lead.size <= (_WHOLE_ELEMS if whole_elems is None else whole_elems):
+    step = _row_step(lead, whole_elems)
+    if not step:
         return (arrays,)
     rows, ndim = lead.shape[0], lead.ndim
-    step = max(1, _BLOCK_ELEMS * rows // lead.size)
     cut = [getattr(a, "ndim", -1) == ndim and a.shape[0] == rows for a in arrays]
     return [tuple(a[i:i + step] if c else a for a, c in zip(arrays, cut))
             for i in range(0, rows, step)]
+
+
+class _TreeSum:
+    """np.add.reduce of a run of `length` values, bit for bit, taken in order
+    block by block (`add`) and holding at most one leaf of them.
+
+    numpy sums a contiguous run pairwise: a run of more than 128 elements
+    is cut at n//2 rounded down to a multiple of 8, and the two halves'
+    sums are added. Every node of that tree is a run numpy sums the same
+    way on its own. So the run is cut as numpy cuts it, down to `leaves` of
+    at most _BLOCK_ELEMS elements. A leaf is reduced whole as soon as its
+    values are in: from the block that holds all of it, else from the one
+    leaf buffer its pieces are copied into. `total` adds the leaves' sums
+    back up the same tree.
+    """
+
+    def __init__(self, length: int):
+        # numpy sums a run of up to 128 elements without cutting it, so no
+        # leaf may be shorter.
+        self._leaf = max(_BLOCK_ELEMS, 128)
+        self._length = length
+        self.leaves = self._tree(0, length, lambda a, b: [(a, b)])
+        self._sums = []
+        self._part = None
+        self._fill = 0
+
+    def _tree(self, a: int, b: int, leaf):
+        """Run [a, b) folded as numpy sums it: leaf(a, b) for a leaf, else
+        the left half's result + the right half's."""
+        if b - a <= self._leaf:
+            return leaf(a, b)
+        half = (b - a) // 2
+        half -= half % 8
+        return self._tree(a, a + half, leaf) + self._tree(a + half, b, leaf)
+
+    def add(self, values: np.ndarray) -> None:
+        """Take the next values.size values of the run, a C-contiguous array."""
+        values, i = values.reshape(-1), 0
+        while i < values.size:
+            a, b = self.leaves[len(self._sums)]
+            take = min(b - a - self._fill, values.size - i)
+            piece = values[i:i + take]
+            i += take
+            if take < b - a:  # the leaf spans blocks: gather it in the buffer
+                if self._part is None:
+                    self._part = np.empty(min(self._length, self._leaf))
+                self._part[self._fill:self._fill + take] = piece
+                self._fill += take
+                if self._fill < b - a:
+                    continue
+                piece, self._fill = self._part[:b - a], 0
+            self._sums.append(np.add.reduce(piece))
+
+    def total(self) -> float:
+        """The sum of the whole run, once every value was added."""
+        sums = iter(self._sums)
+        return self._tree(0, self._length, lambda a, b: next(sums))
 
 
 def _sum_squares(groups: np.ndarray) -> np.ndarray:
     """np.add.reduce(groups * groups, axis=1) of a C-contiguous (G, L) array,
     bit for bit, squared into one scratch of one leaf (_BLOCK_ELEMS).
 
-    numpy sums a contiguous run pairwise: a run of more than 128 elements
-    is cut at n//2 rounded down to a multiple of 8, and the two halves'
-    sums are added. Every node of that tree is thus a run numpy sums the
-    same way on its own. Runs of up to one leaf (_BLOCK_ELEMS) are reduced
-    whole, in blocks of rows; a longer run is cut as numpy cuts it, down to
-    leaves, and the leaves' sums are added back up the same tree.
+    Rows of up to one leaf are reduced whole, in blocks of rows; a longer
+    row goes leaf by leaf through a `_TreeSum`.
     """
-    # numpy sums a run of up to 128 elements without cutting it, so no leaf
-    # may be shorter.
     leaf = max(_BLOCK_ELEMS, 128)
     rows, length = groups.shape
     sq = np.empty(min(groups.size, leaf))
@@ -378,16 +441,11 @@ def _sum_squares(groups: np.ndarray) -> np.ndarray:
             square = np.multiply(block, block, out=sq[:block.size].reshape(block.shape))
             np.add.reduce(square, axis=1, out=out[i:i + step])
         return out
-
-    def tree(run, a, b):
-        if b - a <= leaf:
-            return np.add.reduce(np.multiply(run[a:b], run[a:b], out=sq[:b - a]))
-        half = (b - a) // 2
-        half -= half % 8
-        return tree(run, a, a + half) + tree(run, a + half, b)
-
-    for g in range(rows):
-        out[g] = tree(groups[g], 0, length)
+    for g, run in enumerate(groups):
+        tree = _TreeSum(length)
+        for a, b in tree.leaves:
+            tree.add(np.multiply(run[a:b], run[a:b], out=sq[:b - a]))
+        out[g] = tree.total()
     return out
 
 

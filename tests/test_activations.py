@@ -385,6 +385,20 @@ class TestInPlaceAshBits:
         assert ad.stable_sigmoid(buf, out=buf) is buf
         assert _bits(buf) == want
 
+    def test_sigmoid_keeps_the_copysign_bits_on_every_float(self):
+        # -|u| as abs then negative: the bits of copysign(u, -1), NaN payloads
+        # and signs, infinities and subnormals included.
+        bits = np.random.default_rng(5).integers(0, 2**64, size=1 << 16, dtype=np.uint64)
+        nans = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+                         0xFFF4000000000123, 0x7FF0000000000000, 0xFFF0000000000000],
+                        dtype=np.uint64)
+        u = np.concatenate([self.SPECIAL, np.concatenate([bits, nans]).view(np.float64)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            t = np.copysign(u, -1.0)
+            want = np.exp(np.minimum(u, 0.0)) / (1.0 + np.exp(t))
+            got = ad.stable_sigmoid(u)
+        assert _bits(got) == _bits(want)
+
     @pytest.mark.parametrize("grad_mode", act.GRAD_MODES)
     @pytest.mark.parametrize("shape,stats_mode", [
         ((23,), "per-sample"), ((6, 5), "per-sample"), ((2, 3, 4, 5), "per-sample"),
@@ -581,6 +595,21 @@ class TestInPlaceGate:
             assert _bits(gate(Tensor(x), z, stats_mode=stats_mode).data) == _bits(want)
             assert _bits(gate(x, z, stats_mode=stats_mode).data) == _bits(want)
 
+    @pytest.mark.parametrize("gate,keep_boundary", [(act.hard_ash, True),
+                                                    (act.heaviside_ash, False)])
+    def test_kept_negative_zero_stays_negative_zero(self, monkeypatch, gate, keep_boundary):
+        # Each row's mean is below zero, so its -0.0 entries are kept as x.
+        rng = np.random.default_rng(12)
+        x = -np.abs(rng.normal(size=(9, 40))) - 0.5
+        x[:, ::3] = -0.0
+        want, mask = _gate_reference(x, 0.2, (1,), keep_boundary)
+        assert mask[:, ::3].all() and np.signbit(want[:, ::3]).all()
+        assert not mask.all()
+        for whole, block in ((1 << 62, 1 << 15), (0, 80), (0, 1)):
+            monkeypatch.setattr(tensor, "_WHOLE_ELEMS", whole)
+            monkeypatch.setattr(tensor, "_BLOCK_ELEMS", block)
+            assert _bits(gate(Tensor(x), 0.2).data) == _bits(want)
+
     @pytest.mark.parametrize("gate", [act.hard_ash, act.heaviside_ash])
     def test_forward_allocates_at_most_two_and_a_quarter_inputs(self, gate):
         # Tooling, not timing: the peak of traced allocations of one forward.
@@ -695,6 +724,56 @@ class TestRowBlocks:
             else:
                 assert sum(len(b[0]) for b in walk) == shape[0]
                 assert max(b[0].size for b in walk) <= tensor._BLOCK_ELEMS
+
+    @pytest.mark.parametrize("grad_mode", act.GRAD_MODES)
+    @pytest.mark.parametrize("shape", [(100, 3000), (7, 40000)])
+    def test_walked_param_grads_match_full_size_sums(self, monkeypatch, shape, grad_mode):
+        # The z, leak and alpha grads go through a block scratch into one
+        # pairwise tree (a channel z: a row-by-row sum); blocks of rows of
+        # 1000-element leaves, or of 4099-element ones, do not line up with
+        # the leaves. The reference sums full-size products, as np.sum does.
+        rng = np.random.default_rng(shape[0])
+        x = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+        x[1] = 1.7  # a constant (sigma-floored) row
+        g = rng.normal(size=shape)
+        monkeypatch.setattr(tensor, "_WHOLE_ELEMS", 0)
+        for leaf, per_channel in itertools.product((1000, 4099), (False, True)):
+            monkeypatch.setattr(tensor, "_BLOCK_ELEMS", leaf)
+            z = rng.normal(size=shape[-1]) if per_channel else np.array([0.4])
+            want_out, want = _ash_reference(x, z, 1.5, 0.3, "per-sample", grad_mode, g)
+            t = ad.Tape()
+            xv, zv, lv, av = (t.variable(Tensor(v), requires_grad=True)
+                              for v in (x, z, [0.3], [1.5]))
+            out = act.leaky_ash(xv, zv, leak=lv, alpha=av, grad_mode=grad_mode)
+            ad.backward(ad.sum_all(ad.mul(out, t.constant(Tensor(g)))))
+            case = f"leaf={leaf} per_channel={per_channel}"
+            assert _bits(out.value.data) == _bits(want_out), case
+            for key, var in (("x", xv), ("z", zv), ("leak", lv), ("alpha", av)):
+                assert _bits(var.grad.data) == _bits(want[key]), f"{key} grad, {case}"
+
+    def test_zk_only_backward_allocates_at_most_a_quarter_input(self):
+        # Tooling, not timing: above the forward's live set (x, its output and
+        # the kept s), the z_k grad needs only block-sized scratch.
+        x = Tensor(np.random.default_rng(9).normal(size=(64, 16384)))
+
+        def forward():
+            t = ad.Tape()
+            zv = t.variable(Tensor([0.3]), requires_grad=True)
+            return zv, ad.sum_all(act.smooth_ash(t.variable(x), zv))
+
+        zv, loss = forward()
+        ad.backward(loss)  # warm-up
+        want = zv.grad
+        zv, loss = forward()
+        tracemalloc.start()
+        try:
+            ad.backward(loss)
+            got = zv.grad
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert _bits(got.data) == _bits(want.data)
+        assert peak <= 0.25 * x.data.nbytes, f"peak {peak / x.data.nbytes:.2f}x the input"
 
     def test_walked_forward_backward_allocates_at_most_four_and_a_quarter_inputs(self):
         # Tooling, not timing: above the one-block size, the backward's scratch

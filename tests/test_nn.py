@@ -1,5 +1,6 @@
 """Layers, losses, optimizers, and the training loop."""
 
+import functools
 import re
 import tracemalloc
 
@@ -297,6 +298,26 @@ class TestLosses:
     def test_accuracy(self):
         logits = Tensor([[2.0, 1.0], [0.0, 1.0], [3.0, -1.0], [0.0, 0.5]])
         assert nn.accuracy(logits, np.array([0, 1, 1, 1])) == 0.75
+
+    @pytest.mark.parametrize("labels,message", [
+        ([0.9, 1.2], "class label 0.9 is not an integer"),
+        ([np.nan, 1.0], "class label nan is not an integer"),
+        ([0, 2], "class label 2 is out of range for 2 classes")])
+    def test_accuracy_rejects_the_labels_the_losses_reject(self, labels, message):
+        # Compared raw, [0.9, 1.2] read 0.0 and [nan, 1] read 0.5.
+        logits = Tensor([[2.0, 1.0], [0.0, 1.0]])
+        for score in (nn.accuracy, *(functools.partial(nn.loss_fn, kind)
+                                     for kind in nn.LOSS_KINDS)):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                score(logits, np.array(labels))
+
+    def test_accuracy_reads_one_hot_and_soft_targets_by_row_argmax(self):
+        logits = Tensor([[2.0, 1.0, 0.0], [0.0, 1.0, 3.0], [3.0, -1.0, 0.0], [0.0, 0.5, 0.1]])
+        labels = np.array([0, 2, 1, 0])
+        assert nn.accuracy(logits, labels) == 0.5
+        assert nn.accuracy(logits, np.eye(3)[labels]) == 0.5
+        soft = np.array([[0.7, 0.2, 0.1], [0.1, 0.1, 0.8], [0.2, 0.6, 0.2], [0.5, 0.3, 0.2]])
+        assert nn.accuracy(logits, soft) == 0.5
 
 
 def _saturated_bias_run():
@@ -670,6 +691,14 @@ class TestTrainLoop:
         monkeypatch.setattr(ad.Variable, "__init__", no_tape)
         monkeypatch.setattr(ad, "record", no_tape)
         assert nn.evaluate(model, x, labels, kind, batch_size=16) == want
+
+    @pytest.mark.parametrize("kind", nn.LOSS_KINDS)
+    def test_evaluate_takes_the_one_hot_targets_its_loss_takes(self, kind):
+        x, labels = datasets.two_moons(40, 0.1, 2)
+        model = nn.Model(mlp("ash"), seed=0)
+        want = nn.evaluate(model, x, labels, kind, batch_size=16)
+        got = nn.evaluate(model, x, np.eye(2)[labels], kind, batch_size=16)
+        assert _bits(got) == _bits(want)
 
     def test_standalone_evaluate_divergence_is_public(self):
         model = nn.Model([nn.Dense(2, 2)], seed=0)

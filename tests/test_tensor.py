@@ -207,6 +207,8 @@ class TestMatmul:
         shapes += [(32, 16, 2), (2, 32, 16), (5, 3, 7), (1, 6, 4), (4, 6, 1)]
         shapes += [(1, 7, 1), (1, 9, 1), (1, 128, 1)]  # m*n == 1
         shapes += [(64, 40, 64)]
+        # Narrow, tall outputs (n <= 4 < m) run transposed; m <= 4 does not.
+        shapes += [(40, 9, 4), (33, 20, 2), (9, 130, 3), (5, 17, 4), (4, 7, 3)]
         rng = np.random.default_rng(8)
         for m, k, n in shapes:
             for heavy in (False, True):
@@ -215,6 +217,8 @@ class TestMatmul:
                 want = self._triple_loop(a, b)
                 assert np.array_equal(self._bits(got), self._bits(want)), \
                     f"mismatch at {m}x{k}x{n}, heavy={heavy}"
+                # C order, as the grads summed down axis 0 expect.
+                assert tensor._matmul_arrays(a, b).flags.c_contiguous
                 if m * n > 1:  # pins the rank-1 oracle to the triple loop
                     assert np.array_equal(self._bits(self._rank1_loop(a, b)), self._bits(want))
 
@@ -399,3 +403,62 @@ class TestReduce:
     def test_unknown_op(self):
         with pytest.raises(ValueError):
             reduce("median", Tensor([1.0]))
+
+
+class TestTreeSum:
+    """tensor._TreeSum: np.add.reduce of a run fed block by block, bit for bit."""
+
+    @staticmethod
+    def _run(rng, n):
+        # Mixed magnitudes and signed zeros: any other order of the sum
+        # rounds differently.
+        values = rng.normal(size=n) * 10.0 ** rng.integers(-8, 9, size=n)
+        values[::11] = -0.0
+        return values
+
+    @staticmethod
+    def _fed(values, blocks):
+        tree = tensor._TreeSum(values.size)
+        start = 0
+        for size in blocks:
+            tree.add(values[start:start + size])
+            start += size
+        assert start >= values.size
+        return np.float64(tree.total()).view(np.uint64)
+
+    @pytest.mark.parametrize("leaf,lengths", [
+        # n//2 is not a multiple of 8, so numpy's cut drops the remainder.
+        (1024, [2 * 1024 + 2 * 5, 4 * 1024 + 2 * 7 + 1, 3 * 1024 + 13, 12345]),
+        ((1 << 15), [(1 << 16) + 2 * 3, (1 << 20) + 24]),
+        # One past a leaf: the tree's first cut makes a leaf of n//2 - n//2 % 8.
+        (1024, [1025, 2049, 4097, 8193]),
+        ((1 << 15), [(1 << 15) + 1, (1 << 17) + 1]),
+        # Within one leaf the run is reduced whole.
+        (1024, [1, 7, 128, 129, 1023, 1024])])
+    def test_matches_numpy_pairwise_sum(self, monkeypatch, leaf, lengths):
+        monkeypatch.setattr(tensor, "_BLOCK_ELEMS", leaf)
+        rng = np.random.default_rng(leaf + len(lengths))
+        for n in lengths:
+            values = self._run(rng, n)
+            want = np.add.reduce(values).view(np.uint64)
+            tree = tensor._TreeSum(n)
+            assert all(b - a <= leaf for a, b in tree.leaves)
+            assert [a for a, _ in tree.leaves[1:]] == [b for _, b in tree.leaves[:-1]]
+            # The leaves themselves, blocks that do not line up with them
+            # (short, prime, longer than a leaf) and random cuts.
+            feeds = [[b - a for a, b in tree.leaves], [n], [1] * min(n, 3000) + [n],
+                     [997] * (n // 997 + 1), [3 * leaf + 5] * (n // leaf + 1),
+                     list(rng.integers(1, 2 * leaf, size=2 * n // leaf + 4))]
+            for blocks in feeds:
+                assert self._fed(values, blocks) == want, f"n={n} blocks={blocks[:3]}"
+
+    def test_a_left_fold_of_the_leaves_rounds_differently(self, monkeypatch):
+        # The inputs above can tell the tree from a plain sum of leaf sums.
+        monkeypatch.setattr(tensor, "_BLOCK_ELEMS", 1024)
+        values = self._run(np.random.default_rng(1), 12345)
+        tree = tensor._TreeSum(values.size)
+        fold = 0.0
+        for a, b in tree.leaves:
+            fold += np.add.reduce(values[a:b])
+        assert np.float64(fold) != np.add.reduce(values)
+        assert self._fed(values, [values.size]) == np.add.reduce(values).view(np.uint64)
