@@ -22,6 +22,7 @@ them, and a call with no Variable builds no tape and returns a Tensor.
 from __future__ import annotations
 
 import functools
+import math
 import sys
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
@@ -235,7 +236,10 @@ def _grouped_stats(data: np.ndarray, stats_mode: str):
 
 
 def _broadcast_z(z, x_shape: tuple[int, ...]) -> np.ndarray:
-    """z as an array that broadcasts against x: a scalar, or one per channel (last axis)."""
+    """z as a float or an array that broadcasts against x: a scalar, or one per
+    channel (last axis)."""
+    if isinstance(z, (int, float)):
+        return float(z)  # a number broadcasts as it is, without making a Tensor
     zval = ad.value(z).data
     if zval.size == 1:
         return zval.reshape(())  # a (1,) z would lift a rank-0 x to rank 1
@@ -374,13 +378,11 @@ def _ash_op(x, z, alpha, leak, stats_mode: str, grad_mode: str, name: str):
     z_b = _broadcast_z(z, xt.shape)
     axes, n, mu, centered, sigma_raw, sigma = _grouped_stats(data, stats_mode)
 
-    params = {key: p for key, p in (("z", z), ("leak", leak), ("alpha", alpha))
-              if isinstance(p, Variable)}
-    inputs = (x, *params.values())
-    grad = any(isinstance(v, Variable) and v.requires_grad for v in inputs)
+    inputs = (x, z, leak, alpha)
+    grad = True in [isinstance(v, Variable) and v.requires_grad for v in inputs]
     through = grad_mode == "through-stats"
     u = centered
-    s = np.empty_like(u) if grad and "alpha" in params else u
+    s = np.empty_like(u) if grad and isinstance(alpha, Variable) else u
     y = np.empty_like(s) if grad else s
     # Overflow can only reach the output, whose finiteness check reports it.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -392,12 +394,12 @@ def _ash_op(x, z, alpha, leak, stats_mode: str, grad_mode: str, name: str):
             ad.stable_sigmoid(u_b, out=s_b, scratch=t_b)
             _times_gate(s_b, lval, x_b, y_b)
     out = Tensor._wrap(y)
-    # The VJP takes shapes, not Variables: a tape holds no Variable. Without a
-    # grad, record keeps no VJP, and the buffers it names hold the output.
-    shapes = {key: p.value.shape for key, p in params.items()}
+    # The VJP takes shapes, not Variables: a tape holds no Variable (a constant
+    # needs no grad, so its () is never read). Without a grad, record keeps no
+    # VJP, and the buffers it names hold the output.
+    shapes = [p.value.shape if isinstance(p, Variable) else () for p in (z, leak, alpha)]
 
     def vjp(g, needs):
-        need = dict(zip(("x", *shapes), needs))
         whole = through and 0 in axes
         step = 0 if whole else _row_step(data)
         size = step * (data.size // len(data)) if step else data.size
@@ -407,37 +409,39 @@ def _ash_op(x, z, alpha, leak, stats_mode: str, grad_mode: str, name: str):
         # layout enough that perfbench's in-process host probe on mlp_wide ran
         # in about 1.3 ms instead of 2.0, so its scaled rates read 25% low at
         # unchanged raw speed.
-        sums = {key: _TreeSum(data.size) if np.prod(shapes[key]) == 1
-                else _ChannelSum(shapes[key][0], size) for key in shapes if need[key]}
-        prod_buf = np.empty(size) if sums else None
+        sums = [need and (_TreeSum(data.size) if math.prod(shape) == 1
+                          else _ChannelSum(shape[0], size))
+                for need, shape in zip(needs[1:], shapes)]
+        z_sum, leak_sum, alpha_sum = sums
+        prod_buf = np.empty(size) if True in needs[1:] else None
         # gx also holds 1 - s and b_sum's product; with no x grad, 1 - s takes
         # a second row of the block scratch, which every block shares.
-        gx = np.empty_like(data) if need["x"] else None
+        gx = np.empty_like(data) if needs[0] else None
         arrays = (data, g, s, u, mu, sigma, sigma_raw, z_b, gx)
         blocks = (arrays,) if whole else _row_blocks(arrays)
-        buf = np.empty((1 if need["x"] else 2, size))
+        buf = np.empty((1 if needs[0] else 2, size))
         for x_b, g_b, s_b, u_b, mu_b, sig_b, raw_b, zb_b, gx_b in blocks:
             w = np.multiply(g_b, x_b, out=buf[0, :x_b.size].reshape(x_b.shape))
             prod = None if prod_buf is None else prod_buf[:x_b.size].reshape(x_b.shape)
             one_minus_s = np.subtract(1.0, s_b, out=buf[-1, :x_b.size].reshape(
                 x_b.shape) if gx_b is None else gx_b)
-            if "leak" in sums:
-                sums["leak"].add(np.multiply(w, one_minus_s, out=prod))
+            if leak_sum:
+                leak_sum.add(np.multiply(w, one_minus_s, out=prod))
             if lval:
                 w *= 1.0 - lval
             w *= s_b
             w *= one_minus_s
-            if "z" in sums:
+            if z_sum:
                 np.multiply(sig_b, w, out=prod)
                 prod *= -2.0 * aval
-                sums["z"].add(prod)
-            if "alpha" in sums:
-                sums["alpha"].add(np.multiply(w, u_b, out=prod))
-            if not need["x"]:
+                z_sum.add(prod)
+            if alpha_sum:
+                alpha_sum.add(np.multiply(w, u_b, out=prod))
+            if gx_b is None:
                 continue
             if through:
-                a_sum = w.sum(axis=axes, keepdims=True)
-                b_sum = np.multiply(w, zb_b, out=gx_b).sum(axis=axes, keepdims=True)
+                a_sum = np.add.reduce(w, axis=axes, keepdims=True)
+                b_sum = np.add.reduce(np.multiply(w, zb_b, out=gx_b), axis=axes, keepdims=True)
             _times_gate(s_b, lval, g_b, gx_b)
             w *= 2.0 * aval
             gx_b += w
@@ -450,10 +454,10 @@ def _ash_op(x, z, alpha, leak, stats_mode: str, grad_mode: str, name: str):
                 w *= 2.0 * aval
                 w *= chain
                 gx_b -= w
-        grads = {key: np.full(shapes[key], p.total()) for key, p in sums.items()}
-        if "alpha" in grads:
-            grads["alpha"] /= aval
-        return (gx, *map(grads.get, shapes))
+        grads = [acc and np.full(shape, acc.total()) for acc, shape in zip(sums, shapes)]
+        if alpha_sum:
+            grads[2] /= aval
+        return (gx, *grads)
 
     return ad.emit(name, inputs, out, vjp)
 

@@ -60,11 +60,12 @@ class Variable:
 
     __slots__ = ("value", "tape", "node_id", "requires_grad", "name")
 
-    def __init__(self, value: Tensor, tape: "Tape", node_id: int,
-                 requires_grad: bool, name: str | None = None):
+    def __init__(self, value: Tensor, tape: "Tape", requires_grad: bool,
+                 name: str | None = None):
         self.value = value
         self.tape = tape
-        self.node_id = node_id
+        self.node_id = tape._next_id  # ids count up in creation order
+        tape._next_id += 1
         self.requires_grad = requires_grad
         self.name = name
 
@@ -116,18 +117,13 @@ class Tape:
 
     def __init__(self):
         # (output node id, input node ids, which inputs need a grad, VJP) in order
-        self._entries: list[tuple[int, tuple[int | None, ...], tuple[bool, ...], object]] = []
+        self._entries: list[tuple[int, list[int | None], list[bool], object]] = []
         self._grads: dict[int, np.ndarray] = {}  # node id -> raw grad, checked on read
         self._next_id = 0
 
-    def _new_variable(self, value: Tensor, requires_grad: bool, name=None) -> Variable:
-        var = Variable(value, self, self._next_id, requires_grad, name)
-        self._next_id += 1
-        return var
-
     def variable(self, value, requires_grad: bool = False, name: str | None = None) -> Variable:
         value = value if isinstance(value, Tensor) else Tensor(value)
-        return self._new_variable(value, requires_grad, name)
+        return Variable(value, self, requires_grad, name)
 
     def constant(self, value) -> Variable:
         """A Variable that needs no grad; a number becomes rank 0."""
@@ -162,19 +158,20 @@ def record(tape: Tape, op: str, inputs: tuple, forward: Tensor, vjp) -> Variable
     operand). `vjp(g, needs)` follows the module's record contract; it is
     kept only when some input needs a grad.
     """
-    needs = []
+    ids, needs = [], []
     for v in inputs:
-        if not isinstance(v, Variable):
-            needs.append(False)
-        elif v.tape is tape:
+        if isinstance(v, Variable):
+            if v.tape is not tape:
+                raise TapeMixError(f"op {op!r} mixes Variables from different tapes")
+            ids.append(v.node_id)
             needs.append(v.requires_grad)
         else:
-            raise TapeMixError(f"op {op!r} mixes Variables from different tapes")
+            ids.append(None)
+            needs.append(False)
     requires = True in needs
-    out = tape._new_variable(forward, requires, name=op)
+    out = Variable(forward, tape, requires, op)
     if requires:
-        ids = tuple([v.node_id if isinstance(v, Variable) else None for v in inputs])
-        tape._entries.append((out.node_id, ids, tuple(needs), vjp))
+        tape._entries.append((out.node_id, ids, needs, vjp))
     return out
 
 
@@ -196,20 +193,22 @@ def backward(loss: Variable | Tensor) -> None:
     if not isinstance(loss, Variable):
         return
     tape = loss.tape
+    accumulate = tape._accumulate
     adjoint: dict[int, np.ndarray] = {loss.node_id: np.ones(lv.shape)}
     with np.errstate(over="ignore", invalid="ignore"):
         for out, ids, needs, vjp in reversed(tape._entries):
             g = adjoint.pop(out, None)
             if g is None:
                 continue
-            tape._accumulate(out, g)  # a recorded output always requires grad
+            accumulate(out, g)  # a recorded output always requires grad
             for nid, need, contrib in zip(ids, needs, vjp(g, needs)):
                 if need and contrib is not None:
-                    adjoint[nid] = adjoint[nid] + contrib if nid in adjoint else contrib
+                    prev = adjoint.get(nid)
+                    adjoint[nid] = contrib if prev is None else prev + contrib
         # Whatever remains belongs to leaves (Variables no entry produced).
         for nid, g in adjoint.items():
             if nid != loss.node_id or loss.requires_grad:
-                tape._accumulate(nid, g)
+                accumulate(nid, g)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +218,7 @@ def backward(loss: Variable | Tensor) -> None:
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     if g.shape == shape:
         return g
-    if int(np.prod(shape)) == 1:
+    if math.prod(shape) == 1:
         # Only scalar broadcast exists, so the adjoint is the total sum.
         return np.asarray(g, dtype=np.float64).sum().reshape(shape)
     raise tensor.ShapeError(f"cannot reduce gradient of shape {g.shape} to {shape}")
@@ -371,14 +370,15 @@ def mean_all(a) -> Variable | Tensor:
 
 def matmul(a, b, bias=None) -> Variable | Tensor:
     """a @ b, plus `bias` (n,) on every row of the (m, n) product, as one entry;
-    g @ b.T and a.T @ g run in the ordered kernel, the bias grad is g.sum(axis=0)."""
+    g @ b.T and a.T @ g run in the ordered kernel (which makes its operands
+    C-contiguous), the bias grad is g summed down axis 0."""
     av, bv = value(a), value(b)
     out = tensor.matmul(av, bv, None if bias is None else value(bias))
     ad, bd = av.data, bv.data
     return emit("matmul", (a, b, bias), out, lambda g, needs: (
-        needs[0] and tensor._matmul_arrays(g, np.ascontiguousarray(bd.T)),
-        needs[1] and tensor._matmul_arrays(np.ascontiguousarray(ad.T), g),
-        needs[2] and g.sum(axis=0)))
+        needs[0] and tensor._matmul_arrays(g, bd.T),
+        needs[1] and tensor._matmul_arrays(ad.T, g),
+        needs[2] and np.add.reduce(g, axis=0)))
 
 
 def reshape(a, shape) -> Variable | Tensor:

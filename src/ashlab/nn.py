@@ -151,12 +151,16 @@ def conv_patches(x, kh: int, kw: int) -> Variable | Tensor:
     return ad.emit("conv_patches", (x,), out, vjp)
 
 
-def _apply_layer(layer: Layer, name: str, x, params: dict) -> Variable | Tensor:
+def _apply_layer(layer: Layer, x, own: dict) -> Variable | Tensor:
+    """`layer` on x; `own` maps the layer's parameter keys ("W", "z_k", ...)
+    to its parameters."""
+    if isinstance(layer, Activation):
+        return act.apply_spec(layer.spec, x, own)
     shape = ad.value(x).shape
     if isinstance(layer, Dense):
         if len(shape) != 2 or shape[1] != layer.in_dim:
             raise ShapeError(f"expected (B, {layer.in_dim}), got {shape}")
-        return ad.matmul(x, params[f"{name}.W"], params[f"{name}.b"])
+        return ad.matmul(x, own["W"], own["b"])
     if isinstance(layer, Conv2d):
         if len(shape) == 3 and layer.cin == 1:
             # Channelless image stacks (e.g. IDX) get an implicit C=1 axis.
@@ -165,15 +169,10 @@ def _apply_layer(layer: Layer, name: str, x, params: dict) -> Variable | Tensor:
         if len(shape) != 4 or shape[3] != layer.cin:
             raise ShapeError(f"expected (B,H,W,{layer.cin}), got {shape}")
         b, h, w, _ = shape
-        pre = ad.matmul(conv_patches(x, layer.kh, layer.kw), params[f"{name}.W"],
-                        params[f"{name}.b"])
+        pre = ad.matmul(conv_patches(x, layer.kh, layer.kw), own["W"], own["b"])
         return ad.reshape(pre, (b, h - layer.kh + 1, w - layer.kw + 1, layer.cout))
     if isinstance(layer, Flatten):
         return ad.reshape(x, (shape[0], int(np.prod(shape[1:]))))
-    if isinstance(layer, Activation):
-        prefix = f"{name}."
-        own = {pn[len(prefix):]: p for pn, p in params.items() if pn.startswith(prefix)}
-        return act.apply_spec(layer.spec, x, own)
     raise TypeError(f"unknown layer type {type(layer).__name__}")
 
 
@@ -199,10 +198,13 @@ class Model:
         self.layers = list(layers)
         self.layer_names = [f"{_LAYER_BASENAME[type(l)]}{i}" for i, l in enumerate(self.layers)]
         self.params: dict[str, Tensor] = {}
+        self._keys = []  # per layer: (key, parameter name) of each of its parameters
         lower = []
         for layer, name in zip(self.layers, self.layer_names):
             bounds = act.param_lower_bounds(layer.spec) if isinstance(layer, Activation) else {}
-            for pname, t in _init_layer_params(layer, name, rng).items():
+            own = _init_layer_params(layer, name, rng)
+            self._keys.append(tuple((pname[len(name) + 1:], pname) for pname in own))
+            for pname, t in own.items():
                 self.params[pname] = t
                 lower.append(np.full(t.size, bounds.get(pname.rpartition(".")[2], -np.inf)))
         self._lower = _flat(lower)
@@ -220,14 +222,14 @@ class Model:
         +0.0 bound keeps its bits), in place.
         """
         finite = np.isfinite(w)
-        if not finite.all():
+        if np.count_nonzero(finite) != w.size:
             where = next(pname for pname, sl, _ in self._layout if not finite[sl].all())
             raise DivergenceError(where) from NonFiniteError(
                 "tensor values must be finite (no NaN/Inf)")
         np.copyto(w, self._lower, where=w < self._lower)
         w.setflags(write=False)
         for pname, sl, shape in self._layout:
-            self.params[pname] = Tensor._wrap(w[sl].reshape(shape), finite=True)
+            self.params[pname] = Tensor._unchecked(w[sl].reshape(shape))
 
     def forward(self, batch: Tensor, trainable: bool = True) -> tuple[Variable | Tensor, dict]:
         """Run the layers on `batch`; returns (output, parameters). Trainable,
@@ -236,12 +238,11 @@ class Model:
         params = self.params
         if trainable:
             tape = ad.Tape()
-            params = {name: tape.variable(t, requires_grad=True, name=name)
-                      for name, t in params.items()}
+            params = {name: Variable(t, tape, True, name) for name, t in params.items()}
         h = batch
-        for layer, name in zip(self.layers, self.layer_names):
+        for layer, name, keys in zip(self.layers, self.layer_names, self._keys):
             try:
-                h = _apply_layer(layer, name, h, params)
+                h = _apply_layer(layer, h, {key: params[pname] for key, pname in keys})
             except ShapeError as exc:  # name the layer: "act1: ..."
                 raise ShapeError(f"{name}: {exc}") from exc
             except NonFiniteError as exc:
@@ -277,9 +278,9 @@ def _targets(targets, n_rows: int, n_classes: int) -> np.ndarray:
             bad = arr[~np.isfinite(arr) | (np.trunc(arr) != arr)]
             if bad.size:
                 raise ValueError(f"class label {bad[0]} is not an integer")
-        bad = arr[(arr < 0) | (arr >= n_classes)]
-        if bad.size:
-            raise ValueError(f"class label {bad[0]} is out of range for {n_classes} classes")
+        bad = (arr < 0) | (arr >= n_classes)
+        if np.count_nonzero(bad):
+            raise ValueError(f"class label {arr[bad][0]} is out of range for {n_classes} classes")
         arr = arr.astype(np.int64, copy=False)
     if arr.shape[0] != n_rows:
         raise ShapeError(f"{arr.shape[0]} targets for {n_rows} logits rows")
@@ -305,13 +306,13 @@ def softmax_xent(logits, targets) -> Variable | Tensor:
         ez = np.multiply(z, y if y.ndim == 2 else 0.0)  # z*hot, then the shifted exp
         if y.ndim == 1:
             ez[rows, y] = z[rows, y]
-        picked = float(ez.sum())
-        zmax = z.max(axis=1, keepdims=True)
+        picked = float(np.add.reduce(ez, axis=None))
+        zmax = np.maximum.reduce(z, axis=1, keepdims=True)
         np.subtract(z, zmax, out=ez)
         np.exp(ez, out=ez)
-        se = ez.sum(axis=1, keepdims=True)
+        se = np.add.reduce(ez, axis=1, keepdims=True)
         lse = zmax[:, 0] + np.log(se[:, 0])
-        out = Tensor._wrap(np.array([(lse.sum() - picked) / b]))
+        out = Tensor._wrap(np.array([(np.add.reduce(lse) - picked) / b]))
 
     def vjp(g, needs):
         p = ez / se  # the softmax, formed only by a backward pass
@@ -353,7 +354,8 @@ def accuracy(logits: Tensor, labels: np.ndarray) -> float:
     y = _targets(labels, *z.shape)
     if y.ndim == 2:
         y = np.argmax(y, axis=1)
-    return float(np.mean(np.argmax(z, axis=1) == y))
+    # The count over the rows: np.mean's bits, without its Python wrapper.
+    return float(np.count_nonzero(np.argmax(z, axis=1) == y) / y.size)
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +509,9 @@ def train(model: Model, config: TrainConfig, dataset: tuple[Tensor, np.ndarray],
     split.
     """
     x, labels = dataset
-    labels = np.asarray(labels).reshape(-1)
+    # Rows of labels, not flattened: the loss reads each batch's rows through
+    # `_targets` (class indices, or one-hot or soft rows), as `evaluate` does.
+    labels = np.atleast_1d(labels)
     n = x.shape[0]
     if n == 0 or labels.shape[0] != n:
         raise ValueError(f"dataset has {n} rows but {labels.shape[0]} labels")

@@ -74,7 +74,9 @@ def _checked(arr: np.ndarray, finite: bool = False) -> np.ndarray:
     Tensor buffer (the scan skipped when `finite`)."""
     if arr.ndim > MAX_RANK or arr.size == 0:
         check_shape(arr.shape)  # raises the matching ShapeError
-    if not finite and not np.isfinite(arr).all():
+    # count_nonzero skips the ufunc reduce's set-up: the check takes 1.2 against
+    # 1.9 us on 512 elements, 441 against 426 us on 2^20 (2-core x86-64).
+    if not finite and np.count_nonzero(np.isfinite(arr)) != arr.size:
         raise NonFiniteError("tensor values must be finite (no NaN/Inf)")
     arr.setflags(write=False)
     return arr
@@ -98,6 +100,14 @@ class Tensor:
         # buffer, which was checked when that Tensor was made.
         out = cls.__new__(cls)
         out._data = _checked(np.asarray(arr, dtype=np.float64, order="C"), finite)
+        return out
+
+    @classmethod
+    def _unchecked(cls, arr: np.ndarray) -> "Tensor":
+        # For a view, in a valid shape, of a buffer that already holds every
+        # invariant: read-only, C-contiguous, float64 and finite.
+        out = cls.__new__(cls)
+        out._data = arr
         return out
 
     @property
@@ -277,17 +287,18 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     A `bias` of shape (n,) is added to every row of the (m, n) product
     before the one finiteness check.
     """
-    if len(a.shape) != 2 or len(b.shape) != 2:
-        raise ShapeError(f"matmul needs rank-2 operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"inner dimensions disagree: {a.shape} x {b.shape}")
-    if bias is not None and bias.shape != (b.shape[1],):
-        raise ShapeError(f"bias must be ({b.shape[1]},), got {bias.shape}")
+    x, y = a._data, b._data
+    if x.ndim != 2 or y.ndim != 2:
+        raise ShapeError(f"matmul needs rank-2 operands, got {x.shape} and {y.shape}")
+    if x.shape[1] != y.shape[0]:
+        raise ShapeError(f"inner dimensions disagree: {x.shape} x {y.shape}")
+    if bias is not None and bias._data.shape != y.shape[1:]:
+        raise ShapeError(f"bias must be ({y.shape[1]},), got {bias._data.shape}")
     # Overflow is left to the output's finiteness check to report.
     with np.errstate(over="ignore", invalid="ignore"):
-        out = _matmul_arrays(a.data, b.data)
+        out = _matmul_arrays(x, y)
         if bias is not None:
-            out += bias.data
+            out += bias._data
     return Tensor._wrap(out)
 
 
@@ -324,7 +335,7 @@ def moments(data: np.ndarray, axes=None):
         else:
             m2 = np.add.reduce(centered * centered, axis=axes, keepdims=True)
         suspect = m2 <= np.square((2.0 * n) ** 0.5 * n * 2.0**-52 * mu)
-    if suspect.any():
+    if np.count_nonzero(suspect):
         lo = data.min(axis=axes, keepdims=True)
         const = suspect & (lo == data.max(axis=axes, keepdims=True))
         if const.any():
@@ -376,34 +387,39 @@ class _TreeSum:
     way on its own. So the run is cut as numpy cuts it, down to `leaves` of
     at most _BLOCK_ELEMS elements. A leaf is reduced whole as soon as its
     values are in: from the block that holds all of it, else from the one
-    leaf buffer its pieces are copied into. `total` adds the leaves' sums
-    back up the same tree.
+    leaf buffer its pieces are copied into. Its sum goes on a stack, and
+    each node the leaf ends adds its two children's sums there (left +
+    right), so the stack's one entry at the end is the sum of the run.
     """
+
+    __slots__ = ("_leaf", "_length", "leaves", "_merges", "_done", "_sums", "_part", "_fill")
 
     def __init__(self, length: int):
         # numpy sums a run of up to 128 elements without cutting it, so no
         # leaf may be shorter.
         self._leaf = max(_BLOCK_ELEMS, 128)
         self._length = length
-        self.leaves = self._tree(0, length, lambda a, b: [(a, b)])
-        self._sums = []
-        self._part = None
-        self._fill = 0
+        self.leaves, self._merges = [], []  # per leaf, the number of tree nodes it ends
+        self._cut(0, length)
+        self._done, self._sums, self._part, self._fill = 0, [], None, 0
 
-    def _tree(self, a: int, b: int, leaf):
-        """Run [a, b) folded as numpy sums it: leaf(a, b) for a leaf, else
-        the left half's result + the right half's."""
+    def _cut(self, a: int, b: int) -> None:
+        """Append the leaves of run [a, b), cut as numpy sums it."""
         if b - a <= self._leaf:
-            return leaf(a, b)
+            self.leaves.append((a, b))
+            self._merges.append(0)
+            return
         half = (b - a) // 2
         half -= half % 8
-        return self._tree(a, a + half, leaf) + self._tree(a + half, b, leaf)
+        self._cut(a, a + half)
+        self._cut(a + half, b)
+        self._merges[-1] += 1
 
     def add(self, values: np.ndarray) -> None:
         """Take the next values.size values of the run, a C-contiguous array."""
         values, i = values.reshape(-1), 0
         while i < values.size:
-            a, b = self.leaves[len(self._sums)]
+            a, b = self.leaves[self._done]
             take = min(b - a - self._fill, values.size - i)
             piece = values[i:i + take]
             i += take
@@ -415,12 +431,15 @@ class _TreeSum:
                 if self._fill < b - a:
                     continue
                 piece, self._fill = self._part[:b - a], 0
-            self._sums.append(np.add.reduce(piece))
+            total = np.add.reduce(piece)
+            for _ in range(self._merges[self._done]):
+                total = self._sums.pop() + total
+            self._sums.append(total)
+            self._done += 1
 
     def total(self) -> float:
         """The sum of the whole run, once every value was added."""
-        sums = iter(self._sums)
-        return self._tree(0, self._length, lambda a, b: next(sums))
+        return self._sums[0]
 
 
 def _sum_squares(groups: np.ndarray) -> np.ndarray:

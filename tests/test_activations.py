@@ -402,7 +402,11 @@ class TestInPlaceAshBits:
     @pytest.mark.parametrize("grad_mode", act.GRAD_MODES)
     @pytest.mark.parametrize("shape,stats_mode", [
         ((23,), "per-sample"), ((6, 5), "per-sample"), ((2, 3, 4, 5), "per-sample"),
-        ((2, 3, 4, 5), "per-channel")])
+        ((2, 3, 4, 5), "per-channel"),
+        # The benchmark's gate inputs: a 32-row step and the dataset
+        # pre-activations of the 2-16-16-2 MLP, and a 64-row step of the
+        # 128-wide one.
+        ((32, 16), "per-sample"), ((256, 16), "per-sample"), ((64, 128), "per-sample")])
     def test_output_and_grads_match_out_of_place_formulas(self, shape, stats_mode, grad_mode):
         rng = np.random.default_rng(sum(shape))
         for leak, alpha, per_channel, constant in itertools.product(

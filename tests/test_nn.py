@@ -700,6 +700,20 @@ class TestTrainLoop:
         got = nn.evaluate(model, x, np.eye(2)[labels], kind, batch_size=16)
         assert _bits(got) == _bits(want)
 
+    @pytest.mark.parametrize("kind", nn.LOSS_KINDS)
+    def test_train_takes_the_one_hot_targets_its_loss_takes(self, kind):
+        # train reads each batch's label rows through the loss, so one-hot
+        # rows train as the class indices they encode, bit for bit.
+        x, labels = datasets.two_moons(40, 0.1, 2)
+        runs = []
+        for targets in (labels, np.eye(2)[labels]):
+            model = nn.Model(mlp("ash"), seed=0)
+            config = nn.TrainConfig(epochs=3, batch_size=16, seed=1, loss=kind, val_split=0.25)
+            runs.append([(r.train_loss, r.val_loss, r.val_acc, r.zk_snapshot)
+                         for r in nn.train(model, config, (x, targets))])
+        assert runs[1] == runs[0]
+        assert all(_bits(a[:3]) == _bits(b[:3]) for a, b in zip(*runs))
+
     def test_standalone_evaluate_divergence_is_public(self):
         model = nn.Model([nn.Dense(2, 2)], seed=0)
         model.params["dense0.W"] = Tensor(np.full((2, 2), 1e308))

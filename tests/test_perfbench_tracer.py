@@ -89,3 +89,27 @@ def test_masks_count_their_kernels_once(monkeypatch):
     assert tracer.acc("stats.kth_largest").calls == 1
     assert tracer.acc("stats.gaussian_mask").calls == 1
     assert tracer.acc("tensor.welford").calls == 1
+
+
+def test_train_epoch_counts_each_steps_records_and_each_forwards_products(monkeypatch):
+    # autodiff.ops_per_step and tensor.matmul.calls read 0 if a refactor
+    # inlines `record` into `emit`, or if a layer's product no longer goes
+    # through `tensor.matmul`.
+    x, labels = datasets.two_moons(n=40, noise=0.1, seed=3)
+    model = nn.Model([nn.Dense(2, 8), nn.Activation(act.preset("ash")), nn.Dense(8, 2)], seed=1)
+    config = nn.TrainConfig(epochs=1, batch_size=16, seed=2)
+    tracer = load_tracing(monkeypatch).install(MODULES)
+    try:
+        nn.train(model, config, (x, labels))
+    finally:
+        tracer.uninstall()
+    # ceil(40 / 16) = 3 steps, each recording dense0, act1, dense2 and the
+    # loss; the epoch's evaluation reads the 40 rows in 3 batches too. Every
+    # forward, trained or evaluated, makes two products.
+    assert tracer.steps == 3
+    assert tracer.acc("autodiff.ops").calls == 3 * 4
+    assert tracer.acc("autodiff.tape_len").calls == 3 * 3
+    assert tracer.acc("tensor.matmul").calls == (3 + 3) * 2
+    # Both the steps and the evaluation batches hold 16, 16 and 8 rows.
+    assert tracer.acc("tensor.matmul").flop == 2 * sum(
+        2 * rows * (2 * 8 + 8 * 2) for rows in (16, 16, 8))
