@@ -3,7 +3,8 @@
 For each input size, times (a) the named activation's forward pass
 (the two-pass `moments` statistics, then the elementwise gate in row
 blocks), (b) the exact top-k mask (method `quickselect`: numpy's
-introselect through `stats.kth_largest`), and (c) top-k selection via a
+introselect on the input's bits read as integers, through
+`stats.kth_largest`, then one compare), and (c) top-k selection via a
 full sort. Reports the median of 9 runs in ns/element; rankings are
 machine-dependent and deliberately not asserted anywhere.
 """

@@ -112,18 +112,22 @@ def suite_selection_oracle() -> None:
         _check(jac >= 0.90, f"Jaccard {jac:.4f} < 0.90 at k={k}% "
                             f"(|gauss|={int(gauss.sum())}, |exact|={int(exact.sum())})")
     # Exact mask against a brute-force full sort, including tie handling.
+    # Shifted data puts the cut on either sign, so both bit views of the
+    # selection run, and so does their other-sign path.
     rng = np.random.default_rng(11)
-    for trial in range(25):
-        data = np.round(rng.normal(size=rng.integers(5, 200)), 1)  # force ties
-        k = float(rng.uniform(1, 100))
-        t = Tensor(data)
-        got = st.exact_topk_mask(t, k)
-        m = st.topk_count(data.size, k)
-        order = np.argsort(-data, kind="stable")
-        want = np.zeros(data.size, dtype=bool)
-        want[order[:m]] = True
-        _check(np.array_equal(got.mask, want) and got.kept == m,
-               f"trial {trial}: quickselect mask != sort oracle (k={k}, n={data.size})")
+    for mean in (0.0, -2.0, 2.0):
+        for trial in range(25):
+            data = np.round(rng.normal(mean, size=rng.integers(5, 200)), 1)  # force ties
+            k = float(rng.uniform(1, 100))
+            t = Tensor(data)
+            got = st.exact_topk_mask(t, k)
+            m = st.topk_count(data.size, k)
+            order = np.argsort(-data, kind="stable")
+            want = np.zeros(data.size, dtype=bool)
+            want[order[:m]] = True
+            _check(np.array_equal(got.mask, want) and got.kept == m,
+                   f"trial {trial}: quickselect mask != sort oracle "
+                   f"(mean={mean}, k={k}, n={data.size})")
 
 
 def suite_tensor_kernels() -> None:

@@ -284,6 +284,109 @@ class TestExactTopK:
                 mask = st.exact_topk_mask(Tensor(data), 100.0 * m / n)
                 assert mask.kept == m and np.array_equal(mask.mask, oracle), f"n={n}, m={m}"
 
+    @staticmethod
+    def _path(data, m):
+        """(view, other_side, where the cut lies from the view's first pick)
+        that kth_largest takes, derived from a full sort of each view."""
+        n = data.size
+        view = np.int64 if 2 * m <= n else np.uint64
+        r = m if view is np.int64 else n - m + 1
+        pick = np.sort(data.view(view))[n - r].view(np.float64)
+        other = bool(np.signbit(pick)) == (view is np.int64)
+        cut = np.sort(data)[-m]
+        where = "on" if cut == pick else "above" if cut > pick else "below"
+        return view.__name__, other, where
+
+    def test_kth_largest_bit_views_match_sort_oracle(self):
+        # Both integer views of the bits, and the other-sign path whose cut
+        # lies above, on or below the view's first pick, across the sign
+        # boundary: the cut keeps the bits of np.sort(x)[-m] + 0.0, a Tensor
+        # gives the bits an array does, and the mask is the stable-argsort one.
+        rng = np.random.default_rng(2206)
+        specials = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                             -1e-310, np.inf, -np.inf])
+        seen = set()
+        for trial in range(1200):
+            n = int(rng.integers(1, 90))
+            kind = trial % 6
+            if kind == 0:
+                data = np.round(rng.normal(rng.choice([-3.0, 0.0, 3.0]), 1.0, n), 1)
+            elif kind == 1:
+                data = -np.abs(rng.normal(size=n))
+            elif kind == 2:
+                data = np.abs(rng.normal(size=n))
+            elif kind == 3:
+                data = rng.choice(specials, size=n)
+            elif kind == 4:
+                data = rng.choice([0.0, -0.0, 1.0, -1.0], size=n)
+            else:
+                data = rng.normal(size=n) * 1e-310  # subnormals
+            order = np.argsort(-data, kind="stable")
+            for m in sorted({1, n // 2, n // 2 + 1, n} - {0}):
+                want = np.float64(np.sort(data)[-m] + 0.0).view(np.uint64)
+                got = st.kth_largest(data, m)
+                assert np.float64(got).view(np.uint64) == want, f"trial {trial}, m={m}"
+                seen.add(self._path(data, m))
+                if not np.all(np.isfinite(data)):
+                    continue
+                t = Tensor(data)
+                assert np.float64(st.kth_largest(t, m)).view(np.uint64) == want
+                if m < n:
+                    mask = st.exact_topk_mask(t, 100.0 * m / n)
+                    oracle = np.zeros(n, dtype=bool)
+                    oracle[order[:mask.kept]] = True
+                    assert np.array_equal(mask.mask, oracle), f"trial {trial}, m={m}"
+        assert seen >= {("int64", False, "on"), ("int64", True, "above"), ("int64", True, "on"),
+                        ("uint64", False, "on"), ("uint64", True, "below"),
+                        ("uint64", True, "on")}, seen
+
+    @pytest.mark.parametrize("data, m, want", [
+        ([-1.0, -2.0, -3.0, -4.0, 5.0], 2, -1.0),  # int64, other sign, above the pick
+        ([-1.0, -1.0, -1.0, -1.0, 5.0], 2, -1.0),  # int64, other sign, on the pick
+        ([1.0, 2.0, 3.0, 4.0, -5.0], 4, 1.0),      # uint64, other sign, below the pick
+        ([1.0, 2.0, 3.0], 2, 2.0),                 # uint64, other sign, the pick itself
+        ([-0.0, 0.0, -0.0, 1.0], 2, 0.0),          # signed zeros at the cut
+        ([-0.0, -0.0, -1.0], 1, 0.0),
+        ([np.inf, -np.inf, 0.0], 1, np.inf),
+        ([np.inf, -np.inf, 0.0], 3, -np.inf),
+        ([-5e-324, 5e-324, -1.0], 2, -5e-324),
+    ])
+    def test_kth_largest_named_cases(self, data, m, want):
+        got = st.kth_largest(np.array(data), m)
+        assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_kth_largest_rejects_nan(self, sign):
+        # A NaN has no rank, whichever its sign bit.
+        data = np.array([1.0, np.copysign(np.nan, sign), -2.0, 3.0])
+        for m in range(1, 5):
+            with pytest.raises(ValueError):
+                st.kth_largest(data, m)
+
+    def test_one_partition_per_mask_and_no_scan_of_a_tensor(self, monkeypatch):
+        # Counts, not timings, guard the two passes the cut costs: one
+        # np.partition copy per mask, and no NaN or finiteness scan of a
+        # Tensor, which is finite by invariant.
+        calls = []
+        partition = np.partition
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return partition(*args, **kwargs)
+
+        monkeypatch.setattr(np, "partition", counted)
+        rng = np.random.default_rng(8)
+        for mean in (-3.0, 0.0, 3.0):
+            x = Tensor(rng.normal(mean, 1.0, 4096))
+            for k in (1.0, 30.0, 50.0, 80.0, 99.0):
+                calls.clear()
+                st.exact_topk_mask(x, k)
+                assert len(calls) == 1, (mean, k)
+        # Holds a NaN past the Tensor's own check: a scan would raise here.
+        unscanned = Tensor._wrap(np.array([1.0, np.nan, -2.0, 3.0]), finite=True)
+        for k in (25.0, 50.0, 75.0):
+            st.exact_topk_mask(unscanned, k)
+
     def test_count_rounding(self):
         assert st.topk_count(10, 30.0) == 3
         assert st.topk_count(10, 25.0) == 3   # ceil(2.5)
