@@ -17,9 +17,10 @@ Both kernels walk the input in the package's row blocks
 (`tensor._row_blocks`) into one preallocated output, so the temporaries
 stay in cache. Every operation is elementwise, so a value does not
 depend on the block it falls in: whole and piecewise evaluation give the
-same bits. The random-normal sampler, the Z-table and gelu all route
-through these two functions, so every Gaussian quantity in the package
-shares one bit-reproducible code path.
+same bits. The Z-table and gelu route through the two functions, and
+the random-normal sampler (`tensor.RngState.normal`) calls `_ppf_block`
+on each block of its uniform draws, so every Gaussian quantity in the
+package shares one bit-reproducible code path.
 """
 
 from __future__ import annotations
@@ -94,10 +95,14 @@ _ERFC_YMAX = 28.0
 
 def _ratio(coeffs, x: np.ndarray) -> np.ndarray:
     """num(x)/den(x) by Horner's rule, coefficients highest degree first."""
+    # The first step is x*c0 + c1, which has the bits of c0*x + c1:
+    # IEEE multiplication commutes exactly.
     num_c, den_c = coeffs
-    num = np.full_like(x, num_c[0])
-    den = np.full_like(x, den_c[0])
-    for a, b in zip(num_c[1:], den_c[1:]):
+    num = np.multiply(x, num_c[0])
+    num += num_c[1]
+    den = np.multiply(x, den_c[0])
+    den += den_c[1]
+    for a, b in zip(num_c[2:], den_c[2:]):
         num *= x
         num += a
         den *= x

@@ -164,6 +164,13 @@ def suite_tensor_kernels() -> None:
     t1 = randn([64], RngState(5, 123))
     t2 = randn([64], RngState(5, 123))
     _check(np.array_equal(t1.data, t2.data), "randn is not bit-deterministic")
+    # 40,000 draws cross a block edge of the RNG's walk; two draws of a
+    # cloned state, cut elsewhere, must give the same bits.
+    rng = RngState(5, 123)
+    whole = randn([40_000], rng.clone()).data
+    parts = np.concatenate([randn([n], rng).data for n in (25_000, 15_000)])
+    _check(np.array_equal(whole.view(np.uint64), parts.view(np.uint64)),
+           "randn depends on how the draws are chunked")
 
 
 def _kink_free(rng: np.ndarray, n: int, scale: float = 2.0, margin: float = 1e-5) -> Tensor:

@@ -113,3 +113,15 @@ def test_train_epoch_counts_each_steps_records_and_each_forwards_products(monkey
     # Both the steps and the evaluation batches hold 16, 16 and 8 rows.
     assert tracer.acc("tensor.matmul").flop == 2 * sum(
         2 * rows * (2 * 8 + 8 * 2) for rows in (16, 16, 8))
+
+
+def test_traced_randn_counts_its_elements(monkeypatch):
+    # tensor.randn.ns_per_elem reads 0 or off if a draw of more than one
+    # block no longer reaches the tracer as one tensor.randn call.
+    tracer = load_tracing(monkeypatch).install(MODULES)
+    try:
+        tensor.randn((2**15 + 1,), tensor.RngState(1))
+    finally:
+        tracer.uninstall()
+    assert tracer.acc("tensor.randn").calls == 1
+    assert tracer.acc("tensor.randn").elems == 2**15 + 1

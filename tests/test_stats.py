@@ -145,8 +145,35 @@ def _ppf_grid():
     return np.concatenate([lower, np.linspace(0.01, 0.99, 197), upper])
 
 
+def _full_like_ratio(coeffs, x):
+    """_normal._ratio as first written: Horner from a c0-filled array."""
+    num_c, den_c = coeffs
+    num = np.full_like(x, num_c[0])
+    den = np.full_like(x, den_c[0])
+    for a, b in zip(num_c[1:], den_c[1:]):
+        num *= x
+        num += a
+        den *= x
+        den += b
+    num /= den
+    return num
+
+
 class TestNormalKernels:
     """_normal against the standard library's erfc, over the whole domain."""
+
+    # Each rational on its branch's argument range: AS241 in 0.180625 - q^2,
+    # r - 1.6 and r - 5 (r up to sqrt(-log(2^-1074))); Cody in y^2, |y| and 1/y^2.
+    @pytest.mark.parametrize("name,lo,hi", [
+        ("_PPF_CENTRAL", 0.0, 0.180625), ("_PPF_NEAR_TAIL", 0.0, 3.4),
+        ("_PPF_FAR_TAIL", 0.0, 22.3), ("_ERF_SMALL", 0.0, 0.46875 ** 2),
+        ("_ERFC_MID", 0.46875, 4.0), ("_ERFC_TAIL", 1.0 / 28.0 ** 2, 1.0 / 16.0)])
+    def test_ratio_has_the_bits_of_the_filled_horner(self, name, lo, hi):
+        coeffs = getattr(_normal, name)
+        x = np.concatenate([np.linspace(lo, hi, 1 << 16),
+                            np.random.default_rng(8).uniform(lo, hi, 1 << 16)])
+        got = _normal._ratio(coeffs, x)
+        assert np.array_equal(got.view(np.uint64), _full_like_ratio(coeffs, x).view(np.uint64))
 
     def test_ppf_within_documented_bound_on_the_whole_grid(self):
         ps = _ppf_grid()

@@ -2,12 +2,14 @@
 
 import math
 import platform
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from ashlab import tensor
+from ashlab import _normal, tensor
+from ashlab.nn import _DATA_STREAM_OFFSET
 from ashlab.tensor import NonFiniteError, RngState, ShapeError, Tensor, ewise, full, matmul, \
     randn, reduce
 
@@ -78,7 +80,57 @@ class TestConstruction:
         assert Tensor._wrap(np.float64(2.0)).shape == ()
 
 
+def _whole_array_uniform(seed, counter, n):
+    """The splitmix64 stream's uniforms, every counter hashed at once."""
+    idx = np.arange(n, dtype=np.uint64) + np.uint64(counter + 1)
+    z = np.uint64(seed) + np.uint64(0x9E3779B97F4A7C15) * idx
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z = z ^ (z >> np.uint64(31))
+    return ((z >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
+
+
+# Around one block edge and across three, at counters whose seed +
+# counter*golden wraps mod 2^64.
+STREAM_SIZES = [0, 1, 2**15 - 1, 2**15, 2**15 + 1, 3 * 2**15 + 7]
+STREAM_STATES = [(2**63, 0), (2**63 + 11, _DATA_STREAM_OFFSET), (2**64 - 3, 2**63 + 5)]
+
+
 class TestRng:
+    @pytest.mark.parametrize("n", STREAM_SIZES)
+    @pytest.mark.parametrize("seed,counter", STREAM_STATES)
+    def test_uniform_is_the_whole_array_stream(self, n, seed, counter):
+        rng = RngState(seed, counter)
+        got = rng.uniform(n)
+        want = _whole_array_uniform(seed, counter, n)
+        assert got.dtype == np.float64 and got.shape == (n,)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert rng.counter == counter + n
+
+    @pytest.mark.parametrize("n", STREAM_SIZES)
+    @pytest.mark.parametrize("seed,counter", STREAM_STATES)
+    def test_normal_is_the_scaled_quantile_of_uniform(self, n, seed, counter):
+        rng = RngState(seed, counter)
+        want = _normal.norm_ppf(rng.clone().uniform(n)) * 2.5 + 0.75
+        got = rng.normal(n, 0.75, 2.5)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert rng.counter == counter + n
+
+    def test_draws_peak_near_their_output(self):
+        # Tooling, not timing: the walk's block scratches stay small beside
+        # the 8 MiB output.
+        n = 2**20
+        for draw, bound in ((lambda: randn((n,), RngState(1)), 1.25),
+                            (lambda: RngState(1).uniform(n), 1.125)):
+            draw()  # warm-up
+            tracemalloc.start()
+            try:
+                draw()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound * 8 * n, f"peak {peak / (8 * n):.3f}x the output"
+
     def test_normal_sample_mean(self):
         t = randn([100_000], RngState(7))
         assert abs(float(t.data.mean())) < 0.02
@@ -101,6 +153,9 @@ class TestRng:
         chunks = np.concatenate([r1.uniform(7), r1.uniform(13)])
         r2 = RngState(9)
         assert np.array_equal(chunks, r2.uniform(20))
+        r3 = RngState(9)
+        edge = np.concatenate([r3.uniform(2**15 - 3), r3.uniform(10)])
+        assert np.array_equal(edge, RngState(9).uniform(2**15 + 7))
 
     def test_uniform_open_interval(self):
         u = RngState(1).uniform(100_000)
