@@ -25,7 +25,8 @@ import numpy as np
 from . import activations as act
 from . import autodiff as ad
 from .autodiff import Variable
-from .tensor import NonFiniteError, RngState, ShapeError, Tensor
+from .tensor import NonFiniteError, RngState, ShapeError, Tensor, _row_blocks, _row_step, \
+    _TreeSum
 
 # Data-order draws start here so weight init (counter 0) can never
 # collide with them, no matter how many parameters a model has.
@@ -287,6 +288,16 @@ def _targets(targets, n_rows: int, n_classes: int) -> np.ndarray:
     return arr
 
 
+def _loss_targets(kind: str, logits, targets) -> np.ndarray:
+    """`targets` checked by `_targets` against the logits of the `kind` loss."""
+    if kind not in LOSS_KINDS:
+        raise ValueError(f"unknown loss {kind!r}; expected one of {LOSS_KINDS}")
+    shape = ad.value(logits).shape
+    if kind == "softmax_xent" and len(shape) != 2:
+        raise ShapeError(f"logits must be (B, C), got {shape}")
+    return _targets(targets, *shape[:2])
+
+
 def softmax_xent(logits, targets) -> Variable | Tensor:
     """Mean cross-entropy with log-sum-exp stabilization.
 
@@ -294,34 +305,67 @@ def softmax_xent(logits, targets) -> Variable | Tensor:
     for bit (sum(lse) - sum(z*hot)) / B with grad g*(ez/se - hot)/B, but
     class indices build no one-hot: z*hot is z*0.0 with z (= z*1.0) at the
     labels, and the grad subtracts 1.0 there only (x - 0.0 == x).
+
+    Both passes walk the logits in row blocks (`tensor._row_blocks`)
+    through one block scratch, so neither builds a full-size temporary.
+    The forward's scratch holds z*hot, whose whole-array sum keeps
+    np.add.reduce's bits (across blocks through a `tensor._TreeSum`), then
+    exp(z - zmax) for the row sums se; it keeps only zmax and se, B floats
+    each. The backward forms exp(z - zmax) again (storing it would keep a
+    full-size array on the tape, the store-versus-recompute trade of Chen
+    et al., 2016) straight into the grad, which it allocates once per call.
     """
+    return _softmax_xent(logits, _loss_targets("softmax_xent", logits, targets))
+
+
+def _softmax_xent(logits, y: np.ndarray) -> Variable | Tensor:
+    """`softmax_xent` on targets `_targets` checked."""
     z = ad.value(logits).data
-    if z.ndim != 2:
-        raise ShapeError(f"logits must be (B, C), got {z.shape}")
     b, c = z.shape
-    y = _targets(targets, b, c)
+    # Class indices as a (B, 1) column, which the walk cuts with the rows.
+    hot = y if y.ndim == 2 else y[:, None]
     rows = np.arange(b)
+    zmax = np.maximum.reduce(z, axis=1, keepdims=True)
+    se = np.empty((b, 1))
+    step = _row_step(z)
+    # One block sums z*hot whole; a walk feeds each block to the tree-exact sum.
+    tree = _TreeSum(z.size) if step else None
+    scratch = np.empty((step or b, c))
     # Overflow is left to the loss's finiteness check to report.
     with np.errstate(over="ignore", invalid="ignore"):
-        ez = np.multiply(z, y if y.ndim == 2 else 0.0)  # z*hot, then the shifted exp
-        if y.ndim == 1:
-            ez[rows, y] = z[rows, y]
-        picked = float(np.add.reduce(ez, axis=None))
-        zmax = np.maximum.reduce(z, axis=1, keepdims=True)
-        np.subtract(z, zmax, out=ez)
-        np.exp(ez, out=ez)
-        se = np.add.reduce(ez, axis=1, keepdims=True)
+        for z_b, hot_b, zmax_b, se_b in _row_blocks((z, hot, zmax, se)):
+            t = scratch[:len(z_b)]
+            np.multiply(z_b, hot_b if y.ndim == 2 else 0.0, out=t)  # z*hot
+            if y.ndim == 1:
+                r, lab = rows[:len(z_b)], hot_b[:, 0]
+                t[r, lab] = z_b[r, lab]
+            if tree:
+                tree.add(t)
+            else:
+                picked = np.add.reduce(t, axis=None)
+            np.subtract(z_b, zmax_b, out=t)
+            np.exp(t, out=t)
+            np.add.reduce(t, axis=1, keepdims=True, out=se_b)
+        if tree:
+            picked = tree.total()
         lse = zmax[:, 0] + np.log(se[:, 0])
         out = Tensor._wrap(np.array([(np.add.reduce(lse) - picked) / b]))
 
     def vjp(g, needs):
-        p = ez / se  # the softmax, formed only by a backward pass
-        if y.ndim == 2:
-            p -= y
-        else:
-            p[rows, y] -= 1.0
-        p *= g.reshape(-1)[0]
-        p /= b
+        # The softmax, formed only by a backward pass; the same operations
+        # in the same order as the whole-array ez / se chain.
+        scale = g.reshape(-1)[0]
+        p = np.empty_like(z)
+        for z_b, hot_b, zmax_b, se_b, p_b in _row_blocks((z, hot, zmax, se, p)):
+            np.subtract(z_b, zmax_b, out=p_b)
+            np.exp(p_b, out=p_b)
+            p_b /= se_b
+            if y.ndim == 2:
+                p_b -= hot_b
+            else:
+                p_b[rows[:len(z_b)], hot_b[:, 0]] -= 1.0
+            p_b *= scale
+            p_b /= b
         return (p,)
 
     return ad.emit("softmax_xent", (logits,), out, vjp)
@@ -335,23 +379,28 @@ def mse(pred, target) -> Variable | Tensor:
 
 def loss_fn(kind: str, logits, targets) -> Variable | Tensor:
     """The `kind` loss; a non-finite loss raises DivergenceError("loss")."""
+    return _loss(kind, logits, _loss_targets(kind, logits, targets))
+
+
+def _loss(kind: str, logits, y: np.ndarray) -> Variable | Tensor:
+    """`loss_fn` on targets `_loss_targets` checked."""
     try:
         if kind == "softmax_xent":
-            return softmax_xent(logits, targets)
-        if kind == "mse":
-            shape = ad.value(logits).shape
-            y = _targets(targets, *shape[:2])
-            return mse(logits, y if y.ndim == 2 else np.equal.outer(y, np.arange(shape[1])))
+            return _softmax_xent(logits, y)
+        return mse(logits, y if y.ndim == 2 else
+                   np.equal.outer(y, np.arange(ad.value(logits).shape[1])))
     except NonFiniteError as exc:
         raise DivergenceError("loss") from exc
-    raise ValueError(f"unknown loss {kind!r}; expected one of {LOSS_KINDS}")
 
 
 def accuracy(logits: Tensor, labels: np.ndarray) -> float:
     """Fraction of rows whose argmax is the label, checked as the losses
     check it; a (B, C) one-hot or soft target's label is its row's argmax."""
-    z = logits.data
-    y = _targets(labels, *z.shape)
+    return _accuracy(logits.data, _targets(labels, *logits.shape))
+
+
+def _accuracy(z: np.ndarray, y: np.ndarray) -> float:
+    """`accuracy` of logits z on targets `_targets` checked."""
     if y.ndim == 2:
         y = np.argmax(y, axis=1)
     # The count over the rows: np.mean's bits, without its Python wrapper.
@@ -483,13 +532,14 @@ def evaluate(model: Model, x: Tensor, labels: np.ndarray, loss_kind: str = "soft
     total, correct = 0.0, 0.0
     for bi, start in enumerate(range(0, n, batch_size)):
         xb = Tensor._wrap(x.data[start:start + batch_size], finite=True)
-        yb = np.asarray(labels)[start:start + batch_size]
         try:
             logits, _ = model.forward(xb, trainable=False)
-            total += ad.value(loss_fn(loss_kind, logits, yb)).item() * xb.shape[0]
+            # The batch's labels are checked once, for the loss and accuracy.
+            yb = _loss_targets(loss_kind, logits, np.asarray(labels)[start:start + batch_size])
+            total += ad.value(_loss(loss_kind, logits, yb)).item() * xb.shape[0]
         except DivergenceError as exc:
             raise DivergenceError(exc.where, None, bi, "evaluation") from exc
-        correct += accuracy(logits, yb) * xb.shape[0]
+        correct += _accuracy(logits.data, yb) * xb.shape[0]
     return total / n, correct / n
 
 
@@ -536,10 +586,9 @@ def train(model: Model, config: TrainConfig, dataset: tuple[Tensor, np.ndarray],
         for bi, start in enumerate(range(0, order.size, config.batch_size)):
             idx = order[start:start + config.batch_size]
             xb = Tensor._wrap(x.data[idx], finite=True)
-            yb = labels[idx]
             try:
                 logits, pvars = model.forward(xb)
-                batch_loss = loss_fn(config.loss, logits, yb)
+                batch_loss = loss_fn(config.loss, logits, labels[idx])
                 ad.backward(batch_loss)
                 # Raw sums: a non-finite grad is named at the parameter it reaches.
                 g = _flat(v._grad_array() for v in pvars.values())
@@ -549,6 +598,9 @@ def train(model: Model, config: TrainConfig, dataset: tuple[Tensor, np.ndarray],
             except DivergenceError as exc:
                 raise DivergenceError(exc.where, epoch, bi, "training") from exc
             loss_sum += ad.value(batch_loss).item() * idx.size
+            # The step's gather, tape and grads go now, not when the next step
+            # or the epoch's validation pass rebinds these names.
+            del xb, logits, pvars, batch_loss, g
 
         eval_idx = val_idx if val_idx.size else train_idx
         try:

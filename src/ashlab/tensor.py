@@ -157,9 +157,12 @@ _MASK64 = (1 << 64) - 1
 
 def _to_unit(bits: np.ndarray, out: np.ndarray) -> None:
     """(bits + 0.5) * 2^-53 of 53-bit integers, into float64 `out` (which
-    may be `bits` itself, viewed as float64)."""
+    may be `bits` itself, viewed as float64). The sum rounds to even, so
+    2^53 - 1 would give exactly 1.0: it is clamped to 1 - 2^-53, the
+    largest float below 1, and every other draw keeps its bits."""
     np.add(bits, 0.5, out=out)
     out *= 2.0 ** -53
+    np.minimum(out, 1.0 - 2.0 ** -53, out=out)
 
 
 class RngState:

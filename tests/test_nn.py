@@ -9,7 +9,7 @@ import pytest
 
 from ashlab import activations as act
 from ashlab import autodiff as ad
-from ashlab import nn
+from ashlab import nn, tensor
 from ashlab.harness import datasets
 from ashlab.tensor import NonFiniteError, ShapeError, Tensor
 
@@ -270,16 +270,59 @@ class TestLosses:
             ("loss", None, None, None)
         assert str(err.value) == "non-finite value in loss"
 
-    @pytest.mark.parametrize("backward,budget", [(False, 1.1), (True, 3.2)],
-                             ids=["forward", "forward_backward_grad"])
-    def test_xent_allocates_within_budget(self, backward, budget):
-        # Tooling, not timing: class indices build no one-hot, and the tape
-        # keeps the backward's B x C grad without a copy until it is read.
+    @pytest.mark.parametrize("shape", [(64, 16384), (32, 2)])
+    def test_double_backward_through_xent_doubles_grads(self, shape):
+        # The VJP reads the forward's zmax and se and writes only its own
+        # grad, so a second replay of the tape adds the same grad again.
+        rng = np.random.default_rng(6)
+        z = rng.normal(size=shape) * 4.0
+        zv = ad.Tape().variable(Tensor(z), requires_grad=True)
+        loss = nn.softmax_xent(zv, rng.integers(0, shape[1], shape[0]))
+        ad.backward(loss)
+        once = zv.grad.data.copy()
+        ad.backward(loss)
+        assert _bits(zv.grad.data) == _bits(2.0 * once)
+
+    @pytest.mark.parametrize("targets", ["index", "one_hot", "soft"])
+    def test_xent_row_blocks_match_one_block(self, monkeypatch, targets):
+        # Above C = 128 a row's sums cut into pairwise leaves, and blocks of
+        # 1 and 3 rows cut the whole-array sum of z*hot at leaf edges of
+        # their own; the bits must be those of the one whole-array block.
+        rng = np.random.default_rng(8)
+        b, c = 7, 300
+        z = rng.normal(size=(b, c)) * 10.0 ** rng.integers(-3, 3, size=(b, c))
+        z[2, :4] = [-0.0, 700.0, -700.0, -0.0]
+        labels = rng.integers(0, c, size=b)
+        labels[2] = 1
+        y = {"index": labels, "one_hot": np.eye(c)[labels],
+             "soft": rng.dirichlet(np.ones(c), size=b)}[targets]
+
+        def run():
+            zv = ad.Tape().variable(Tensor(z), requires_grad=True)
+            loss = nn.softmax_xent(zv, y)
+            ad.backward(loss)
+            return _bits(loss.value.data), _bits(zv.grad.data)
+
+        monkeypatch.setattr(tensor, "_WHOLE_ELEMS", 1 << 62)
+        want = run()
+        monkeypatch.setattr(tensor, "_WHOLE_ELEMS", 0)
+        for rows in (1, 3):
+            monkeypatch.setattr(tensor, "_BLOCK_ELEMS", rows * c)
+            assert run() == want, f"rows={rows}"
+
+    @pytest.mark.parametrize("requires_grad,backward,budget", [
+        (False, False, 0.1), (True, False, 0.1), (True, True, 2.25)],
+        ids=["forward_no_grad", "forward", "forward_backward_grad"])
+    def test_xent_allocates_within_budget(self, requires_grad, backward, budget):
+        # Tooling, not timing: class indices build no one-hot, both passes
+        # walk the logits through a block scratch, the forward keeps B floats
+        # twice, and the tape keeps the backward's B x C grad without a copy
+        # until it is read.
         z = Tensor(np.random.default_rng(2).normal(size=(64, 16384)))
         labels = np.random.default_rng(3).integers(0, 16384, 64)
 
         def run():
-            zv = ad.Tape().variable(z, requires_grad=True)
+            zv = ad.Tape().variable(z, requires_grad=requires_grad)
             loss = nn.softmax_xent(zv, labels)
             if backward:
                 ad.backward(loss)
@@ -649,6 +692,28 @@ class TestTrainLoop:
         assert _bits(model.params[pname].data) == _bits([want])
         assert not model.params[pname].data.flags.writeable
 
+    def test_epoch_frees_each_step_before_the_next(self):
+        # Tooling, not timing: at 64 x 16384 one full-batch step's tape (the
+        # gathered rows, the gate's buffers, the logits and their grad) is
+        # freed before the epoch's validation pass, and the loss walks its
+        # rows through a block scratch.
+        rng = np.random.default_rng(3)
+        x = Tensor(rng.standard_normal((64, 16384)))
+        labels = rng.integers(0, 16384, 64)
+        config = nn.TrainConfig(epochs=1, batch_size=64, seed=1)
+
+        def run():
+            nn.train(nn.Model([nn.Activation(act.preset("ash"))], seed=1), config, (x, labels))
+
+        run()  # warm-up
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * x.data.nbytes, f"peak {peak / x.data.nbytes:.2f}x the input"
+
     def test_model_without_parameters_trains(self):
         model = nn.Model([nn.Activation(act.preset("relu"))], seed=0)
         assert model.params == {}
@@ -691,6 +756,40 @@ class TestTrainLoop:
         monkeypatch.setattr(ad.Variable, "__init__", no_tape)
         monkeypatch.setattr(ad, "record", no_tape)
         assert nn.evaluate(model, x, labels, kind, batch_size=16) == want
+
+    @pytest.mark.parametrize("kind", nn.LOSS_KINDS)
+    @pytest.mark.parametrize("one_hot", [False, True])
+    def test_evaluate_checks_each_batch_once(self, kind, one_hot, monkeypatch):
+        # The loss and accuracy share one checked copy of a batch's labels,
+        # with the bits of the public loss_fn and accuracy of each batch.
+        x, labels = datasets.two_moons(40, 0.1, 2)
+        targets = np.eye(2)[labels] if one_hot else labels
+        model = nn.Model(mlp("ash"), seed=0)
+        total, correct = 0.0, 0.0
+        for start in range(0, 40, 16):
+            xb = Tensor(x.data[start:start + 16])
+            logits, _ = model.forward(xb, trainable=False)
+            yb = targets[start:start + 16]
+            total += nn.loss_fn(kind, logits, yb).item() * xb.shape[0]
+            correct += nn.accuracy(logits, yb) * xb.shape[0]
+        calls = []
+        checked = nn._targets
+        monkeypatch.setattr(nn, "_targets", lambda *a: calls.append(a) or checked(*a))
+        got = nn.evaluate(model, x, targets, kind, batch_size=16)
+        assert len(calls) == 3
+        assert _bits(got) == _bits([total / 40, correct / 40])
+
+    @pytest.mark.parametrize("kind", nn.LOSS_KINDS)
+    @pytest.mark.parametrize("labels,error,message", [
+        ([0, 5], ValueError, "class label 5 is out of range for 2 classes"),
+        ([0.5, 1.0], ValueError, "class label 0.5 is not an integer"),
+        (np.eye(3)[[0, 1]], ShapeError, "one-hot targets have 3 columns, logits 2"),
+        ([0], ShapeError, "1 targets for 2 logits rows")])
+    def test_evaluate_keeps_the_label_error_class(self, kind, labels, error, message):
+        model = nn.Model([nn.Dense(2, 2)], seed=0)
+        with pytest.raises(error, match=re.escape(message)) as err:
+            nn.evaluate(model, Tensor([[0.0, 1.0], [1.0, 0.0]]), np.array(labels), kind)
+        assert not isinstance(err.value, nn.DivergenceError)
 
     @pytest.mark.parametrize("kind", nn.LOSS_KINDS)
     def test_evaluate_takes_the_one_hot_targets_its_loss_takes(self, kind):

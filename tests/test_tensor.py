@@ -3,6 +3,7 @@
 import math
 import platform
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -160,6 +161,37 @@ class TestRng:
     def test_uniform_open_interval(self):
         u = RngState(1).uniform(100_000)
         assert u.min() > 0.0 and u.max() < 1.0
+
+    def test_top_draw_stays_below_one(self):
+        # (2^53 - 1) + 0.5 rounds to even, up to 2^53: the draw would read
+        # exactly 1.0 and normal would take log(0). It reads 1 - 2^-53; its
+        # neighbours keep the formula's bits.
+        bits = np.array([2**53 - 1, 2**53 - 2, 2**52 + 1, 0], np.uint64)
+        out = np.empty(bits.size)
+        tensor._to_unit(bits, out)
+        assert out[0] < 1.0 and out[0] == 1.0 - 2.0**-53
+        want = (bits[1:].astype(np.float64) + 0.5) * 2.0**-53
+        assert np.array_equal(out[1:].view(np.uint64), want.view(np.uint64))
+
+    def test_normal_of_the_top_draw_is_finite(self):
+        # The seed whose first draw hashes to all ones, found by running
+        # splitmix64's finalizer (a bijection mod 2^64) backwards.
+        def unshift(x, s):
+            y = x
+            for _ in range(64 // s):
+                y = x ^ (y >> s)
+            return y
+
+        z = unshift((1 << 64) - 1, 31)
+        z = unshift(z * pow(0x94D049BB133111EB, -1, 1 << 64) % (1 << 64), 27)
+        z = unshift(z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64) % (1 << 64), 30)
+        seed = (z - 0x9E3779B97F4A7C15) % (1 << 64)
+        assert _whole_array_uniform(seed, 0, 1)[0] == 1.0  # the unclamped formula
+        assert RngState(seed).uniform(1)[0] == 1.0 - 2.0**-53
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            draw = RngState(seed).normal(1)
+        assert np.isfinite(draw).all() and draw[0] > 8.0
 
     def test_permutation_is_permutation(self):
         p = RngState(3).permutation(257)
