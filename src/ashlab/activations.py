@@ -67,15 +67,15 @@ class AshParams:
     k: float = 50.0
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be > 0, got {self.alpha}")
+        if self.alpha <= 0 or not np.isfinite(self.alpha):
+            raise ValueError(f"alpha must be finite and > 0, got {self.alpha}")
         if self.stats_mode not in STATS_MODES:
             raise ValueError(f"stats_mode must be one of {STATS_MODES}")
         if self.grad_mode not in GRAD_MODES:
             raise ValueError(f"grad_mode must be one of {GRAD_MODES}")
         if not np.isfinite(self.z_k):
             raise ValueError("z_k must be finite")
-        if self.per_channel_z and self.channels < 1:
+        if self.per_channel_z and not self.channels >= 1:  # so that NaN fails it
             raise ValueError("per_channel_z needs channels >= 1")
         if self.leak < 0 or not np.isfinite(self.leak):
             raise ValueError(f"leak must be finite and >= 0, got {self.leak}")
@@ -370,10 +370,10 @@ def _ash_op(x, z, alpha, leak, stats_mode: str, grad_mode: str, name: str):
     xt = ad.value(x)
     data = xt.data
     aval = _scalar(alpha)
-    if aval <= 0:
+    if not aval > 0:  # so that NaN fails it
         raise ValueError(f"alpha must be > 0, got {aval}")
     lval = _scalar(leak)
-    if lval < 0:
+    if not lval >= 0:  # so that NaN fails it
         raise ValueError(f"leak must be >= 0, got {lval}")
     z_b = _broadcast_z(z, xt.shape)
     axes, n, mu, centered, sigma_raw, sigma = _grouped_stats(data, stats_mode)

@@ -85,32 +85,6 @@ class Variable:
         tag = f" {self.name!r}" if self.name else ""
         return f"Variable(#{self.node_id}{tag}, shape={self.value.shape}, requires_grad={self.requires_grad})"
 
-    # Arithmetic sugar; everything funnels through the module-level ops.
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
 
 class Tape:
     """Ordered record of primitive applications for one forward pass."""
@@ -124,10 +98,6 @@ class Tape:
     def variable(self, value, requires_grad: bool = False, name: str | None = None) -> Variable:
         value = value if isinstance(value, Tensor) else Tensor(value)
         return Variable(value, self, requires_grad, name)
-
-    def constant(self, value) -> Variable:
-        """A Variable that needs no grad; a number becomes rank 0."""
-        return self.variable(value)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -251,19 +221,10 @@ def mul(a, b) -> Variable | Tensor:
     return _binary("mul", a, b, lambda g, x, y: g * y, lambda g, x, y: g * x)
 
 
-def div(a, b) -> Variable | Tensor:
-    return _binary("div", a, b, lambda g, x, y: g / y, lambda g, x, y: -g * x / (y * y))
-
-
 def maximum(a, b) -> Variable | Tensor:
     """Elementwise max; ties route the gradient to the second operand."""
     return _binary("max", a, b, lambda g, x, y: g * (x > y), lambda g, x, y: g * ~(x > y),
                    "maximum")
-
-
-def neg(a) -> Variable | Tensor:
-    out = Tensor._wrap(-value(a).data)
-    return emit("neg", (a,), out, lambda g, needs: (-g,))
 
 
 def exp(a) -> Variable | Tensor:
@@ -271,25 +232,6 @@ def exp(a) -> Variable | Tensor:
         out = Tensor._wrap(np.exp(value(a).data))  # overflow -> finiteness error
     od = out.data
     return emit("exp", (a,), out, lambda g, needs: (g * od,))
-
-
-def log(a) -> Variable | Tensor:
-    ad = value(a).data
-    if np.any(ad <= 0.0):
-        raise ValueError("log needs strictly positive inputs")
-    out = Tensor._wrap(np.log(ad))
-    return emit("log", (a,), out, lambda g, needs: (g / ad,))
-
-
-def sqrt(a) -> Variable | Tensor:
-    ad = value(a).data
-    if np.any(ad < 0.0):
-        raise ValueError("sqrt needs non-negative inputs")
-    out = Tensor._wrap(np.sqrt(ad))
-    od = out.data
-    # 0 upstream stays 0 even at the root's singular point.
-    return emit("sqrt", (a,), out, lambda g, needs: (
-        np.where(g == 0.0, 0.0, g / np.maximum(2.0 * od, 1e-300)),))
 
 
 def stable_sigmoid(u: np.ndarray, out: np.ndarray | None = None,
@@ -319,12 +261,6 @@ def sigmoid(a) -> Variable | Tensor:
     return emit("sigmoid", (a,), Tensor._wrap(s), lambda g, needs: (g * s * (1.0 - s),))
 
 
-def tanh(a) -> Variable | Tensor:
-    th = np.tanh(value(a).data)
-    out = Tensor._wrap(th)
-    return emit("tanh", (a,), out, lambda g, needs: (g * (1.0 - th * th),))
-
-
 def softplus(a) -> Variable | Tensor:
     """ln(1+e^x) in the overflow-free max(x,0)+log1p(e^-|x|) form."""
     x = value(a).data
@@ -344,11 +280,6 @@ def heaviside(a) -> Variable | Tensor:
     """Unit step: 1 for x > 0, 0 for x <= 0. Blocks all gradient flow."""
     out = Tensor._wrap((value(a).data > 0.0).astype(np.float64))
     return emit("heaviside", (a,), out, lambda g, needs: (None,))
-
-
-def stop_gradient(a) -> Variable | Tensor:
-    """Identity forward; treated as a constant by backward."""
-    return emit("stop_gradient", (a,), value(a), lambda g, needs: (None,))
 
 
 def sum_all(a) -> Variable | Tensor:
@@ -413,7 +344,7 @@ def fd_check(f, x, h: float = 1e-6) -> GradCheckReport:
     Variable's tape. Relative error uses max(|analytic|, |numeric|,
     1e-8) as the denominator.
     """
-    if h <= 0:
+    if not h > 0:  # so that NaN fails it
         raise ValueError("h must be positive")
     x = x if isinstance(x, Tensor) else Tensor(x)
     t = Tape()

@@ -25,7 +25,7 @@ class FormatError(ValueError):
 
 def _split_counts(n: int, noise: float) -> tuple[int, int]:
     """Class sizes for n samples, after checking n and noise."""
-    if noise < 0:
+    if not noise >= 0:  # so that NaN fails it
         raise ValueError(f"noise must be >= 0, got {noise}")
     if n < 2:
         raise ValueError(f"need at least 2 samples, got {n}")

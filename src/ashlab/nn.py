@@ -65,7 +65,7 @@ class _Extents:
 
     def __post_init__(self):
         for name, value in vars(self).items():
-            if value < 1:
+            if not value >= 1:  # so that NaN fails it
                 raise ValueError(f"{name} must be >= 1, got {value}")
 
 
@@ -500,9 +500,10 @@ class TrainConfig:
     val_split: float = 0.0
 
     def __post_init__(self):
-        if self.epochs < 0:
+        # Each test is written so that NaN fails it.
+        if not self.epochs >= 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
-        if self.batch_size < 1:
+        if not self.batch_size >= 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if not 0.0 <= self.val_split < 1.0:
             raise ValueError(f"val_split must lie in [0, 1), got {self.val_split}")

@@ -93,9 +93,8 @@ class Tensor:
 
     __slots__ = ("_data",)
 
-    def __init__(self, data, shape=None):
-        arr = np.array(data, dtype=np.float64, order="C", copy=True)
-        self._data = _checked(arr if shape is None else arr.reshape(check_shape(shape)))
+    def __init__(self, data):
+        self._data = _checked(np.array(data, dtype=np.float64, order="C", copy=True))
 
     @classmethod
     def _wrap(cls, arr: np.ndarray, finite: bool = False) -> "Tensor":
@@ -228,7 +227,7 @@ class RngState:
     def normal(self, n: int, mean: float = 0.0, std: float = 1.0) -> np.ndarray:
         """n i.i.d. N(mean, std^2) draws, norm_ppf(uniform(n))*std + mean bit for
         bit; advances counter."""
-        if std < 0:
+        if not std >= 0:  # so that NaN fails it
             raise ValueError(f"std must be >= 0, got {std}")
 
         def convert(bits, out):

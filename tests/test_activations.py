@@ -424,7 +424,7 @@ class TestInPlaceAshBits:
                               for v in (x, z, [leak], [alpha]))
             out = act.leaky_ash(xv, zv, leak=lv, alpha=av, stats_mode=stats_mode,
                                 grad_mode=grad_mode)
-            ad.backward(ad.sum_all(ad.mul(out, t.constant(Tensor(g)))))
+            ad.backward(ad.sum_all(ad.mul(out, Tensor(g))))
             assert _bits(out.value.data) == _bits(want_out), case
             for key, var in (("x", xv), ("z", zv), ("leak", lv), ("alpha", av)):
                 assert _bits(var.grad.data) == _bits(want[key]), f"{key} grad, {case}"
@@ -435,7 +435,7 @@ class TestInPlaceAshBits:
             zc = t.variable(Tensor(z))
             out = act.leaky_ash(xv, zc, leak=leak, alpha=alpha, stats_mode=stats_mode,
                                 grad_mode=grad_mode)
-            ad.backward(ad.sum_all(ad.mul(out, t.constant(Tensor(g)))))
+            ad.backward(ad.sum_all(ad.mul(out, Tensor(g))))
             assert _bits(out.value.data) == _bits(want_out), case
             assert _bits(xv.grad.data) == _bits(want["x"]), f"x-only grad, {case}"
 
@@ -551,7 +551,7 @@ class TestInPlaceAshBits:
                       for key, v in act.trainable_params(spec).items()}
             xv = t.variable(x, requires_grad=x_trainable)
             out = act.apply_spec(spec, xv, params)
-            ad.backward(ad.sum_all(ad.mul(out, t.constant(up))))
+            ad.backward(ad.sum_all(ad.mul(out, up)))
             return {key: _bits(p.grad.data) for key, p in params.items()}
 
         assert param_grads(False) == param_grads(True)
@@ -585,7 +585,7 @@ class TestInPlaceGate:
             t = ad.Tape()
             xv = t.variable(Tensor(x), requires_grad=True)
             out = gate(xv, t.variable(Tensor([z]), requires_grad=True), stats_mode=stats_mode)
-            ad.backward(ad.sum_all(ad.mul(out, t.constant(Tensor(g)))))
+            ad.backward(ad.sum_all(ad.mul(out, Tensor(g))))
             assert _bits(out.value.data) == _bits(want)
             assert _bits(xv.grad.data) == _bits(0.0 + g * mask)  # a first grad lands on 0.0
 
@@ -635,7 +635,7 @@ def _gate_run(x, z, leak, alpha, stats_mode, grad_mode, g):
     xv, zv, lv, av = (t.variable(Tensor(v), requires_grad=True)
                       for v in (x, z, [leak], [alpha]))
     out = act.leaky_ash(xv, zv, leak=lv, alpha=av, stats_mode=stats_mode, grad_mode=grad_mode)
-    ad.backward(ad.sum_all(ad.mul(out, t.constant(Tensor(g)))))
+    ad.backward(ad.sum_all(ad.mul(out, Tensor(g))))
     bits = {"out": out.value.data}
     bits.update((key, v.grad.data) for key, v in (("x", xv), ("z", zv), ("leak", lv),
                                                  ("alpha", av)))
@@ -644,7 +644,7 @@ def _gate_run(x, z, leak, alpha, stats_mode, grad_mode, g):
     t = ad.Tape()
     xv = t.variable(Tensor(x), requires_grad=True)
     hard = act.hard_ash(xv, float(z[0]), stats_mode=stats_mode)
-    ad.backward(ad.sum_all(ad.mul(hard, t.constant(Tensor(g)))))
+    ad.backward(ad.sum_all(ad.mul(hard, Tensor(g))))
     bits.update(hard=hard.value.data, hard_x=xv.grad.data)
     return {key: _bits(v) for key, v in bits.items()}
 
@@ -749,7 +749,7 @@ class TestRowBlocks:
             xv, zv, lv, av = (t.variable(Tensor(v), requires_grad=True)
                               for v in (x, z, [0.3], [1.5]))
             out = act.leaky_ash(xv, zv, leak=lv, alpha=av, grad_mode=grad_mode)
-            ad.backward(ad.sum_all(ad.mul(out, t.constant(Tensor(g)))))
+            ad.backward(ad.sum_all(ad.mul(out, Tensor(g))))
             case = f"leaf={leaf} per_channel={per_channel}"
             assert _bits(out.value.data) == _bits(want_out), case
             for key, var in (("x", xv), ("z", zv), ("leak", lv), ("alpha", av)):
@@ -1007,6 +1007,17 @@ class TestSpecSerialization:
             act.preset("not_an_activation")
         with pytest.raises(ValueError):
             act.preset("f_ash_abc")
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: act.AshParams(alpha=float("nan")), "alpha must"),
+    (lambda: act.AshParams(per_channel_z=True, channels=float("nan")), "channels >= 1"),
+    (lambda: act.smooth_ash(Tensor([1.0, 2.0]), alpha=float("nan")), "alpha must"),
+    (lambda: act.leaky_ash(Tensor([1.0, 2.0]), leak=float("nan")), "leak must"),
+], ids=["AshParams-alpha", "AshParams-channels", "smooth_ash-alpha", "leaky_ash-leak"])
+def test_nan_fails_range_check(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 # Per source (a preset name or a JSON object): the spec_to_json text with

@@ -63,8 +63,26 @@ class TestBackward:
     def test_matmul_grad_matches_fd(self):
         rng = np.random.default_rng(4)
         u = Tensor(rng.normal(size=(4, 4)))
-        rep = fd_check(lambda w: ad.sum_all(ad.matmul(w, w.tape.constant(u))),
+        rep = fd_check(lambda w: ad.sum_all(ad.matmul(w, u)),
                        Tensor(rng.normal(size=(4, 4))))
+        assert rep.max_rel_err < 1e-6
+
+    @pytest.mark.parametrize("slot", ["a", "b", "bias"])
+    @pytest.mark.parametrize("m,k,n", [(4, 4, 4), (5, 3, 1), (9, 2, 4)],
+                             ids=["square", "n_is_1", "narrow_tall"])
+    def test_matmul_slot_grad_matches_fd(self, slot, m, k, n):
+        # n == 1 and n <= 4 < m send the VJP's products through the transposed
+        # branch of tensor._matmul_arrays.
+        rng = np.random.default_rng(5)
+        operands = {"a": Tensor(rng.normal(size=(m, k))), "b": Tensor(rng.normal(size=(k, n))),
+                    "bias": Tensor(rng.normal(size=n))}
+        up = Tensor(rng.normal(size=(m, n)))
+
+        def f(w):
+            ops = dict(operands, **{slot: w})
+            return ad.sum_all(ad.mul(ad.matmul(ops["a"], ops["b"], ops["bias"]), up))
+
+        rep = fd_check(f, operands[slot])
         assert rep.max_rel_err < 1e-6
 
     def test_non_scalar_loss_rejected(self):
@@ -113,7 +131,7 @@ class TestBackward:
         x = t.variable(Tensor([1.0, -2.0, 3.0, 0.5]), requires_grad=True)
         h = ad.mul(x, 2.0)
         up = np.array([-0.0, 1.5, -0.0, -3.0])
-        backward(ad.sum_all(ad.mul(h, t.constant(Tensor(up)))))
+        backward(ad.sum_all(ad.mul(h, Tensor(up))))
         for v, adjoint in ((h, 1.0 * up), (x, (1.0 * up) * 2.0)):
             assert _bits(v._grad_array()) == _bits(adjoint)
             assert _bits(v.grad.data) == _bits(0.0 + adjoint)
@@ -126,7 +144,7 @@ class TestBackward:
         w = t.variable(Tensor([0.5]), requires_grad=True)
         h = ad.mul(x, w)
         y = ad.add(ad.sigmoid(h), ad.mul(h, h))
-        loss = ad.sum_all(ad.mul(y, t.constant(Tensor([-0.0, 1.0, -1.5]))))
+        loss = ad.sum_all(ad.mul(y, Tensor([-0.0, 1.0, -1.5])))
         variables = (x, w, h, y)
         backward(loss)
         first = [v.grad.data for v in variables]
@@ -149,7 +167,7 @@ class TestBackward:
         x = t.variable(Tensor([1.0, 2.0]), requires_grad=True)
         unused = t.variable(Tensor(np.ones((2, 3))), requires_grad=True)
         blocked = t.variable(Tensor([4.0]), requires_grad=True)
-        backward(ad.sum_all(ad.mul(x, ad.stop_gradient(blocked))))
+        backward(ad.sum_all(ad.mul(x, ad.heaviside(blocked))))
         for v in (unused, blocked):
             assert v.grad.shape == v.value.shape
             assert np.array_equal(v.grad.data, np.zeros(v.value.shape))
@@ -209,6 +227,10 @@ class TestFdCheck:
         with pytest.raises(ValueError):
             fd_check(lambda v: ad.sum_all(v), Tensor([1.0]), h=0.0)
 
+    def test_nan_h_rejected(self):
+        with pytest.raises(ValueError, match="h must be positive"):
+            fd_check(lambda v: ad.sum_all(v), Tensor([1.0]), h=float("nan"))
+
 
 def _kink_free(seed, n=100, scale=2.0):
     rng = np.random.default_rng(seed)
@@ -222,7 +244,6 @@ class TestPrimitiveGradients:
     """Every differentiable primitive vs central differences at 100 points."""
 
     X = _kink_free(2024)
-    POS = Tensor(np.abs(_kink_free(77).data) + 0.1)
     # Inside +-4 the normal density stays large enough that the fd
     # denominator is not dominated by erf's last-ulp wobble.
     XCDF = Tensor(np.clip(_kink_free(31).data, -4.0, 4.0))
@@ -231,14 +252,9 @@ class TestPrimitiveGradients:
         ("add", lambda v: ad.sum_all(ad.add(v, 1.5)), X),
         ("sub", lambda v: ad.sum_all(ad.sub(2.0, v)), X),
         ("mul", lambda v: ad.sum_all(ad.mul(v, v)), X),
-        ("div", lambda v: ad.sum_all(ad.div(1.0, v)), POS),
         ("maximum", lambda v: ad.sum_all(ad.maximum(v, 0.0)), X),
-        ("neg", lambda v: ad.sum_all(ad.neg(v)), X),
         ("exp", lambda v: ad.sum_all(ad.exp(v)), X),
-        ("log", lambda v: ad.sum_all(ad.log(v)), POS),
-        ("sqrt", lambda v: ad.sum_all(ad.sqrt(v)), POS),
         ("sigmoid", lambda v: ad.sum_all(ad.sigmoid(v)), X),
-        ("tanh", lambda v: ad.sum_all(ad.tanh(v)), X),
         ("softplus", lambda v: ad.sum_all(ad.softplus(v)), X),
         ("gauss_cdf", lambda v: ad.sum_all(ad.gauss_cdf(v)), XCDF),
         ("mean", lambda v: ad.mean_all(ad.mul(v, v)), X),
@@ -277,13 +293,6 @@ class TestGradBlockers:
         backward(ad.sum_all(ad.heaviside(x)))
         assert np.all(x.grad.data == 0.0)
 
-    def test_stop_gradient(self):
-        t = Tape()
-        x = t.variable(Tensor([2.0]), requires_grad=True)
-        backward(ad.sum_all(ad.mul(x, ad.stop_gradient(x))))
-        # d/dx of x*const(x) = const(x) only
-        assert x.grad.data[0] == 2.0
-
 
 def _freed_without_collector(run) -> bool:
     """True if the tape of `run()` (which returns a weakref to it) is gone
@@ -304,8 +313,8 @@ class TestGraphFreedByRefcount:
             t = Tape()
             x = t.variable(Tensor([0.5, 1.5, 2.0]), requires_grad=True)
             c = t.variable(Tensor([0.7]), requires_grad=True)
-            y = ad.add(ad.sub(ad.mul(x, c), ad.div(x, c)), ad.maximum(x, c))
-            y = ad.sum_all(ad.exp(ad.neg(ad.tanh(ad.sigmoid(ad.softplus(ad.log(ad.sqrt(y))))))))
+            y = ad.add(ad.sub(ad.mul(x, c), ad.heaviside(x)), ad.maximum(x, c))
+            y = ad.sum_all(ad.exp(ad.sigmoid(ad.softplus(y))))
             m = ad.matmul(ad.reshape(x, (3, 1)), ad.reshape(ad.gauss_cdf(x), (1, 3)))
             backward(ad.add(y, ad.mean_all(m)))
             return weakref.ref(t)

@@ -36,6 +36,11 @@ class TestTwoMoons:
         with pytest.raises(ValueError):
             datasets.two_moons(10, -0.1, 0)
 
+    @pytest.mark.parametrize("gen", [datasets.two_moons, datasets.spirals])
+    def test_nan_noise_rejected(self, gen):
+        with pytest.raises(ValueError, match="noise must"):
+            gen(8, noise=float("nan"))
+
 
 class TestBlobsAndSpirals:
     def test_blobs_deterministic_and_balanced(self):

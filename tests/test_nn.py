@@ -37,6 +37,16 @@ class TestForward:
         with pytest.raises(ValueError, match="must be >= 1"):
             make()
 
+    @pytest.mark.parametrize("make,field", [
+        (lambda: nn.Dense(float("nan"), 2), "in_dim"),
+        (lambda: nn.Conv2d(3, float("nan"), 1, 1), "kw"),
+        (lambda: nn.TrainConfig(epochs=float("nan")), "epochs"),
+        (lambda: nn.TrainConfig(epochs=1, batch_size=float("nan")), "batch_size"),
+    ], ids=["dense-in", "conv2d-kw", "train-epochs", "train-batch_size"])
+    def test_nan_fails_range_check(self, make, field):
+        with pytest.raises(ValueError, match=f"{field} must"):
+            make()
+
     def test_identity_dense_plus_relu_passthrough(self):
         model = nn.Model([nn.Dense(3, 3), nn.Activation(act.preset("relu"))], seed=0)
         model.params["dense0.W"] = Tensor(np.eye(3))
@@ -127,7 +137,7 @@ class TestForward:
             xv, wv, bv = (t.variable(v, requires_grad=True) for v in (x, w, b))
             h = nn.conv_patches(xv, 2, 3) if conv else xv
             out = affine(h, wv, bv)
-            ad.backward(ad.sum_all(ad.mul(out, t.constant(up))))
+            ad.backward(ad.sum_all(ad.mul(out, up)))
             results.append([out.value.data, xv.grad.data, wv.grad.data, bv.grad.data])
         for fused, reference in zip(*results):
             assert np.array_equal(fused.view(np.uint64), reference.view(np.uint64))

@@ -144,6 +144,10 @@ class TestRng:
         with pytest.raises(ValueError):
             randn([4], RngState(0), std=-1.0)
 
+    def test_nan_std_rejected(self):
+        with pytest.raises(ValueError, match="std must"):
+            RngState(0).normal(4, std=float("nan"))
+
     def test_identical_state_bit_identical(self):
         a = randn([1000], RngState(42, 5))
         b = randn([1000], RngState(42, 5))
