@@ -25,8 +25,8 @@ class FormatError(ValueError):
 
 def _split_counts(n: int, noise: float) -> tuple[int, int]:
     """Class sizes for n samples, after checking n and noise."""
-    if not noise >= 0:  # so that NaN fails it
-        raise ValueError(f"noise must be >= 0, got {noise}")
+    if not (np.isfinite(noise) and noise >= 0):
+        raise ValueError(f"noise must be finite and >= 0, got {noise}")
     if n < 2:
         raise ValueError(f"need at least 2 samples, got {n}")
     return (n + 1) // 2, n // 2

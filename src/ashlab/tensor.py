@@ -227,8 +227,10 @@ class RngState:
     def normal(self, n: int, mean: float = 0.0, std: float = 1.0) -> np.ndarray:
         """n i.i.d. N(mean, std^2) draws, norm_ppf(uniform(n))*std + mean bit for
         bit; advances counter."""
-        if not std >= 0:  # so that NaN fails it
-            raise ValueError(f"std must be >= 0, got {std}")
+        if not np.isfinite(mean):
+            raise ValueError(f"mean must be finite, got {mean}")
+        if not (np.isfinite(std) and std >= 0):
+            raise ValueError(f"std must be finite and >= 0, got {std}")
 
         def convert(bits, out):
             # The uniforms overwrite their own bits, and the quantile, *std

@@ -9,7 +9,6 @@ form, finite differences).
 import functools
 import itertools
 import json
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -482,21 +481,15 @@ class TestInPlaceAshBits:
         assert isinstance(out, Tensor) and out.shape == (4, 2)
         assert params is model.params
 
-    def test_forward_allocates_at_most_three_inputs(self):
+    def test_forward_allocates_at_most_three_inputs(self, alloc_peak):
         # Tooling, not timing: the peak of traced allocations of one forward.
         x = Tensor(np.random.default_rng(6).normal(size=1 << 16))
         spec = act.preset("ash")
-        act.apply_spec(spec, x)  # warm-up
-        tracemalloc.start()
-        try:
-            act.apply_spec(spec, x)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 3 * x.data.nbytes, f"peak {peak / x.data.nbytes:.2f}x the input"
+        peak = alloc_peak(lambda: act.apply_spec(spec, x), x.data.nbytes)
+        assert peak <= 3, f"peak {peak:.2f}x the input"
 
 
-    def test_forward_backward_allocates_at_most_seven_and_a_half_inputs(self):
+    def test_forward_backward_allocates_at_most_seven_and_a_half_inputs(self, alloc_peak):
         # Tooling, not timing: x and a scalar z_k trainable, loss = sum, grad read.
         x = Tensor(np.random.default_rng(8).normal(size=(16, 4096)))
 
@@ -507,16 +500,10 @@ class TestInPlaceAshBits:
                                                                  requires_grad=True))))
             return xv.grad
 
-        forward_backward()  # warm-up
-        tracemalloc.start()
-        try:
-            forward_backward()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 7.5 * x.data.nbytes, f"peak {peak / x.data.nbytes:.2f}x the input"
+        peak = alloc_peak(forward_backward, x.data.nbytes)
+        assert peak <= 7.5, f"peak {peak:.2f}x the input"
 
-    def test_zk_only_forward_backward_allocates_at_most_two_and_a_fifth_inputs(self):
+    def test_zk_only_forward_backward_allocates_at_most_two_and_a_fifth_inputs(self, alloc_peak):
         # Tooling, not timing: only z_k trainable, so no x grad is formed.
         x = Tensor(np.random.default_rng(9).normal(size=(64, 16384)))
 
@@ -526,14 +513,8 @@ class TestInPlaceAshBits:
             ad.backward(ad.sum_all(act.smooth_ash(t.variable(x), zv)))
             return zv.grad
 
-        forward_backward()  # warm-up
-        tracemalloc.start()
-        try:
-            forward_backward()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2.2 * x.data.nbytes, f"peak {peak / x.data.nbytes:.2f}x the input"
+        peak = alloc_peak(forward_backward, x.data.nbytes)
+        assert peak <= 2.2, f"peak {peak:.2f}x the input"
 
     @pytest.mark.parametrize("shape", [(256, 16), (64, 16384)])
     @pytest.mark.parametrize("spec", [
@@ -615,17 +596,11 @@ class TestInPlaceGate:
             assert _bits(gate(Tensor(x), 0.2).data) == _bits(want)
 
     @pytest.mark.parametrize("gate", [act.hard_ash, act.heaviside_ash])
-    def test_forward_allocates_at_most_two_and_a_quarter_inputs(self, gate):
+    def test_forward_allocates_at_most_two_and_a_quarter_inputs(self, gate, alloc_peak):
         # Tooling, not timing: the peak of traced allocations of one forward.
         x = Tensor(np.random.default_rng(7).normal(size=1 << 16))
-        gate(x, 0.5)  # warm-up
-        tracemalloc.start()
-        try:
-            gate(x, 0.5)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2.25 * x.data.nbytes, f"peak {peak / x.data.nbytes:.2f}x the input"
+        peak = alloc_peak(lambda: gate(x, 0.5), x.data.nbytes)
+        assert peak <= 2.25, f"peak {peak:.2f}x the input"
 
 
 def _gate_run(x, z, leak, alpha, stats_mode, grad_mode, g):
@@ -755,7 +730,7 @@ class TestRowBlocks:
             for key, var in (("x", xv), ("z", zv), ("leak", lv), ("alpha", av)):
                 assert _bits(var.grad.data) == _bits(want[key]), f"{key} grad, {case}"
 
-    def test_zk_only_backward_allocates_at_most_a_quarter_input(self):
+    def test_zk_only_backward_allocates_at_most_a_quarter_input(self, alloc_peak):
         # Tooling, not timing: above the forward's live set (x, its output and
         # the kept s), the z_k grad needs only block-sized scratch.
         x = Tensor(np.random.default_rng(9).normal(size=(64, 16384)))
@@ -765,21 +740,19 @@ class TestRowBlocks:
             zv = t.variable(Tensor([0.3]), requires_grad=True)
             return zv, ad.sum_all(act.smooth_ash(t.variable(x), zv))
 
-        zv, loss = forward()
-        ad.backward(loss)  # warm-up
-        want = zv.grad
-        zv, loss = forward()
-        tracemalloc.start()
-        try:
-            ad.backward(loss)
-            got = zv.grad
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert _bits(got.data) == _bits(want.data)
-        assert peak <= 0.25 * x.data.nbytes, f"peak {peak / x.data.nbytes:.2f}x the input"
+        # Each call runs the backward of a forward built before either call.
+        forwards, grads = [forward(), forward()], []
 
-    def test_walked_forward_backward_allocates_at_most_four_and_a_quarter_inputs(self):
+        def backward():
+            zv, loss = forwards.pop(0)
+            ad.backward(loss)
+            grads.append(zv.grad)
+
+        peak = alloc_peak(backward, x.data.nbytes)
+        assert _bits(grads[1].data) == _bits(grads[0].data)
+        assert peak <= 0.25, f"peak {peak:.2f}x the input"
+
+    def test_walked_forward_backward_allocates_at_most_four_and_a_quarter_inputs(self, alloc_peak):
         # Tooling, not timing: above the one-block size, the backward's scratch
         # is block-sized. The same call on one block peaks near 5x.
         x = Tensor(np.random.default_rng(8).normal(size=(64, 4096)))
@@ -792,14 +765,8 @@ class TestRowBlocks:
                                                                  requires_grad=True))))
             return xv.grad
 
-        forward_backward()  # warm-up
-        tracemalloc.start()
-        try:
-            forward_backward()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 4.25 * x.data.nbytes, f"peak {peak / x.data.nbytes:.2f}x the input"
+        peak = alloc_peak(forward_backward, x.data.nbytes)
+        assert peak <= 4.25, f"peak {peak:.2f}x the input"
 
 
 class TestStatsModes:

@@ -41,6 +41,11 @@ class TestTwoMoons:
         with pytest.raises(ValueError, match="noise must"):
             gen(8, noise=float("nan"))
 
+    @pytest.mark.parametrize("gen", [datasets.two_moons, datasets.spirals, datasets.blobs])
+    def test_infinite_noise_rejected(self, gen):
+        with pytest.raises(ValueError, match="noise must be finite"):
+            gen(8, noise=float("inf"))
+
 
 class TestBlobsAndSpirals:
     def test_blobs_deterministic_and_balanced(self):

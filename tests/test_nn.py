@@ -2,7 +2,6 @@
 
 import functools
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,6 +35,27 @@ class TestForward:
     def test_layer_extents_must_be_positive(self, make):
         with pytest.raises(ValueError, match="must be >= 1"):
             make()
+
+    @pytest.mark.parametrize("make,field", [
+        (lambda: nn.Dense(2.5, 2), "in_dim"),
+        (lambda: nn.Dense(2, float("inf")), "out_dim"),
+        (lambda: nn.Dense(float("-inf"), 2), "in_dim"),
+        (lambda: nn.Dense(True, 2), "in_dim"),
+        (lambda: nn.Dense(2, np.float64(3.0)), "out_dim"),
+        (lambda: nn.Conv2d(3, 3, 1.5, 4), "cin"),
+        (lambda: nn.Conv2d(3, float("nan"), 1, 4), "kw"),
+        (lambda: nn.Conv2d(3, 3, 1, np.bool_(True)), "cout"),
+    ], ids=["dense-fraction", "dense-inf", "dense-neg-inf", "dense-bool", "dense-float",
+            "conv2d-fraction", "conv2d-nan", "conv2d-numpy-bool"])
+    def test_layer_extents_must_be_integers(self, make, field):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            make()
+
+    def test_numpy_integer_extents_build_a_model(self):
+        layers = [nn.Conv2d(np.int64(2), np.int32(2), 1, np.uint8(2)), nn.Flatten(),
+                  nn.Dense(np.int64(18), 2)]
+        out, _ = nn.Model(layers, seed=0).forward(Tensor(np.ones((1, 4, 4, 1))), trainable=False)
+        assert out.shape == (1, 2)
 
     @pytest.mark.parametrize("make,field", [
         (lambda: nn.Dense(float("nan"), 2), "in_dim"),
@@ -323,7 +343,7 @@ class TestLosses:
     @pytest.mark.parametrize("requires_grad,backward,budget", [
         (False, False, 0.1), (True, False, 0.1), (True, True, 2.25)],
         ids=["forward_no_grad", "forward", "forward_backward_grad"])
-    def test_xent_allocates_within_budget(self, requires_grad, backward, budget):
+    def test_xent_allocates_within_budget(self, requires_grad, backward, budget, alloc_peak):
         # Tooling, not timing: class indices build no one-hot, both passes
         # walk the logits through a block scratch, the forward keeps B floats
         # twice, and the tape keeps the backward's B x C grad without a copy
@@ -339,14 +359,8 @@ class TestLosses:
                 return zv.grad
             return loss
 
-        run()  # warm-up
-        tracemalloc.start()
-        try:
-            run()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= budget * z.data.nbytes, f"peak {peak / z.data.nbytes:.2f}x the logits"
+        peak = alloc_peak(run, z.data.nbytes)
+        assert peak <= budget, f"peak {peak:.2f}x the logits"
 
     def test_accuracy(self):
         logits = Tensor([[2.0, 1.0], [0.0, 1.0], [3.0, -1.0], [0.0, 0.5]])
@@ -355,7 +369,10 @@ class TestLosses:
     @pytest.mark.parametrize("labels,message", [
         ([0.9, 1.2], "class label 0.9 is not an integer"),
         ([np.nan, 1.0], "class label nan is not an integer"),
-        ([0, 2], "class label 2 is out of range for 2 classes")])
+        ([0, 2], "class label 2 is out of range for 2 classes"),
+        ([[np.nan, 1.0], [0.0, 1.0]], "target value nan is not finite"),
+        ([[0.2, 0.8], [0.3, np.inf]], "target value inf is not finite"),
+        ([[1.0, 0.0], [-np.inf, 0.0]], "target value -inf is not finite")])
     def test_accuracy_rejects_the_labels_the_losses_reject(self, labels, message):
         # Compared raw, [0.9, 1.2] read 0.0 and [nan, 1] read 0.5.
         logits = Tensor([[2.0, 1.0], [0.0, 1.0]])
@@ -363,6 +380,50 @@ class TestLosses:
                                      for kind in nn.LOSS_KINDS)):
             with pytest.raises(ValueError, match=re.escape(message)):
                 score(logits, np.array(labels))
+
+    @pytest.mark.parametrize("cols", [3, 9], ids=["fold", "reduce"])
+    @pytest.mark.parametrize("case", ["random", "ties", "signed_zeros", "one_hot", "soft"])
+    def test_accuracy_is_argmax_of_a_writeable_copy(self, case, cols):
+        # The first row maximum, read without np.argmax's copy of the
+        # read-only logits, counts the rows np.argmax counts: ties go to the
+        # lowest column, and +0.0 equals -0.0.
+        rng = np.random.default_rng(11)
+        z = rng.normal(size=(40, cols))
+        labels = rng.integers(0, cols, 40)
+        targets = labels
+        if case in ("ties", "signed_zeros"):
+            # Each of these rows peaks at two or three columns; even rows are
+            # labelled with the first, odd rows with the last.
+            z = np.round(z) if case == "ties" else -np.abs(z) - 0.5
+            for row in range(40 if case == "signed_zeros" else 12):
+                peak = np.sort(rng.choice(cols, 2 + row % 2 * (cols > 3), replace=False))
+                zeros = rng.permutation([-0.0, 0.0, -0.0])[:peak.size]
+                z[row, peak] = 9.0 if case == "ties" else zeros
+                labels[row] = peak[0] if row % 2 == 0 else peak[-1]
+            if case == "signed_zeros":
+                z[::10] = np.where(rng.random((4, cols)) < 0.5, -0.0, 0.0)
+        elif case == "one_hot":
+            targets = np.eye(cols)[labels]
+        elif case == "soft":
+            targets = rng.random((40, cols))
+            targets[::4, [0, cols - 1]] = 2.0  # a tie inside each fourth target row
+            z[::8, 0] = 5.0  # half of those rows' logits peak at the tie's first column
+            labels = np.argmax(targets, axis=1)
+        want = np.count_nonzero(np.argmax(z.copy(), axis=1) == labels) / 40
+        logits = Tensor(z)
+        assert not logits.data.flags.writeable
+        assert 0 < want < 1
+        assert nn.accuracy(logits, targets) == want
+        assert np.array_equal(nn._first_max(logits.data), np.argmax(z.copy(), axis=1))
+
+    def test_accuracy_allocates_an_eighth_of_the_logits(self, alloc_peak):
+        # Tooling, not timing: one bool per logit for the row maximum's
+        # place; np.argmax would copy the read-only logits whole (1.00).
+        rng = np.random.default_rng(4)
+        z = Tensor(rng.normal(size=(64, 4096)))
+        labels = rng.integers(0, 4096, 64)
+        peak = alloc_peak(lambda: nn.accuracy(z, labels), z.data.nbytes)
+        assert peak <= 0.25, f"peak {peak:.2f}x the logits"
 
     def test_accuracy_reads_one_hot_and_soft_targets_by_row_argmax(self):
         logits = Tensor([[2.0, 1.0, 0.0], [0.0, 1.0, 3.0], [3.0, -1.0, 0.0], [0.0, 0.5, 0.1]])
@@ -702,7 +763,7 @@ class TestTrainLoop:
         assert _bits(model.params[pname].data) == _bits([want])
         assert not model.params[pname].data.flags.writeable
 
-    def test_epoch_frees_each_step_before_the_next(self):
+    def test_epoch_frees_each_step_before_the_next(self, alloc_peak):
         # Tooling, not timing: at 64 x 16384 one full-batch step's tape (the
         # gathered rows, the gate's buffers, the logits and their grad) is
         # freed before the epoch's validation pass, and the loss walks its
@@ -715,14 +776,8 @@ class TestTrainLoop:
         def run():
             nn.train(nn.Model([nn.Activation(act.preset("ash"))], seed=1), config, (x, labels))
 
-        run()  # warm-up
-        tracemalloc.start()
-        try:
-            run()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 4.5 * x.data.nbytes, f"peak {peak / x.data.nbytes:.2f}x the input"
+        peak = alloc_peak(run, x.data.nbytes)
+        assert peak <= 4.5, f"peak {peak:.2f}x the input"
 
     def test_model_without_parameters_trains(self):
         model = nn.Model([nn.Activation(act.preset("relu"))], seed=0)
@@ -794,12 +849,35 @@ class TestTrainLoop:
         ([0, 5], ValueError, "class label 5 is out of range for 2 classes"),
         ([0.5, 1.0], ValueError, "class label 0.5 is not an integer"),
         (np.eye(3)[[0, 1]], ShapeError, "one-hot targets have 3 columns, logits 2"),
-        ([0], ShapeError, "1 targets for 2 logits rows")])
+        ([0], ShapeError, "1 targets for 2 logits rows"),
+        ([[np.nan, 1.0], [0.0, 1.0]], ValueError, "target value nan is not finite"),
+        ([[0.5, 0.5], [np.inf, 0.0]], ValueError, "target value inf is not finite")])
     def test_evaluate_keeps_the_label_error_class(self, kind, labels, error, message):
         model = nn.Model([nn.Dense(2, 2)], seed=0)
         with pytest.raises(error, match=re.escape(message)) as err:
             nn.evaluate(model, Tensor([[0.0, 1.0], [1.0, 0.0]]), np.array(labels), kind)
         assert not isinstance(err.value, nn.DivergenceError)
+
+    @pytest.mark.parametrize("kind", nn.LOSS_KINDS)
+    def test_train_names_a_non_finite_target(self, kind):
+        x, labels = datasets.two_moons(8, 0.1, 2)
+        targets = np.eye(2)[labels]
+        targets[5, 1] = np.nan
+        config = nn.TrainConfig(epochs=1, batch_size=8, seed=1, loss=kind)
+        with pytest.raises(ValueError, match="target value nan is not finite") as err:
+            nn.train(nn.Model([nn.Dense(2, 2)], seed=0), config, (x, targets))
+        assert not isinstance(err.value, nn.DivergenceError)
+
+    def test_evaluate_peaks_near_its_input(self, alloc_peak):
+        # Tooling, not timing: above the forward's output (one input size),
+        # the loss walks a block scratch and the accuracy takes one bool per
+        # logit; np.argmax would copy the read-only logits whole (2.00).
+        rng = np.random.default_rng(3)
+        x = Tensor(rng.standard_normal((64, 4096)))
+        labels = rng.integers(0, 4096, 64)
+        model = nn.Model([nn.Activation(act.preset("ash"))], seed=1)
+        peak = alloc_peak(lambda: nn.evaluate(model, x, labels), x.data.nbytes)
+        assert peak <= 1.25, f"peak {peak:.2f}x the input"
 
     @pytest.mark.parametrize("kind", nn.LOSS_KINDS)
     def test_evaluate_takes_the_one_hot_targets_its_loss_takes(self, kind):

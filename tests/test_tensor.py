@@ -2,7 +2,6 @@
 
 import math
 import platform
-import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -117,20 +116,14 @@ class TestRng:
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
         assert rng.counter == counter + n
 
-    def test_draws_peak_near_their_output(self):
+    def test_draws_peak_near_their_output(self, alloc_peak):
         # Tooling, not timing: the walk's block scratches stay small beside
         # the 8 MiB output.
         n = 2**20
         for draw, bound in ((lambda: randn((n,), RngState(1)), 1.25),
                             (lambda: RngState(1).uniform(n), 1.125)):
-            draw()  # warm-up
-            tracemalloc.start()
-            try:
-                draw()
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak <= bound * 8 * n, f"peak {peak / (8 * n):.3f}x the output"
+            peak = alloc_peak(draw, 8 * n)
+            assert peak <= bound, f"peak {peak:.3f}x the output"
 
     def test_normal_sample_mean(self):
         t = randn([100_000], RngState(7))
@@ -147,6 +140,16 @@ class TestRng:
     def test_nan_std_rejected(self):
         with pytest.raises(ValueError, match="std must"):
             RngState(0).normal(4, std=float("nan"))
+
+    @pytest.mark.parametrize("kwargs,field", [
+        ({"mean": float("nan")}, "mean"), ({"mean": float("inf")}, "mean"),
+        ({"mean": -np.inf}, "mean"), ({"std": float("inf")}, "std"),
+    ], ids=["mean-nan", "mean-inf", "mean-neg-inf", "std-inf"])
+    def test_non_finite_parameters_rejected(self, kwargs, field):
+        for draw in (lambda: RngState(0).normal(3, **kwargs),
+                     lambda: randn([3], RngState(0), **kwargs)):
+            with pytest.raises(ValueError, match=f"{field} must be finite"):
+                draw()
 
     def test_identical_state_bit_identical(self):
         a = randn([1000], RngState(42, 5))
