@@ -301,14 +301,19 @@ def _gate_op(x, z_k, stats_mode: str, keep_boundary: bool, name: str):
 
     In row blocks, the margin is formed in the `centered` buffer from
     `moments`, and the output np.where(mask, x, 0.0) is written over it.
+    The VJP's full-size mask is made only when the op is recorded; else
+    each block's mask goes into one block-sized bool.
     """
     xt = ad.value(x)
     data = xt.data
     z_b = _broadcast_z(z_k, xt.shape)
     _, _, _, centered, _, sigma = _grouped_stats(data, stats_mode)
     keep = np.greater_equal if keep_boundary else np.greater
-    mask = np.empty(data.shape, dtype=bool)
+    recorded = True in [isinstance(v, Variable) and v.requires_grad for v in (x, z_k)]
+    step = 0 if recorded else _row_step(data)
+    mask = np.empty(data.shape if not step else (step, *data.shape[1:]), dtype=bool)
     for margin, zsig, x_b, mask_b in _row_blocks((centered, z_b * sigma, data, mask)):
+        mask_b = mask_b[:len(margin)] if step else mask_b
         np.subtract(margin, zsig, out=margin)
         keep(margin, 0.0, out=mask_b)
         margin[...] = np.where(mask_b, x_b, 0.0)
@@ -352,18 +357,23 @@ def _ash_op(x, z, alpha, leak, stats_mode: str, grad_mode: str, name: str):
     out-of-place writing on the same operands (a product's commute
     exactly), so writing it into an earlier step's buffer keeps every bit.
     u is formed in the `centered` buffer from `moments`; with no grad
-    needed every later step writes there too and nothing is kept.
-    Otherwise the forward keeps s (and u for a trainable alpha), and the
+    needed every later step writes there too and nothing is kept. The
     backward forms w once for every grad and recomputes centered as
     x - mu: the bits `moments` made, as a constant group's mu is its value.
 
     After the whole-array `moments`, both passes run in row blocks
     (`tensor._row_blocks`); the backward is one block if a through-stats
-    group spans axis 0. A block's steps are elementwise or group sums, so
-    no bit moves. The z, leak and alpha grads sum the whole array: each
-    block's products go to a block scratch and on into a `tensor._TreeSum`
-    (a scalar) or a `_ChannelSum`, which keep the bits of the one
-    full-size sum.
+    group spans axis 0. A walked backward rebuilds x - mu, u and s per
+    block in block scratch with the forward's operations (the same bits;
+    the store-versus-recompute trade of Chen et al., 2016), so s and the
+    output go into `centered` too and the tape keeps only the group
+    statistics. One block keeps s (and u for a trainable alpha) beside the
+    output: a rebuilt s would be full-size, and rebuilding it read
+    mlp_wide's scaled perfbench rates 30% low through the in-process host
+    probe. A block's steps are elementwise or group sums, so no bit moves.
+    The z, leak and alpha grads sum the whole array: each block's products
+    go to a block scratch and on into a `tensor._TreeSum` (a scalar) or a
+    `_ChannelSum`, which keep the bits of the one full-size sum.
     """
     if grad_mode not in GRAD_MODES:
         raise ValueError(f"grad_mode must be one of {GRAD_MODES}, got {grad_mode!r}")
@@ -381,18 +391,23 @@ def _ash_op(x, z, alpha, leak, stats_mode: str, grad_mode: str, name: str):
     inputs = (x, z, leak, alpha)
     grad = True in [isinstance(v, Variable) and v.requires_grad for v in inputs]
     through = grad_mode == "through-stats"
+    whole = through and 0 in axes  # a group spans axis 0: the VJP is one block
+    walk = 0 if whole else _row_step(data)
+    keep = grad and not walk
     u = centered
-    s = np.empty_like(u) if grad and isinstance(alpha, Variable) else u
-    y = np.empty_like(s) if grad else s
+    s = np.empty_like(u) if keep and isinstance(alpha, Variable) else u
+    y = np.empty_like(s) if keep else s
     # Overflow can only reach the output, whose finiteness check reports it.
     with np.errstate(over="ignore", invalid="ignore"):
-        # With a grad, y holds the sigmoid's denominator until the product.
+        # With s kept, y holds the sigmoid's denominator until the product.
         for u_b, zsig, s_b, x_b, y_b, t_b in _row_blocks(
-                (u, z_b * sigma, s, data, y, y if grad else None)):
+                (u, z_b * sigma, s, data, y, y if keep else None)):
             u_b -= zsig
             u_b *= 2.0 * aval
             ad.stable_sigmoid(u_b, out=s_b, scratch=t_b)
             _times_gate(s_b, lval, x_b, y_b)
+    if walk:
+        s = u = None  # the VJP rebuilds them, and must not hold the output
     out = Tensor._wrap(y)
     # The VJP takes shapes, not Variables: a tape holds no Variable (a constant
     # needs no grad, so its () is never read). Without a grad, record keeps no
@@ -400,9 +415,7 @@ def _ash_op(x, z, alpha, leak, stats_mode: str, grad_mode: str, name: str):
     shapes = [p.value.shape if isinstance(p, Variable) else () for p in (z, leak, alpha)]
 
     def vjp(g, needs):
-        whole = through and 0 in axes
-        step = 0 if whole else _row_step(data)
-        size = step * (data.size // len(data)) if step else data.size
+        size = walk * (data.size // len(data)) if walk else data.size
         # A scalar's products are summed as np.sum sums the whole array. Every
         # parameter's products share one block scratch, made before gx, where
         # the full-size products were: made after it, it changed the heap
@@ -418,13 +431,20 @@ def _ash_op(x, z, alpha, leak, stats_mode: str, grad_mode: str, name: str):
         # a second row of the block scratch, which every block shares.
         gx = np.empty_like(data) if needs[0] else None
         arrays = (data, g, s, u, mu, sigma, sigma_raw, z_b, gx)
-        blocks = (arrays,) if whole else _row_blocks(arrays)
         buf = np.empty((1 if needs[0] else 2, size))
-        for x_b, g_b, s_b, u_b, mu_b, sig_b, raw_b, zb_b, gx_b in blocks:
-            w = np.multiply(g_b, x_b, out=buf[0, :x_b.size].reshape(x_b.shape))
-            prod = None if prod_buf is None else prod_buf[:x_b.size].reshape(x_b.shape)
-            one_minus_s = np.subtract(1.0, s_b, out=buf[-1, :x_b.size].reshape(
-                x_b.shape) if gx_b is None else gx_b)
+        # Walked: per block, x - mu, then u, then s (over u unless alpha needs u).
+        rebuilt = np.empty((3 if alpha_sum else 2, size)) if walk else None
+        for x_b, g_b, s_b, u_b, mu_b, sig_b, raw_b, zb_b, gx_b in (
+                (arrays,) if whole else _row_blocks(arrays)):
+            part = lambda rows: rows[:x_b.size].reshape(x_b.shape)
+            if walk:
+                centered_b = np.subtract(x_b, mu_b, out=part(rebuilt[0]))
+                u_b = np.subtract(centered_b, zb_b * sig_b, out=part(rebuilt[1]))
+                u_b *= 2.0 * aval
+                s_b = ad.stable_sigmoid(u_b, out=part(rebuilt[-1]), scratch=part(buf[0]))
+            w = np.multiply(g_b, x_b, out=part(buf[0]))
+            prod = None if prod_buf is None else part(prod_buf)
+            one_minus_s = np.subtract(1.0, s_b, out=part(buf[-1]) if gx_b is None else gx_b)
             if leak_sum:
                 leak_sum.add(np.multiply(w, one_minus_s, out=prod))
             if lval:
@@ -450,10 +470,11 @@ def _ash_op(x, z, alpha, leak, stats_mode: str, grad_mode: str, name: str):
                 floored = raw_b < st.SIGMA_FLOOR
                 chain = np.where(floored, 0.0,
                                  b_sum / (n * np.where(floored, 1.0, raw_b)))
-                np.subtract(x_b, mu_b, out=w)  # centered
-                w *= 2.0 * aval
-                w *= chain
-                gx_b -= w
+                if not walk:
+                    centered_b = np.subtract(x_b, mu_b, out=w)
+                centered_b *= 2.0 * aval
+                centered_b *= chain
+                gx_b -= centered_b
         grads = [acc and np.full(shape, acc.total()) for acc, shape in zip(sums, shapes)]
         if alpha_sum:
             grads[2] /= aval

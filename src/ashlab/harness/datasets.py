@@ -11,7 +11,7 @@ import struct
 
 import numpy as np
 
-from ..tensor import RngState, Tensor
+from ..tensor import RngState, Tensor, check_count
 
 BUILTIN_KINDS = ("two_moons", "blobs", "spirals")
 
@@ -27,8 +27,7 @@ def _split_counts(n: int, noise: float) -> tuple[int, int]:
     """Class sizes for n samples, after checking n and noise."""
     if not (np.isfinite(noise) and noise >= 0):
         raise ValueError(f"noise must be finite and >= 0, got {noise}")
-    if n < 2:
-        raise ValueError(f"need at least 2 samples, got {n}")
+    check_count("n", n, 2)
     return (n + 1) // 2, n // 2
 
 

@@ -18,7 +18,6 @@ points its parameters at read-only views of it.
 from __future__ import annotations
 
 import functools
-import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -28,7 +27,7 @@ from . import activations as act
 from . import autodiff as ad
 from .autodiff import Variable
 from .tensor import NonFiniteError, RngState, ShapeError, Tensor, _row_blocks, _row_step, \
-    _TreeSum
+    _TreeSum, check_count
 
 # Data-order draws start here so weight init (counter 0) can never
 # collide with them, no matter how many parameters a model has.
@@ -68,10 +67,7 @@ class _Extents:
 
     def __post_init__(self):
         for name, value in vars(self).items():
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
+            check_count(name, value, 1)
 
 
 @dataclass(frozen=True)
@@ -525,12 +521,9 @@ class TrainConfig:
     val_split: float = 0.0
 
     def __post_init__(self):
-        # Each test is written so that NaN fails it.
-        if not self.epochs >= 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
-        if not self.batch_size >= 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not 0.0 <= self.val_split < 1.0:
+        check_count("epochs", self.epochs, 0)
+        check_count("batch_size", self.batch_size, 1)
+        if not 0.0 <= self.val_split < 1.0:  # so that NaN fails it
             raise ValueError(f"val_split must lie in [0, 1), got {self.val_split}")
         if self.loss not in LOSS_KINDS:
             raise ValueError(f"loss must be one of {LOSS_KINDS}, got {self.loss!r}")

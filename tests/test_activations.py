@@ -514,7 +514,9 @@ class TestInPlaceAshBits:
             return zv.grad
 
         peak = alloc_peak(forward_backward, x.data.nbytes)
-        assert peak <= 2.2, f"peak {peak:.2f}x the input"
+        # The walked gate keeps neither s nor u, and its output is written over
+        # `centered`: about one input size.
+        assert peak <= 1.25, f"peak {peak:.2f}x the input"
 
     @pytest.mark.parametrize("shape", [(256, 16), (64, 16384)])
     @pytest.mark.parametrize("spec", [
@@ -594,6 +596,34 @@ class TestInPlaceGate:
             monkeypatch.setattr(tensor, "_WHOLE_ELEMS", whole)
             monkeypatch.setattr(tensor, "_BLOCK_ELEMS", block)
             assert _bits(gate(Tensor(x), 0.2).data) == _bits(want)
+
+    @pytest.mark.parametrize("gate,keep_boundary", [(act.hard_ash, True),
+                                                    (act.heaviside_ash, False)])
+    @pytest.mark.parametrize("shape,stats_mode,stats_axes", [
+        ((37,), "per-sample", (0,)), ((7, 13), "per-sample", (1,)),
+        ((5, 3, 4, 5), "per-channel", (1, 2))])
+    def test_untaped_block_mask_matches_the_full_mask(
+            self, monkeypatch, gate, keep_boundary, shape, stats_mode, stats_axes):
+        # Untaped, a walked gate's mask goes into one block-sized bool; 3 rows
+        # (or 3 elements) a block leaves a shorter last block.
+        x = np.random.default_rng(len(shape)).normal(size=shape) * 3.0
+        if x.ndim > 1:
+            x[0] = -1.7  # a constant (sigma-floored) group
+        monkeypatch.setattr(tensor, "_WHOLE_ELEMS", 0)
+        row = x.size // shape[0]
+        for block in (row, 3 * row):
+            monkeypatch.setattr(tensor, "_BLOCK_ELEMS", block)
+            for z in (0.0, 0.4):
+                want, _ = _gate_reference(x, z, stats_axes, keep_boundary)
+                assert _bits(gate(Tensor(x), z, stats_mode=stats_mode).data) == _bits(want)
+
+    def test_untaped_walked_forward_allocates_at_most_one_and_a_tenth_inputs(
+            self, alloc_peak):
+        # Tooling, not timing: untaped at 2^20, only `centered` (the output) is
+        # full-size; the keep-mask and the finiteness scan are block-sized.
+        x = Tensor(np.random.default_rng(7).normal(size=1 << 20))
+        peak = alloc_peak(lambda: act.hard_ash(x, 0.5), x.data.nbytes)
+        assert peak <= 1.1, f"peak {peak:.2f}x the input"
 
     @pytest.mark.parametrize("gate", [act.hard_ash, act.heaviside_ash])
     def test_forward_allocates_at_most_two_and_a_quarter_inputs(self, gate, alloc_peak):
@@ -731,8 +761,9 @@ class TestRowBlocks:
                 assert _bits(var.grad.data) == _bits(want[key]), f"{key} grad, {case}"
 
     def test_zk_only_backward_allocates_at_most_a_quarter_input(self, alloc_peak):
-        # Tooling, not timing: above the forward's live set (x, its output and
-        # the kept s), the z_k grad needs only block-sized scratch.
+        # Tooling, not timing: above the forward's live set (x and the group
+        # statistics; the walked gate's tape keeps neither s nor the output),
+        # the z_k grad rebuilds s in block-sized scratch.
         x = Tensor(np.random.default_rng(9).normal(size=(64, 16384)))
 
         def forward():
@@ -753,8 +784,10 @@ class TestRowBlocks:
         assert peak <= 0.25, f"peak {peak:.2f}x the input"
 
     def test_walked_forward_backward_allocates_at_most_four_and_a_quarter_inputs(self, alloc_peak):
-        # Tooling, not timing: above the one-block size, the backward's scratch
-        # is block-sized. The same call on one block peaks near 5x.
+        # Tooling, not timing: above the one-block size, the forward keeps only
+        # its output and the backward rebuilds s in block-sized scratch, so the
+        # peak is the output (or the x grad) and the grad read. The same call
+        # on one block, which keeps s, peaks near 4x.
         x = Tensor(np.random.default_rng(8).normal(size=(64, 4096)))
         assert x.size > tensor._WHOLE_ELEMS
 
@@ -766,7 +799,21 @@ class TestRowBlocks:
             return xv.grad
 
         peak = alloc_peak(forward_backward, x.data.nbytes)
-        assert peak <= 4.25, f"peak {peak:.2f}x the input"
+        assert peak <= 2.25, f"peak {peak:.2f}x the input"
+
+    @pytest.mark.parametrize("shape,walked", [((64, 4096), True), ((16, 4096), False)])
+    def test_vjp_keeps_s_only_on_one_block(self, shape, walked):
+        # A walked VJP rebuilds u and s per block, so the only full-size array
+        # its closure holds is x's own buffer; one block keeps s.
+        x = Tensor(np.random.default_rng(4).normal(size=shape))
+        t = ad.Tape()
+        xv = t.variable(x, requires_grad=True)
+        act.smooth_ash(xv, t.variable(Tensor([0.3]), requires_grad=True))
+        (_, _, _, vjp), = t._entries
+        held = [c.cell_contents for c in vjp.__closure__
+                if isinstance(c.cell_contents, np.ndarray) and c.cell_contents.size == x.size]
+        assert any(a is x.data for a in held)
+        assert all(a is x.data for a in held) == walked
 
 
 class TestStatsModes:

@@ -46,6 +46,17 @@ class TestTwoMoons:
         with pytest.raises(ValueError, match="noise must be finite"):
             gen(8, noise=float("inf"))
 
+    @pytest.mark.parametrize("n", [8.5, True, float("inf")], ids=["fraction", "bool", "inf"])
+    @pytest.mark.parametrize("gen", [datasets.two_moons, datasets.spirals, datasets.blobs])
+    def test_sample_count_must_be_an_integer(self, gen, n):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            gen(n, 0.1)
+
+    @pytest.mark.parametrize("gen", [datasets.two_moons, datasets.spirals, datasets.blobs])
+    def test_too_few_samples_rejected(self, gen):
+        with pytest.raises(ValueError, match="n must be >= 2, got 1"):
+            gen(1, 0.1)
+
 
 class TestBlobsAndSpirals:
     def test_blobs_deterministic_and_balanced(self):

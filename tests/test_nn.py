@@ -67,6 +67,19 @@ class TestForward:
         with pytest.raises(ValueError, match=f"{field} must"):
             make()
 
+    @pytest.mark.parametrize("field", ["epochs", "batch_size"])
+    @pytest.mark.parametrize("value", [2.5, float("inf"), True, np.float64(4.0)],
+                             ids=["fraction", "inf", "bool", "np-float"])
+    def test_train_counts_must_be_integers(self, field, value):
+        # Checked when the config is made, not as a bare TypeError inside train.
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            nn.TrainConfig(**{"epochs": 1, field: value})
+
+    def test_numpy_integer_train_counts_train(self):
+        config = nn.TrainConfig(epochs=np.int64(1), batch_size=np.int32(8))
+        model = nn.Model([nn.Dense(2, 2)], seed=0)
+        assert len(nn.train(model, config, datasets.two_moons(16, 0.1, 0))) == 1
+
     def test_identity_dense_plus_relu_passthrough(self):
         model = nn.Model([nn.Dense(3, 3), nn.Activation(act.preset("relu"))], seed=0)
         model.params["dense0.W"] = Tensor(np.eye(3))
@@ -766,8 +779,9 @@ class TestTrainLoop:
     def test_epoch_frees_each_step_before_the_next(self, alloc_peak):
         # Tooling, not timing: at 64 x 16384 one full-batch step's tape (the
         # gathered rows, the gate's buffers, the logits and their grad) is
-        # freed before the epoch's validation pass, and the loss walks its
-        # rows through a block scratch.
+        # freed before the epoch's validation pass, the loss walks its rows
+        # through a block scratch, and the walked gate keeps only its output
+        # (about 3.2).
         rng = np.random.default_rng(3)
         x = Tensor(rng.standard_normal((64, 16384)))
         labels = rng.integers(0, 16384, 64)
@@ -777,7 +791,7 @@ class TestTrainLoop:
             nn.train(nn.Model([nn.Activation(act.preset("ash"))], seed=1), config, (x, labels))
 
         peak = alloc_peak(run, x.data.nbytes)
-        assert peak <= 4.5, f"peak {peak:.2f}x the input"
+        assert peak <= 3.5, f"peak {peak:.2f}x the input"
 
     def test_model_without_parameters_trains(self):
         model = nn.Model([nn.Activation(act.preset("relu"))], seed=0)

@@ -53,6 +53,27 @@ class TestConstruction:
             assert isinstance(err.value, ValueError)
             assert str(err.value) == "tensor values must be finite (no NaN/Inf)"
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_blocked_finiteness_scan_finds_every_position(self, monkeypatch, bad):
+        # Above _WHOLE_ELEMS the scan runs in blocks; 7 elements a block leaves
+        # a shorter last block of the 40.
+        monkeypatch.setattr(tensor, "_WHOLE_ELEMS", 0)
+        monkeypatch.setattr(tensor, "_BLOCK_ELEMS", 7)
+        for where in (0, 6, 7, 20, 39):
+            data = np.arange(40.0).reshape(5, 8)
+            data.reshape(-1)[where] = bad
+            for make in (lambda: Tensor(data), lambda: Tensor._wrap(data.copy())):
+                with pytest.raises(NonFiniteError, match="must be finite"):
+                    make()
+        assert Tensor._wrap(np.arange(40.0).reshape(5, 8)).data.sum() == 780.0
+
+    def test_finiteness_scan_allocates_a_block(self, alloc_peak):
+        # Tooling, not timing: at 2^20 the scan's bool is one block, not an
+        # eighth of the buffer.
+        data = np.random.default_rng(5).normal(size=1 << 20)
+        peak = alloc_peak(lambda: Tensor._wrap(data), data.nbytes)
+        assert peak <= 0.02, f"peak {peak:.3f}x the input"
+
     def test_buffer_is_read_only(self):
         t = Tensor([1.0, 2.0])
         with pytest.raises(ValueError):
