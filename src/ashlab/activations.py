@@ -300,7 +300,9 @@ def _gate_op(x, z_k, stats_mode: str, keep_boundary: bool, name: str):
     """x where the margin x - mu - z_k*sigma is >= 0 (> 0 without the boundary).
 
     In row blocks, the margin is formed in the `centered` buffer from
-    `moments`, and the output np.where(mask, x, 0.0) is written over it.
+    `moments` (z_k*sigma one block at a time, so a channel-vector z_k
+    makes no full-size product), and the output np.where(mask, x, 0.0) is
+    written over it.
     The VJP's full-size mask is made only when the op is recorded; else
     each block's mask goes into one block-sized bool.
     """
@@ -312,9 +314,9 @@ def _gate_op(x, z_k, stats_mode: str, keep_boundary: bool, name: str):
     recorded = True in [isinstance(v, Variable) and v.requires_grad for v in (x, z_k)]
     step = 0 if recorded else _row_step(data)
     mask = np.empty(data.shape if not step else (step, *data.shape[1:]), dtype=bool)
-    for margin, zsig, x_b, mask_b in _row_blocks((centered, z_b * sigma, data, mask)):
+    for margin, zb_b, sig_b, x_b, mask_b in _row_blocks((centered, z_b, sigma, data, mask)):
         mask_b = mask_b[:len(margin)] if step else mask_b
-        np.subtract(margin, zsig, out=margin)
+        np.subtract(margin, zb_b * sig_b, out=margin)
         keep(margin, 0.0, out=mask_b)
         margin[...] = np.where(mask_b, x_b, 0.0)
     # The threshold lives inside the comparison only: its slot is None.
@@ -356,7 +358,8 @@ def _ash_op(x, z, alpha, leak, stats_mode: str, grad_mode: str, name: str):
     then s*(1-leak) + leak, * x. Each step is the IEEE operation of the
     out-of-place writing on the same operands (a product's commute
     exactly), so writing it into an earlier step's buffer keeps every bit.
-    u is formed in the `centered` buffer from `moments`; with no grad
+    u is formed in the `centered` buffer from `moments`, z*sigma one row
+    block at a time (a channel-vector z makes no full-size product); with no grad
     needed every later step writes there too and nothing is kept. The
     backward forms w once for every grad and recomputes centered as
     x - mu: the bits `moments` made, as a constant group's mu is its value.
@@ -400,9 +403,9 @@ def _ash_op(x, z, alpha, leak, stats_mode: str, grad_mode: str, name: str):
     # Overflow can only reach the output, whose finiteness check reports it.
     with np.errstate(over="ignore", invalid="ignore"):
         # With s kept, y holds the sigmoid's denominator until the product.
-        for u_b, zsig, s_b, x_b, y_b, t_b in _row_blocks(
-                (u, z_b * sigma, s, data, y, y if keep else None)):
-            u_b -= zsig
+        for u_b, zb_b, sig_b, s_b, x_b, y_b, t_b in _row_blocks(
+                (u, z_b, sigma, s, data, y, y if keep else None)):
+            u_b -= zb_b * sig_b
             u_b *= 2.0 * aval
             ad.stable_sigmoid(u_b, out=s_b, scratch=t_b)
             _times_gate(s_b, lval, x_b, y_b)
@@ -517,21 +520,6 @@ def fixed_ash(x, k=50.0, alpha=1.0, stats_mode: str = "per-sample",
     if not 0.0 < k <= 100.0:
         raise ValueError(f"k must lie in (0, 100], got {k}")
     return _ash_op(x, _fixed_z(float(k)), alpha, 0.0, stats_mode, grad_mode, "fixed_ash")
-
-
-def smooth_ash_tanh(x: Tensor, z_k: float = 0.0, alpha: float = 1.0,
-                    stats_mode: str = "per-sample") -> Tensor:
-    """Algebraically equal half-tanh form x/2 + x/2 * tanh(alpha*(x - thr)).
-
-    Forward-only companion used to confirm the tanh and sigmoid writings
-    of the smooth gate agree to float precision.
-    """
-    x = x if isinstance(x, Tensor) else Tensor(x)
-    data = x.data
-    z_b = _broadcast_z(z_k, x.shape)
-    _, _, _, centered, _, sigma = _grouped_stats(data, stats_mode)
-    t = np.tanh(alpha * (centered - z_b * sigma))
-    return Tensor._wrap(0.5 * data + 0.5 * data * t)
 
 
 # ---------------------------------------------------------------------------

@@ -301,7 +301,8 @@ def suite_sharpness_limit() -> None:
                    f"alpha=1000: |smooth-hard| off the boundary band is {worst:.3e} >= 1e-3")
     for alpha in (0.7, 1.0, 5.0):
         sig_form = act.smooth_ash(x, z_k=0.25, alpha=alpha).data
-        tanh_form = act.smooth_ash_tanh(x, z_k=0.25, alpha=alpha).data
+        # The half-tanh writing x/2 + x/2 * tanh(alpha*(x - thr)) of the same gate.
+        tanh_form = 0.5 * x.data + 0.5 * x.data * np.tanh(alpha * (x.data - thr))
         diff = np.max(np.abs(sig_form - tanh_form))
         _check(diff < 1e-12, f"alpha={alpha}: tanh form vs sigmoid form differ by {diff:.3e}")
 

@@ -294,11 +294,10 @@ def _targets(targets, n_rows: int, n_classes: int) -> np.ndarray:
     return arr
 
 
-def _loss_targets(kind: str, logits, targets) -> np.ndarray:
-    """`targets` checked by `_targets` against the logits of the `kind` loss."""
+def _loss_targets(kind: str, shape: tuple, targets) -> np.ndarray:
+    """`targets` checked by `_targets` against logits of `shape` for the `kind` loss."""
     if kind not in LOSS_KINDS:
         raise ValueError(f"unknown loss {kind!r}; expected one of {LOSS_KINDS}")
-    shape = ad.value(logits).shape
     if kind == "softmax_xent" and len(shape) != 2:
         raise ShapeError(f"logits must be (B, C), got {shape}")
     return _targets(targets, *shape[:2])
@@ -314,48 +313,84 @@ def softmax_xent(logits, targets) -> Variable | Tensor:
 
     Both passes walk the logits in row blocks (`tensor._row_blocks`)
     through one block scratch, so neither builds a full-size temporary.
-    The forward's scratch holds z*hot, whose whole-array sum keeps
-    np.add.reduce's bits (across blocks through a `tensor._TreeSum`), then
-    exp(z - zmax) for the row sums se; it keeps only zmax and se, B floats
+    The forward is one `_LossSum`, which keeps only zmax and se, B floats
     each. The backward forms exp(z - zmax) again (storing it would keep a
     full-size array on the tape, the store-versus-recompute trade of Chen
     et al., 2016) straight into the grad, which it allocates once per call.
     """
-    return _softmax_xent(logits, _loss_targets("softmax_xent", logits, targets))
+    return _softmax_xent(logits, _loss_targets("softmax_xent", ad.value(logits).shape, targets))
+
+
+class _LossSum:
+    """The `kind` loss of logits of `shape` fed in order, row block by row
+    block (`add`), with the bits of the loss of the whole array.
+
+    The loss's whole-array sum (of z*hot, or of mse's squares) keeps
+    np.add.reduce's bits, across blocks through a `tensor._TreeSum` when
+    `walked`: more than one `add`, or an `add` that walks its rows.
+    softmax_xent walks each `add` in row blocks (`tensor._row_blocks`)
+    through one block scratch, which holds z*hot, then exp(z - zmax) for
+    the row sums se; only zmax and se, B floats each, are kept. mse forms
+    each block's squares with `mse`'s own primitives. The caller holds
+    np.errstate(over="ignore", invalid="ignore"): overflow is left to the
+    loss's finiteness check to report.
+    """
+
+    def __init__(self, kind: str, y: np.ndarray, shape: tuple, walked: bool):
+        self.kind, self.y, self.shape, self.done = kind, y, shape, 0
+        self.tree = _TreeSum(int(np.prod(shape))) if walked else None
+        # Class indices as a (B, 1) column, which the walk cuts with the rows.
+        self.hot = y if y.ndim == 2 else y[:, None]
+        self.zmax, self.se = np.empty((shape[0], 1)), np.empty((shape[0], 1))
+        self.scratch = self.rows = None
+
+    def _sum(self, values: np.ndarray) -> None:
+        if self.tree:
+            self.tree.add(values)
+        else:
+            self.whole = np.add.reduce(values, axis=None)
+
+    def add(self, logits: Tensor) -> None:
+        z = logits.data
+        lo, self.done = self.done, self.done + len(z)
+        cut = slice(lo, self.done)
+        if self.kind == "mse":
+            diff = ad.sub(logits, _mse_target(self.y[cut], self.shape[1]))
+            return self._sum(ad.mul(diff, diff).data)
+        for z_b, hot_b, zmax_b, se_b in _row_blocks((z, self.hot[cut], self.zmax[cut],
+                                                     self.se[cut])):
+            if self.scratch is None:  # the first block is the longest
+                self.scratch, self.rows = np.empty(z_b.shape), np.arange(len(z_b))
+            t = self.scratch[:len(z_b)]
+            np.maximum.reduce(z_b, axis=1, keepdims=True, out=zmax_b)
+            np.multiply(z_b, hot_b if self.y.ndim == 2 else 0.0, out=t)  # z*hot
+            if self.y.ndim == 1:
+                r, lab = self.rows[:len(z_b)], hot_b[:, 0]
+                t[r, lab] = z_b[r, lab]
+            self._sum(t)
+            np.subtract(z_b, zmax_b, out=t)
+            np.exp(t, out=t)
+            np.add.reduce(t, axis=1, keepdims=True, out=se_b)
+
+    def loss(self) -> Tensor:
+        """The loss, once every row was added."""
+        total = self.tree.total() if self.tree else self.whole
+        if self.kind == "mse":
+            return Tensor._wrap(np.array([total / int(np.prod(self.shape))]))
+        lse = self.zmax[:, 0] + np.log(self.se[:, 0])
+        return Tensor._wrap(np.array([(np.add.reduce(lse) - total) / len(lse)]))
 
 
 def _softmax_xent(logits, y: np.ndarray) -> Variable | Tensor:
     """`softmax_xent` on targets `_targets` checked."""
-    z = ad.value(logits).data
-    b, c = z.shape
-    # Class indices as a (B, 1) column, which the walk cuts with the rows.
-    hot = y if y.ndim == 2 else y[:, None]
-    rows = np.arange(b)
-    zmax = np.maximum.reduce(z, axis=1, keepdims=True)
-    se = np.empty((b, 1))
-    step = _row_step(z)
-    # One block sums z*hot whole; a walk feeds each block to the tree-exact sum.
-    tree = _TreeSum(z.size) if step else None
-    scratch = np.empty((step or b, c))
-    # Overflow is left to the loss's finiteness check to report.
+    lt = ad.value(logits)
+    z = lt.data
+    b = len(z)
+    sums = _LossSum("softmax_xent", y, z.shape, _row_step(z) > 0)
     with np.errstate(over="ignore", invalid="ignore"):
-        for z_b, hot_b, zmax_b, se_b in _row_blocks((z, hot, zmax, se)):
-            t = scratch[:len(z_b)]
-            np.multiply(z_b, hot_b if y.ndim == 2 else 0.0, out=t)  # z*hot
-            if y.ndim == 1:
-                r, lab = rows[:len(z_b)], hot_b[:, 0]
-                t[r, lab] = z_b[r, lab]
-            if tree:
-                tree.add(t)
-            else:
-                picked = np.add.reduce(t, axis=None)
-            np.subtract(z_b, zmax_b, out=t)
-            np.exp(t, out=t)
-            np.add.reduce(t, axis=1, keepdims=True, out=se_b)
-        if tree:
-            picked = tree.total()
-        lse = zmax[:, 0] + np.log(se[:, 0])
-        out = Tensor._wrap(np.array([(np.add.reduce(lse) - picked) / b]))
+        sums.add(lt)
+        out = sums.loss()
+    hot, zmax, se, rows = sums.hot, sums.zmax, sums.se, sums.rows
 
     def vjp(g, needs):
         # The softmax, formed only by a backward pass; the same operations
@@ -383,9 +418,15 @@ def mse(pred, target) -> Variable | Tensor:
     return ad.mean_all(ad.mul(diff, diff))
 
 
+def _mse_target(y: np.ndarray, columns: int) -> np.ndarray:
+    """mse's target for rows `_targets` checked: 2-D rows as they are, class
+    indices as their one-hot bool rows."""
+    return y if y.ndim == 2 else np.equal.outer(y, np.arange(columns))
+
+
 def loss_fn(kind: str, logits, targets) -> Variable | Tensor:
     """The `kind` loss; a non-finite loss raises DivergenceError("loss")."""
-    return _loss(kind, logits, _loss_targets(kind, logits, targets))
+    return _loss(kind, logits, _loss_targets(kind, ad.value(logits).shape, targets))
 
 
 def _loss(kind: str, logits, y: np.ndarray) -> Variable | Tensor:
@@ -393,8 +434,7 @@ def _loss(kind: str, logits, y: np.ndarray) -> Variable | Tensor:
     try:
         if kind == "softmax_xent":
             return _softmax_xent(logits, y)
-        return mse(logits, y if y.ndim == 2 else
-                   np.equal.outer(y, np.arange(ad.value(logits).shape[1])))
+        return mse(logits, _mse_target(y, ad.value(logits).shape[1]))
     except NonFiniteError as exc:
         raise DivergenceError("loss") from exc
 
@@ -402,30 +442,30 @@ def _loss(kind: str, logits, y: np.ndarray) -> Variable | Tensor:
 def accuracy(logits: Tensor, labels: np.ndarray) -> float:
     """Fraction of rows whose argmax is the label, checked as the losses
     check it; a (B, C) one-hot or soft target's label is its row's argmax."""
-    return _accuracy(logits.data, _targets(labels, *logits.shape))
+    y = _targets(labels, *logits.shape)
+    # The count over the rows: np.mean's bits, without its Python wrapper.
+    return float(_hits(logits.data, y) / len(y))
 
 
-def _first_max(z: np.ndarray) -> np.ndarray:
+def _first_max(z: np.ndarray, zmax: np.ndarray | None = None) -> np.ndarray:
     """np.argmax(z, axis=1) of a finite (B, C) array: the lowest column
-    holding its row's maximum, with +0.0 equal to -0.0. np.argmax copies
-    a read-only input whole (a Tensor's buffer is one) before searching;
-    this reads z twice and allocates one (B, C) bool."""
+    holding its row's maximum (`zmax`, formed here unless given), with
+    +0.0 equal to -0.0. np.argmax copies a read-only input whole (a
+    Tensor's buffer is one) before searching; this reads z at most twice
+    and allocates one (B, C) bool."""
     # A reduce along the rows pays about 30 ns a row, a fold over the
     # columns about 0.5 us a column: at 256 x 2, 1.3 against 9.7 us
     # (2-core x86-64).
-    if z.shape[1] <= 4:
-        zmax = functools.reduce(np.maximum, z.T)
-    else:
-        zmax = np.maximum.reduce(z, axis=1)
+    if zmax is None:
+        zmax = (functools.reduce(np.maximum, z.T) if z.shape[1] <= 4
+                else np.maximum.reduce(z, axis=1))
     return np.equal(z, zmax[:, None]).argmax(axis=1)
 
 
-def _accuracy(z: np.ndarray, y: np.ndarray) -> float:
-    """`accuracy` of logits z on targets `_targets` checked."""
-    if y.ndim == 2:
-        y = _first_max(y)
-    # The count over the rows: np.mean's bits, without its Python wrapper.
-    return float(np.count_nonzero(_first_max(z) == y) / y.size)
+def _hits(z: np.ndarray, y: np.ndarray, zmax: np.ndarray | None = None) -> int:
+    """How many rows of logits z (with row maxima `zmax`, if formed) have
+    their first maximum at the label of targets `_targets` checked."""
+    return np.count_nonzero(_first_max(z, zmax) == (_first_max(y) if y.ndim == 2 else y))
 
 
 # ---------------------------------------------------------------------------
@@ -539,27 +579,103 @@ class EpochRecord:
     wall_ms: float
 
 
-def evaluate(model: Model, x: Tensor, labels: np.ndarray, loss_kind: str = "softmax_xent",
-             batch_size: int = 256) -> tuple[float, float]:
-    """Forward-only loss and accuracy over a dataset.
-
-    A non-finite activation or loss raises DivergenceError naming the
-    batch and the layer (or "loss"), with no epoch and phase "evaluation";
-    any other error keeps its class.
-    """
+def _dataset_labels(x: Tensor, labels) -> np.ndarray:
+    """`labels` as rows (class indices, or one-hot or soft rows), one per row of x."""
+    labels = np.atleast_1d(labels)
     n = x.shape[0]
+    if n == 0 or labels.shape[0] != n:
+        raise ValueError(f"dataset has {n} rows but {labels.shape[0]} labels")
+    return labels
+
+
+def evaluate(model: Model, x: Tensor, labels: np.ndarray, loss_kind: str = "softmax_xent",
+             batch_size: int = 256, *, rows: np.ndarray | None = None) -> tuple[float, float]:
+    """Forward-only loss and accuracy over a dataset, or over the rows of x
+    and labels that the indices `rows` select.
+
+    Each batch goes through the model in row blocks when every layer is
+    row-wise, so that each output row depends on its input row alone:
+    Dense, Conv2d, Flatten and activations with per-sample stats, on an
+    input of rank >= 2. Such a batch above _WHOLE_ELEMS input elements
+    runs in blocks of `tensor._row_step` rows, gathered one block at a
+    time; every other batch (per-channel stats among them) is one block of
+    the same loop. Each block's logits go into the batch's loss (a
+    `_LossSum`, with the bits of the whole batch's loss) and its count of
+    first-max hits, read from the row maxima softmax_xent's walk forms. So
+    no array the size of the batch's rows or logits is built, and each
+    result has the bits of one whole-batch forward.
+
+    batch_size must be an integer >= 1, labels must hold one row per row
+    of x and `rows` must select at least one; each mistake raises
+    ValueError. A non-finite activation or loss raises DivergenceError
+    naming the batch and the layer (or "loss"), with no epoch and phase
+    "evaluation". A DivergenceError or ValueError in a walked batch runs
+    that batch again as one block, so the error is the one of the whole
+    batch's forward: the first layer at which any row overflows, before a
+    label error. Any other error keeps its class.
+    """
+    check_count("batch_size", batch_size, 1)
+    labels = _dataset_labels(x, labels)
+    n = x.shape[0] if rows is None else len(rows)
+    if n == 0:
+        raise ValueError("rows selects no row of the dataset")
+    # A layer's stats span rows only when they are per-channel, or when the
+    # input is one sample (rank 1).
+    row_wise = x.data.ndim >= 2 and all(layer.spec.ash.stats_mode == "per-sample"
+                                        for layer in model.layers if isinstance(layer, Activation))
     total, correct = 0.0, 0.0
     for bi, start in enumerate(range(0, n, batch_size)):
-        xb = Tensor._wrap(x.data[start:start + batch_size], finite=True)
+        stop = min(start + batch_size, n)
+        yb = _take(labels, rows, start, stop)
+        # Only a shape is read: the batch's, as long as `rows` repeats no row.
+        step = _row_step(x.data[:stop - start]) if row_wise else 0
         try:
-            logits, _ = model.forward(xb, trainable=False)
-            # The batch's labels are checked once, for the loss and accuracy.
-            yb = _loss_targets(loss_kind, logits, np.asarray(labels)[start:start + batch_size])
-            total += ad.value(_loss(loss_kind, logits, yb)).item() * xb.shape[0]
+            try:
+                loss, hits = _evaluate_batch(model, x, rows, start, yb, loss_kind, step)
+            except (DivergenceError, ValueError):
+                if not step:
+                    raise
+                loss, hits = _evaluate_batch(model, x, rows, start, yb, loss_kind, 0)
         except DivergenceError as exc:
             raise DivergenceError(exc.where, None, bi, "evaluation") from exc
-        correct += _accuracy(logits.data, yb) * xb.shape[0]
+        total += loss * (stop - start)
+        # The batch's accuracy (np.mean's bits, as a float), weighted by its rows.
+        correct += float(hits / (stop - start)) * (stop - start)
     return total / n, correct / n
+
+
+def _take(a: np.ndarray, rows: np.ndarray | None, lo: int, hi: int) -> np.ndarray:
+    """Rows lo to hi of `a` (a view), or of the rows of `a` that the indices
+    `rows` select (a gather)."""
+    return a[lo:hi] if rows is None else a[rows[lo:hi]]
+
+
+def _evaluate_batch(model: Model, x: Tensor, rows: np.ndarray | None, start: int,
+                    labels: np.ndarray, kind: str, step: int) -> tuple[float, int]:
+    """(loss, first-max hits) of the batch of len(labels) rows from `start`
+    on (of x's rows that `rows` selects), run through the model in blocks
+    of `step` rows (0: one block)."""
+    n = len(labels)
+    sums, hits = None, 0
+    try:  # only the loss raises NonFiniteError: a layer's is a DivergenceError
+        for lo in range(0, n, step or n):
+            hi = min(lo + (step or n), n)
+            xb = Tensor._wrap(_take(x.data, rows, start + lo, start + hi), finite=True)
+            logits, _ = model.forward(xb, trainable=False)
+            if sums is None:
+                # The batch's labels are checked once, for the loss and accuracy.
+                shape = (n, *logits.shape[1:])
+                y = _loss_targets(kind, shape, labels)
+                sums = _LossSum(kind, y, shape, step > 0 or _row_step(logits.data) > 0)
+            with np.errstate(over="ignore", invalid="ignore"):
+                sums.add(logits)
+            # softmax_xent's walk formed the block's row maxima: accuracy reads them.
+            zmax = sums.zmax[lo:hi, 0] if kind == "softmax_xent" else None
+            hits += _hits(logits.data, y[lo:hi], zmax)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return sums.loss().item(), hits
+    except NonFiniteError as exc:
+        raise DivergenceError("loss") from exc
 
 
 def train(model: Model, config: TrainConfig, dataset: tuple[Tensor, np.ndarray],
@@ -576,14 +692,19 @@ def train(model: Model, config: TrainConfig, dataset: tuple[Tensor, np.ndarray],
     ShapeError prefixed with the layer name ("act1: ..."). With
     val_split = 0 the validation metrics are computed on the training
     split.
+
+    Each epoch closes with one call of the module-global `evaluate` on the
+    validation split, passed as row indices (`rows`): a row-wise model's
+    large batches are gathered and run one row block at a time, with the
+    bits of the whole split's forward, and a walked batch that fails runs
+    again as one block, so a DivergenceError names the layer, batch and
+    phase ("validation") of the whole batch's forward.
     """
     x, labels = dataset
     # Rows of labels, not flattened: the loss reads each batch's rows through
     # `_targets` (class indices, or one-hot or soft rows), as `evaluate` does.
-    labels = np.atleast_1d(labels)
+    labels = _dataset_labels(x, labels)
     n = x.shape[0]
-    if n == 0 or labels.shape[0] != n:
-        raise ValueError(f"dataset has {n} rows but {labels.shape[0]} labels")
 
     data_rng = RngState(config.seed, counter=_DATA_STREAM_OFFSET)
     order0 = data_rng.permutation(n)
@@ -621,10 +742,9 @@ def train(model: Model, config: TrainConfig, dataset: tuple[Tensor, np.ndarray],
             # or the epoch's validation pass rebinds these names.
             del xb, logits, pvars, batch_loss, g
 
-        eval_idx = val_idx if val_idx.size else train_idx
         try:
-            val_loss, val_acc = evaluate(model, Tensor._wrap(x.data[eval_idx], finite=True),
-                                         labels[eval_idx], config.loss, config.batch_size)
+            val_loss, val_acc = evaluate(model, x, labels, config.loss, config.batch_size,
+                                         rows=val_idx if val_idx.size else train_idx)
         except DivergenceError as exc:
             raise DivergenceError(exc.where, epoch, exc.batch, "validation") from exc
 

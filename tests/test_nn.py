@@ -2,6 +2,7 @@
 
 import functools
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -863,7 +864,7 @@ class TestTrainLoop:
         ([0, 5], ValueError, "class label 5 is out of range for 2 classes"),
         ([0.5, 1.0], ValueError, "class label 0.5 is not an integer"),
         (np.eye(3)[[0, 1]], ShapeError, "one-hot targets have 3 columns, logits 2"),
-        ([0], ShapeError, "1 targets for 2 logits rows"),
+        ([[[0, 1]], [[1, 0]]], ShapeError, "4 targets for 2 logits rows"),
         ([[np.nan, 1.0], [0.0, 1.0]], ValueError, "target value nan is not finite"),
         ([[0.5, 0.5], [np.inf, 0.0]], ValueError, "target value inf is not finite")])
     def test_evaluate_keeps_the_label_error_class(self, kind, labels, error, message):
@@ -883,15 +884,17 @@ class TestTrainLoop:
         assert not isinstance(err.value, nn.DivergenceError)
 
     def test_evaluate_peaks_near_its_input(self, alloc_peak):
-        # Tooling, not timing: above the forward's output (one input size),
-        # the loss walks a block scratch and the accuracy takes one bool per
-        # logit; np.argmax would copy the read-only logits whole (2.00).
+        # Tooling, not timing: the batch runs in 8-row blocks, and each
+        # block's output, gate scratch, loss scratch and accuracy bool are
+        # an eighth of the input each (0.50). The whole batch's forward
+        # would be one input size, and np.argmax's copy of the read-only
+        # logits one more (2.00).
         rng = np.random.default_rng(3)
         x = Tensor(rng.standard_normal((64, 4096)))
         labels = rng.integers(0, 4096, 64)
         model = nn.Model([nn.Activation(act.preset("ash"))], seed=1)
         peak = alloc_peak(lambda: nn.evaluate(model, x, labels), x.data.nbytes)
-        assert peak <= 1.25, f"peak {peak:.2f}x the input"
+        assert peak <= 0.6, f"peak {peak:.2f}x the input"
 
     @pytest.mark.parametrize("kind", nn.LOSS_KINDS)
     def test_evaluate_takes_the_one_hot_targets_its_loss_takes(self, kind):
@@ -1029,3 +1032,159 @@ class TestDenseLayerOutputsAreGaussianish:
         rep = st.normality_report(out)
         assert abs(rep.skewness) < 0.2
         assert abs(rep.excess_kurtosis) < 0.3
+
+
+def _whole_batch_evaluate(model, x, targets, kind, batch_size=256):
+    """evaluate written out: each batch's whole forward, then the public
+    loss_fn and accuracy of its logits."""
+    n = x.shape[0]
+    total, correct = 0.0, 0.0
+    for start in range(0, n, batch_size):
+        xb = Tensor(x.data[start:start + batch_size])
+        logits, _ = model.forward(xb, trainable=False)
+        yb = targets[start:start + batch_size]
+        total += nn.loss_fn(kind, logits, yb).item() * xb.shape[0]
+        correct += nn.accuracy(logits, yb) * xb.shape[0]
+    return total / n, correct / n
+
+
+def _one_hot(labels, classes):
+    rows = np.zeros((labels.size, classes))
+    rows[np.arange(labels.size), labels] = 1.0
+    return rows
+
+
+def _ash_case(cols):
+    rng = np.random.default_rng(cols)
+    x = Tensor(rng.standard_normal((64, cols)))
+    return nn.Model([nn.Activation(act.preset("ash"))], seed=1), x, rng.integers(0, cols, 64)
+
+
+def _mlp_case():
+    x, labels = datasets.two_moons(40, 0.1, 2)
+    return nn.Model(mlp("ash"), seed=0), x, labels
+
+
+def _per_channel_conv_case():
+    # 147456 input elements, above _WHOLE_ELEMS, but per-channel stats.
+    rng = np.random.default_rng(12)
+    spec = act.spec_from_json({"kind": "smooth_ash", "stats_mode": "per-channel"})
+    layers = [nn.Conv2d(2, 2, 1, 2), nn.Activation(spec), nn.Flatten(),
+              nn.Dense(63 * 47 * 2, 3)]
+    x = Tensor(rng.standard_normal((48, 64, 48, 1)))
+    return nn.Model(layers, seed=3), x, rng.integers(0, 3, 48)
+
+
+class TestRowBlockEvaluate:
+    """evaluate runs a row-wise model's large batches in row blocks, with the
+    bits of the whole batch's forward, loss and accuracy."""
+
+    @pytest.mark.parametrize("kind", nn.LOSS_KINDS)
+    @pytest.mark.parametrize("one_hot", [False, True], ids=["indices", "one_hot"])
+    @pytest.mark.parametrize("case,batch_size,forwards", [
+        (functools.partial(_ash_case, 4096), 256, 8),      # blocks of 8 rows
+        (functools.partial(_ash_case, 16384), 256, 32),    # blocks of 2 rows
+        (functools.partial(_ash_case, 16384), 24, 32),     # 24, 24 and 16 rows by 2
+        (_mlp_case, 16, 3),                                # one block per batch
+        (_per_channel_conv_case, 256, 1),                  # the whole batch
+    ], ids=["ash_64x4096", "ash_64x16384", "ash_64x16384_batches", "mlp", "per_channel_conv"])
+    def test_matches_the_whole_batch_bits(self, case, batch_size, forwards, kind, one_hot,
+                                          monkeypatch):
+        model, x, labels = case()
+        classes = model.forward(Tensor(x.data[:1]), trainable=False)[0].shape[1]
+        targets = _one_hot(labels, classes) if one_hot else labels
+        want = _whole_batch_evaluate(model, x, targets, kind, batch_size)
+        calls = []
+        forward = nn.Model.forward
+        monkeypatch.setattr(nn.Model, "forward",
+                            lambda self, *a, **k: calls.append(a[0].shape) or forward(self, *a, **k))
+        got = nn.evaluate(model, x, targets, kind, batch_size)
+        assert _bits(got) == _bits(want)
+        # Plain floats: the comparison CSVs write their repr.
+        assert [type(v) for v in got] == [float, float]
+        assert len(calls) == forwards
+
+    @pytest.mark.parametrize("kind", nn.LOSS_KINDS)
+    @pytest.mark.parametrize("val_split", [0.0, 0.25])
+    def test_train_records_match_a_whole_batch_validation(self, kind, val_split):
+        # 16 or 64 validation rows of 16384: above _WHOLE_ELEMS, so walked.
+        model, x, labels = _ash_case(16384)
+        config = nn.TrainConfig(epochs=2, batch_size=64, seed=5, loss=kind, val_split=val_split)
+        order = tensor.RngState(5, counter=nn._DATA_STREAM_OFFSET).permutation(64)
+        n_val = int(round(val_split * 64))
+        val = order[64 - n_val:] if n_val else order
+        want = []
+
+        def on_epoch(record):
+            want.append(_whole_batch_evaluate(model, Tensor(x.data[val]), labels[val], kind, 64))
+
+        records = nn.train(model, config, (x, labels), on_epoch=on_epoch)
+        assert len(records) == 2
+        assert [_bits((r.val_loss, r.val_acc)) for r in records] == [_bits(w) for w in want]
+
+    def test_overflow_names_the_whole_batchs_layer(self):
+        # One-row blocks: block 0 overflows in act1 only, block 2 in act0
+        # already. The whole batch's forward, and so evaluate, names act0.
+        x = np.zeros((4, 65536))
+        x[0], x[2] = 1.7e308, 1.75e308
+        x = Tensor(x)
+        model = nn.Model([nn.Activation(act.preset("selu"))] * 2, seed=0)
+        for rows, where in ((x.data[:1], "act1"), (x.data, "act0")):
+            with pytest.raises(nn.DivergenceError) as err:
+                model.forward(Tensor(rows), trainable=False)
+            assert err.value.where == where
+        with pytest.raises(nn.DivergenceError) as err:
+            nn.evaluate(model, x, np.zeros(4, dtype=int))
+        assert str(err.value) == "non-finite value at batch 0, in act0 (evaluation)"
+
+    def test_overflow_comes_before_a_label_error(self):
+        # Block 0 runs and then fails the label check; block 2 overflows.
+        # The whole batch's forward overflows before any label is read.
+        x = np.zeros((4, 65536))
+        x[2] = 1.75e308
+        model = nn.Model([nn.Activation(act.preset("selu"))] * 2, seed=0)
+        with pytest.raises(nn.DivergenceError, match=r"batch 0, in act0 \(evaluation\)"):
+            nn.evaluate(model, Tensor(x), np.full(4, 70000))
+
+    def test_walked_evaluate_peaks_at_a_fifth_of_its_input(self, alloc_peak):
+        # Tooling, not timing: 2-row blocks, each gathered, run and summed
+        # through block-sized buffers; the whole batch's forward alone is
+        # one input size.
+        model, x, labels = _ash_case(16384)
+        peak = alloc_peak(lambda: nn.evaluate(model, x, labels), x.data.nbytes)
+        assert peak <= 0.2, f"peak {peak:.2f}x the input"
+
+    def test_train_holds_no_gathered_split_while_it_validates(self, monkeypatch):
+        # Tooling, not timing: train hands evaluate the split as row indices,
+        # so what is allocated when validation starts is under a tenth of the
+        # split (one split size if train gathered it whole).
+        model, x, labels = _ash_case(16384)
+        config = nn.TrainConfig(epochs=1, batch_size=64, seed=5)
+        held, evaluate = [], nn.evaluate
+        monkeypatch.setattr(nn, "evaluate", lambda *a, **k: held.append(
+            tracemalloc.get_traced_memory()[0]) or evaluate(*a, **k))
+        nn.train(model, config, (x, labels))  # warm-up
+        tracemalloc.start()
+        try:
+            nn.train(model, config, (x, labels))
+        finally:
+            tracemalloc.stop()
+        held = held[-1] / x.data.nbytes
+        assert held <= 0.1, f"{held:.3f}x the split held"
+
+    @pytest.mark.parametrize("batch_size,n_labels,rows,message", [
+        (-1, 4, None, "batch_size must be >= 1, got -1"),
+        (0, 4, None, "batch_size must be >= 1, got 0"),
+        (2.5, 4, None, "batch_size must be an integer, got 2.5"),
+        (float("nan"), 4, None, "batch_size must be an integer, got nan"),
+        (True, 4, None, "batch_size must be an integer, got True"),
+        (2, 6, None, "dataset has 4 rows but 6 labels"),
+        (2, 3, None, "dataset has 4 rows but 3 labels"),
+        (2, 4, np.array([], dtype=int), "rows selects no row of the dataset"),
+    ], ids=["negative", "zero", "fraction", "nan", "bool", "more-labels", "fewer-labels",
+            "no-rows"])
+    def test_evaluate_checks_its_arguments(self, batch_size, n_labels, rows, message):
+        model = nn.Model([nn.Dense(2, 2)], seed=0)
+        x = Tensor(np.arange(8.0).reshape(4, 2))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            nn.evaluate(model, x, np.arange(n_labels) % 2, batch_size=batch_size, rows=rows)

@@ -125,3 +125,23 @@ def test_traced_randn_counts_its_elements(monkeypatch):
         tracer.uninstall()
     assert tracer.acc("tensor.randn").calls == 1
     assert tracer.acc("tensor.randn").elems == 2**15 + 1
+
+
+def test_walked_validation_counts_one_eval_and_a_forward_per_row_block(monkeypatch):
+    # nn.eval.self_ms reads 0 if train stops calling the module-global
+    # evaluate. 8 rows of 32768 are above _WHOLE_ELEMS, so each epoch's
+    # validation runs the model once per one-row block, after the epoch's
+    # one training step.
+    rng = np.random.default_rng(6)
+    x = tensor.Tensor(rng.standard_normal((8, 32768)))
+    labels = rng.integers(0, 32768, 8)
+    model = nn.Model([nn.Activation(act.preset("ash"))], seed=1)
+    config = nn.TrainConfig(epochs=2, batch_size=8, seed=2)
+    tracer = load_tracing(monkeypatch).install(MODULES)
+    try:
+        nn.train(model, config, (x, labels))
+    finally:
+        tracer.uninstall()
+    assert tracer.steps == 2
+    assert tracer.acc("nn.eval").calls == 2
+    assert tracer.acc("nn.forward").calls == 2 * (1 + 8)
