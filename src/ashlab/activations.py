@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
 
@@ -32,7 +31,7 @@ import numpy as np
 from . import autodiff as ad
 from . import stats as st
 from .autodiff import Variable
-from .tensor import ShapeError, Tensor, _row_blocks, _row_step, _TreeSum, moments
+from .tensor import ShapeError, Tensor, _row_blocks, _row_step, _TreeSum, check_number, moments
 
 SELU_LAMBDA = 1.0507009873554805
 SELU_ALPHA = 1.6732632423543772
@@ -67,20 +66,15 @@ class AshParams:
     k: float = 50.0
 
     def __post_init__(self):
-        if self.alpha <= 0 or not np.isfinite(self.alpha):
-            raise ValueError(f"alpha must be finite and > 0, got {self.alpha}")
+        check_number("z_k", self.z_k)
+        check_number("alpha", self.alpha, gt=0)
         if self.stats_mode not in STATS_MODES:
             raise ValueError(f"stats_mode must be one of {STATS_MODES}")
         if self.grad_mode not in GRAD_MODES:
             raise ValueError(f"grad_mode must be one of {GRAD_MODES}")
-        if not np.isfinite(self.z_k):
-            raise ValueError("z_k must be finite")
-        if self.per_channel_z and not self.channels >= 1:  # so that NaN fails it
-            raise ValueError("per_channel_z needs channels >= 1")
-        if self.leak < 0 or not np.isfinite(self.leak):
-            raise ValueError(f"leak must be finite and >= 0, got {self.leak}")
-        if not 0.0 < self.k <= 100.0:
-            raise ValueError(f"k must lie in (0, 100], got {self.k}")
+        check_number("channels", self.channels, integer=True, ge=1 if self.per_channel_z else 0)
+        check_number("leak", self.leak, ge=0)
+        check_number("k", self.k, gt=0, le=100)
 
 
 @dataclass(frozen=True)
@@ -92,8 +86,8 @@ class GeneralizedSwishParams:
     frozen: bool = False
 
     def __post_init__(self):
-        if not (np.isfinite(self.a) and np.isfinite(self.b)):
-            raise ValueError("a and b must be finite")
+        check_number("a", self.a)
+        check_number("b", self.b)
 
 
 @dataclass(frozen=True)
@@ -109,6 +103,8 @@ class ActivationSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown activation kind {self.kind!r}")
+        check_number("slope", self.slope)
+        check_number("elu_a", self.elu_a)
 
 
 # ---------------------------------------------------------------------------
@@ -122,9 +118,9 @@ def _rank0(p):
 
 
 def _scalar(p) -> float:
-    """A scalar parameter, a Variable or a constant, as a float."""
+    """A scalar parameter, a Variable or a constant, as a number."""
     if isinstance(p, (int, float)):
-        return float(p)  # the common case, without making a Tensor
+        return p  # the common case, without making a Tensor; a bool stays one
     return float(ad.value(p).data.reshape(-1)[0])
 
 
@@ -239,7 +235,7 @@ def _broadcast_z(z, x_shape: tuple[int, ...]) -> np.ndarray:
     """z as a float or an array that broadcasts against x: a scalar, or one per
     channel (last axis)."""
     if isinstance(z, (int, float)):
-        return float(z)  # a number broadcasts as it is, without making a Tensor
+        return check_number("z_k", z)  # a number broadcasts as it is, without making a Tensor
     zval = ad.value(z).data
     if zval.size == 1:
         return zval.reshape(())  # a (1,) z would lift a rank-0 x to rank 1
@@ -382,12 +378,8 @@ def _ash_op(x, z, alpha, leak, stats_mode: str, grad_mode: str, name: str):
         raise ValueError(f"grad_mode must be one of {GRAD_MODES}, got {grad_mode!r}")
     xt = ad.value(x)
     data = xt.data
-    aval = _scalar(alpha)
-    if not aval > 0:  # so that NaN fails it
-        raise ValueError(f"alpha must be > 0, got {aval}")
-    lval = _scalar(leak)
-    if not lval >= 0:  # so that NaN fails it
-        raise ValueError(f"leak must be >= 0, got {lval}")
+    aval = check_number("alpha", _scalar(alpha), gt=0)
+    lval = check_number("leak", _scalar(leak), ge=0)
     z_b = _broadcast_z(z, xt.shape)
     axes, n, mu, centered, sigma_raw, sigma = _grouped_stats(data, stats_mode)
 
@@ -517,9 +509,8 @@ def _fixed_z(k: float) -> float:
 def fixed_ash(x, k=50.0, alpha=1.0, stats_mode: str = "per-sample",
               grad_mode: str = "through-stats"):
     """Smooth form with the percentile k frozen: z = z(k) is a constant."""
-    if not 0.0 < k <= 100.0:
-        raise ValueError(f"k must lie in (0, 100], got {k}")
-    return _ash_op(x, _fixed_z(float(k)), alpha, 0.0, stats_mode, grad_mode, "fixed_ash")
+    k = check_number("k", k, gt=0, le=100)
+    return _ash_op(x, _fixed_z(k), alpha, 0.0, stats_mode, grad_mode, "fixed_ash")
 
 
 # ---------------------------------------------------------------------------
@@ -603,25 +594,19 @@ KINDS: dict[str, Kind] = {
                                         stats_mode=s.ash.stats_mode, grad_mode=s.ash.grad_mode)),
 }
 
-# A field's Python type -> (the JSON values it takes, their description).
-_JSON_TYPES = {float: ((int, float), "a finite number"), int: (int, "an integer"),
-               bool: (bool, "true or false"), str: (str, "a string")}
-
-
 def json_value(raw, typ: type, name: str):
     """`raw` as the value of a `typ` field, or a ValueError naming the field.
 
-    No coercion: a float field takes a finite number (Python's json reads
-    NaN and Infinity; JSON has neither), an int field an integer, a bool
-    field true or false and a str field a string. A bool is never a number.
+    No coercion: a float or int field goes through `tensor.check_number`
+    (Python's json reads NaN and Infinity; JSON has neither, and a bool is
+    never a number), a bool field takes true or false, a str field a string.
     """
-    accepted, described = _JSON_TYPES[typ]
-    ok = isinstance(raw, bool) == (typ is bool) and isinstance(raw, accepted)
-    if ok and typ is float:
-        ok = abs(raw) <= sys.float_info.max  # false for NaN and the infinities
-    if not ok:
-        raise ValueError(f"{name} must be {described}, got {raw!r}")
-    return typ(raw)
+    if typ in (int, float):
+        return check_number(name, raw, integer=typ is int)
+    if not isinstance(raw, typ):
+        raise ValueError(f"{name} must be {'true or false' if typ is bool else 'a string'}, "
+                         f"got {raw!r}")
+    return raw
 
 
 def spec_from_json(obj: dict) -> ActivationSpec:

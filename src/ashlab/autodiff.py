@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _normal, tensor
-from .tensor import Tensor
+from .tensor import Tensor, check_number
 
 
 class TapeMixError(ValueError):
@@ -236,21 +236,21 @@ def exp(a) -> Variable | Tensor:
 
 def stable_sigmoid(u: np.ndarray, out: np.ndarray | None = None,
                    scratch: np.ndarray | None = None) -> np.ndarray:
-    """Logistic exp(min(u, 0)) / (1 + exp(-|u|)), into `out` (which may be u).
+    """Logistic max(u >= 0, t) / (1 + t), t = exp(-|u|), into `out` (which may be u).
 
-    Bit for bit np.where(u >= 0, 1/(1+t), t/(1+t)), t = exp(-|u|), without
-    its branches: the numerator is exp(0) = 1 for u >= 0 (and -0.0) and
-    exp(u) = t for u < 0, where -|u| is u exactly. The denominator is made
-    first, in `scratch` (distinct from u and out) or in one array of u's
-    size that the call allocates. Both are arrays even for a rank-0 u, for
-    which a ufunc without `out` returns a numpy scalar.
+    Bit for bit np.where(u >= 0, 1/(1+t), t/(1+t)), with one exp and no
+    branches: the numerator, taken before t += 1, is 1 for u >= 0 (t <= 1)
+    and t for u < 0. -|u| is min(u, -u), which keeps a NaN u's payload and
+    sign (abs then negative flips a positive NaN's). t goes in `scratch`
+    (distinct from u and out) or in an array the call allocates. Both are
+    arrays even for a rank-0 u, for which a ufunc returns a numpy scalar.
     """
-    t = np.abs(u, out=np.empty_like(u) if scratch is None else scratch)
-    np.negative(t, out=t)  # -|u|, the bits of copysign(u, -1) in SIMD loops
+    t = np.negative(u, out=np.empty_like(u) if scratch is None else scratch)
+    np.minimum(u, t, out=t)
     np.exp(t, out=t)
+    s = np.greater_equal(u, 0.0, out=np.empty_like(u) if out is None else out)
+    np.maximum(s, t, out=s)
     t += 1.0
-    s = np.minimum(u, 0.0, out=np.empty_like(u) if out is None else out)
-    np.exp(s, out=s)
     s /= t
     return s
 
@@ -344,8 +344,7 @@ def fd_check(f, x, h: float = 1e-6) -> GradCheckReport:
     Variable's tape. Relative error uses max(|analytic|, |numeric|,
     1e-8) as the denominator.
     """
-    if not h > 0:  # so that NaN fails it
-        raise ValueError("h must be positive")
+    h = check_number("h", h, gt=0)
     x = x if isinstance(x, Tensor) else Tensor(x)
     t = Tape()
     xv = t.variable(x, requires_grad=True)

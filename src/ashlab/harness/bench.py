@@ -18,7 +18,7 @@ import numpy as np
 
 from .. import activations as act
 from .. import stats as st
-from ..tensor import RngState, Tensor, randn
+from ..tensor import RngState, Tensor, check_number, randn
 
 BENCH_HEADER = ["size", "method", "ns_per_elem"]
 DEFAULT_K = 30.0
@@ -60,8 +60,7 @@ def run_bench(activation: str, sizes: list[int], k: float = DEFAULT_K,
               seed: int = 0) -> list[BenchRow]:
     if not sizes:
         raise ValueError("sizes must be non-empty")
-    if any(s < 1 for s in sizes):
-        raise ValueError(f"every size must be >= 1, got {sizes}")
+    sizes = [check_number("size", size, integer=True, ge=1) for size in sizes]
     act.preset(activation)  # validate the name and k before timing anything
     st.topk_count(1, k)
     rows: list[BenchRow] = []

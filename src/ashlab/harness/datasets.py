@@ -11,7 +11,7 @@ import struct
 
 import numpy as np
 
-from ..tensor import RngState, Tensor, check_count
+from ..tensor import RngState, Tensor, check_number
 
 BUILTIN_KINDS = ("two_moons", "blobs", "spirals")
 
@@ -25,9 +25,8 @@ class FormatError(ValueError):
 
 def _split_counts(n: int, noise: float) -> tuple[int, int]:
     """Class sizes for n samples, after checking n and noise."""
-    if not (np.isfinite(noise) and noise >= 0):
-        raise ValueError(f"noise must be finite and >= 0, got {noise}")
-    check_count("n", n, 2)
+    check_number("noise", noise, ge=0)
+    check_number("n", n, integer=True, ge=2)
     return (n + 1) // 2, n // 2
 
 

@@ -27,7 +27,7 @@ from . import activations as act
 from . import autodiff as ad
 from .autodiff import Variable
 from .tensor import NonFiniteError, RngState, ShapeError, Tensor, _row_blocks, _row_step, \
-    _TreeSum, check_count
+    _TreeSum, check_number
 
 # Data-order draws start here so weight init (counter 0) can never
 # collide with them, no matter how many parameters a model has.
@@ -62,12 +62,11 @@ class DivergenceError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 class _Extents:
-    """A layer whose every field is an extent: a Python or numpy integer
-    (not a bool) >= 1."""
+    """A layer whose every field is an extent, an integer >= 1."""
 
     def __post_init__(self):
         for name, value in vars(self).items():
-            check_count(name, value, 1)
+            check_number(name, value, integer=True, ge=1)
 
 
 @dataclass(frozen=True)
@@ -484,16 +483,11 @@ class OptimizerSpec:
     def __post_init__(self):
         if self.kind not in ("sgd", "adam"):
             raise ValueError(f"optimizer kind must be sgd or adam, got {self.kind!r}")
-        # Each test is written so that NaN fails it.
-        if not self.lr > 0:
-            raise ValueError(f"lr must be > 0, got {self.lr}")
-        if not self.momentum >= 0:
-            raise ValueError(f"momentum must be >= 0, got {self.momentum}")
-        for name in ("beta1", "beta2"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
-        if not self.eps > 0:
-            raise ValueError(f"eps must be > 0, got {self.eps}")
+        check_number("lr", self.lr, gt=0)
+        check_number("momentum", self.momentum, ge=0)
+        check_number("beta1", self.beta1, ge=0, lt=1)
+        check_number("beta2", self.beta2, ge=0, lt=1)
+        check_number("eps", self.eps, gt=0)
 
 
 class SGD:
@@ -561,10 +555,9 @@ class TrainConfig:
     val_split: float = 0.0
 
     def __post_init__(self):
-        check_count("epochs", self.epochs, 0)
-        check_count("batch_size", self.batch_size, 1)
-        if not 0.0 <= self.val_split < 1.0:  # so that NaN fails it
-            raise ValueError(f"val_split must lie in [0, 1), got {self.val_split}")
+        check_number("epochs", self.epochs, integer=True, ge=0)
+        check_number("batch_size", self.batch_size, integer=True, ge=1)
+        check_number("val_split", self.val_split, ge=0, lt=1)
         if self.loss not in LOSS_KINDS:
             raise ValueError(f"loss must be one of {LOSS_KINDS}, got {self.loss!r}")
 
@@ -614,7 +607,7 @@ def evaluate(model: Model, x: Tensor, labels: np.ndarray, loss_kind: str = "soft
     batch's forward: the first layer at which any row overflows, before a
     label error. Any other error keeps its class.
     """
-    check_count("batch_size", batch_size, 1)
+    check_number("batch_size", batch_size, integer=True, ge=1)
     labels = _dataset_labels(x, labels)
     n = x.shape[0] if rows is None else len(rows)
     if n == 0:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _normal
-from .tensor import Tensor, moments, welford
+from .tensor import Tensor, check_number, moments, welford
 
 # Degenerate (constant) inputs report sigma = 0 but threshold with this
 # floor so the keep/drop decision stays well defined.
@@ -67,8 +67,7 @@ def z_from_percentile(k: float) -> float:
 
     Read as -norm_ppf(k/100), so a small k never passes through 1 - k/100.
     """
-    if not 0.0 < k < 100.0:
-        raise ValueError(f"percentile must lie in (0, 100), got {k}")
+    k = check_number("percentile k", k, gt=0, lt=100)
     # 0.0 - z rather than -z, so that z(50) is +0.0 and not -0.0.
     return 0.0 - _normal.norm_ppf(k / 100.0)
 
@@ -78,9 +77,7 @@ def percentile_from_z(z: float) -> float:
 
     Relatively accurate to 1e-14 for z up to 37, where the tail is 5.7e-298%.
     """
-    if not math.isfinite(z):
-        raise ValueError(f"z must be finite, got {z}")
-    return 100.0 * _normal.norm_cdf(-float(z))
+    return 100.0 * _normal.norm_cdf(-check_number("z", z))
 
 
 def zscore(x: Tensor) -> Tensor:
@@ -117,8 +114,7 @@ def kth_largest(values: Tensor | np.ndarray, m: int) -> float:
         if arr.size and np.isnan(arr.min()):
             raise ValueError("kth_largest: a NaN has no rank")
     n = arr.size
-    if not 1 <= m <= n:
-        raise ValueError(f"m must be in [1, {n}], got {m}")
+    m = check_number("m", m, integer=True, ge=1, le=n)
     # r ranks the cut from the view's top; edge is its lowest first-sign bits.
     r, view, edge = (m, np.int64, 0) if 2 * m <= n else (n - m + 1, np.uint64, 1 << 63)
     t = n - r
@@ -133,8 +129,7 @@ def kth_largest(values: Tensor | np.ndarray, m: int) -> float:
 
 def topk_count(n: int, k: float) -> int:
     """Number of elements in the top-k percent: ceil(k*N/100), min 1."""
-    if not 0.0 < k <= 100.0:
-        raise ValueError(f"percentile must lie in (0, 100], got {k}")
+    k = check_number("percentile k", k, gt=0, le=100)
     # Guard against float dust pushing an exact multiple over the ceiling.
     return max(1, math.ceil(k * n / 100.0 - 1e-9))
 
@@ -162,8 +157,6 @@ def gaussian_topk_mask(x: Tensor, k: float) -> SelectionMask:
     """Keep-set of the Gaussian rule x - mu >= z_k * sigma over the whole
     array (sigma floored at 1e-5): the rule `activations.hard_ash` applies,
     so the mask is hard_ash's keep set of the flattened input."""
-    if not 0.0 < k < 100.0:
-        raise ValueError(f"percentile must lie in (0, 100), got {k}")
     st = compute_stats(x)
     mask = x.data - st.mu >= z_from_percentile(k) * max(st.sigma, SIGMA_FLOOR)
     return SelectionMask(mask=mask, kept=int(np.count_nonzero(mask)))

@@ -45,11 +45,15 @@ BLAS is never used because it fuses and reorders the accumulation.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import _normal
 
 MAX_RANK = 4
+_FLOAT_MAX = float(np.finfo(np.float64).max)
+_INTEGERS, _NUMBERS = (int, np.integer), (float, int, np.floating, np.integer)
 
 _EWISE = {"add": np.add, "sub": np.subtract, "mul": np.multiply, "div": np.divide,
           "max": np.maximum}
@@ -66,21 +70,31 @@ class NonFiniteError(ValueError):
 
 
 def check_shape(dims) -> tuple[int, ...]:
-    """Validate and normalize tensor dims (rank <= 4, extents >= 1)."""
-    dims = tuple(int(d) for d in dims)
-    if len(dims) > MAX_RANK:
-        raise ShapeError(f"rank {len(dims)} exceeds maximum rank {MAX_RANK}")
-    if any(d < 1 for d in dims):
-        raise ShapeError(f"every extent must be >= 1, got {dims}")
-    return dims
+    """Validate and normalize tensor dims (rank <= 4, integer extents >= 1)."""
+    dims = tuple(dims)
+    try:
+        check_number("rank", len(dims), integer=True, le=MAX_RANK)
+        return tuple([check_number("extent", d, integer=True, ge=1) for d in dims])
+    except ValueError as exc:
+        raise ShapeError(f"{exc} in shape {dims}") from None
 
 
-def check_count(name: str, value, low: int) -> None:
-    """A ValueError naming `name` unless `value` is an integer (not a bool) >= `low`."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < low:
-        raise ValueError(f"{name} must be >= {low}, got {value}")
+def check_number(name: str, value, *, integer=False, gt=None, ge=None, lt=None, le=None) -> float:
+    """`value` as an int (`integer`) or a float, after the one range rule of
+    every number passed in: a Python or numpy number, not a bool, finite, of
+    an integer type where `integer` (2.0 is not), and > gt, >= ge, < lt and
+    <= le for each bound given. Else a ValueError naming `name` and the bounds."""
+    if (value.__class__ is not bool and isinstance(value, _INTEGERS if integer else _NUMBERS)
+            # Finite; an int is compared, as math.isfinite raises past the float range.
+            and (integer or (abs(value) <= _FLOAT_MAX if isinstance(value, int)
+                             else math.isfinite(value)))
+            and (gt is None or value > gt) and (ge is None or value >= ge)
+            and (lt is None or value < lt) and (le is None or value <= le)):
+        return int(value) if integer else float(value)
+    bounds = " and".join(f" {op} {b}" for op, b in ((">", gt), (">=", ge), ("<", lt), ("<=", le))
+                         if b is not None)
+    raise ValueError(f"{name} must be {'an integer' if integer else 'a finite number'}{bounds}, "
+                     f"got {value!r}")
 
 
 def _checked(arr: np.ndarray, finite: bool = False) -> np.ndarray:
@@ -199,8 +213,8 @@ class RngState:
     __slots__ = ("seed", "counter")
 
     def __init__(self, seed: int, counter: int = 0):
-        self.seed = int(seed) & _MASK64
-        self.counter = int(counter)
+        self.seed = check_number("seed", seed, integer=True) & _MASK64
+        self.counter = check_number("counter", counter, integer=True)
 
     def clone(self) -> "RngState":
         return RngState(self.seed, self.counter)
@@ -244,10 +258,7 @@ class RngState:
     def normal(self, n: int, mean: float = 0.0, std: float = 1.0) -> np.ndarray:
         """n i.i.d. N(mean, std^2) draws, norm_ppf(uniform(n))*std + mean bit for
         bit; advances counter."""
-        if not np.isfinite(mean):
-            raise ValueError(f"mean must be finite, got {mean}")
-        if not (np.isfinite(std) and std >= 0):
-            raise ValueError(f"std must be finite and >= 0, got {std}")
+        mean, std = check_number("mean", mean), check_number("std", std, ge=0)
 
         def convert(bits, out):
             # The uniforms overwrite their own bits, and the quantile, *std

@@ -1047,7 +1047,8 @@ class TestSpecSerialization:
 
 @pytest.mark.parametrize("call,message", [
     (lambda: act.AshParams(alpha=float("nan")), "alpha must"),
-    (lambda: act.AshParams(per_channel_z=True, channels=float("nan")), "channels >= 1"),
+    (lambda: act.AshParams(per_channel_z=True, channels=float("nan")),
+     "channels must be an integer >= 1"),
     (lambda: act.smooth_ash(Tensor([1.0, 2.0]), alpha=float("nan")), "alpha must"),
     (lambda: act.leaky_ash(Tensor([1.0, 2.0]), leak=float("nan")), "leak must"),
 ], ids=["AshParams-alpha", "AshParams-channels", "smooth_ash-alpha", "leaky_ash-leak"])

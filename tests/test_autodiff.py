@@ -228,7 +228,7 @@ class TestFdCheck:
             fd_check(lambda v: ad.sum_all(v), Tensor([1.0]), h=0.0)
 
     def test_nan_h_rejected(self):
-        with pytest.raises(ValueError, match="h must be positive"):
+        with pytest.raises(ValueError, match="h must be a finite number > 0"):
             fd_check(lambda v: ad.sum_all(v), Tensor([1.0]), h=float("nan"))
 
 

@@ -230,9 +230,9 @@ class TestTrainCommand:
          "train: field 'epochs' must be an integer, got None"),
         (lambda d: d["model"]["layers"].insert(
             0, {"kind": "conv2d", "kh": 0, "kw": 1, "cin": 1, "cout": 1}),
-         "model.layers[0]: kh must be >= 1, got 0"),
+         "model.layers[0]: kh must be an integer >= 1, got 0"),
         (lambda d: d["train"]["optimizer"].update(beta1=1.0),
-         "train.optimizer: beta1 must lie in [0, 1), got 1.0"),
+         "train.optimizer: beta1 must be a finite number >= 0 and < 1, got 1.0"),
         (lambda d: d["train"]["optimizer"].update(lr=float("nan")),
          "train.optimizer: field 'lr' must be a finite number, got nan"),
     ], ids=["epochs-null", "conv-kh-0", "beta1-1", "lr-nan"])

@@ -43,7 +43,7 @@ class TestTwoMoons:
 
     @pytest.mark.parametrize("gen", [datasets.two_moons, datasets.spirals, datasets.blobs])
     def test_infinite_noise_rejected(self, gen):
-        with pytest.raises(ValueError, match="noise must be finite"):
+        with pytest.raises(ValueError, match="noise must be a finite number"):
             gen(8, noise=float("inf"))
 
     @pytest.mark.parametrize("n", [8.5, True, float("inf")], ids=["fraction", "bool", "inf"])
@@ -54,7 +54,7 @@ class TestTwoMoons:
 
     @pytest.mark.parametrize("gen", [datasets.two_moons, datasets.spirals, datasets.blobs])
     def test_too_few_samples_rejected(self, gen):
-        with pytest.raises(ValueError, match="n must be >= 2, got 1"):
+        with pytest.raises(ValueError, match="n must be an integer >= 2, got 1"):
             gen(1, 0.1)
 
 

@@ -34,7 +34,7 @@ class TestForward:
         lambda: nn.Conv2d(0, 1, 1, 1), lambda: nn.Conv2d(1, 1, 1, 0),
     ], ids=["dense-in", "dense-out", "conv2d-kh", "conv2d-cout"])
     def test_layer_extents_must_be_positive(self, make):
-        with pytest.raises(ValueError, match="must be >= 1"):
+        with pytest.raises(ValueError, match="must be an integer >= 1"):
             make()
 
     @pytest.mark.parametrize("make,field", [
@@ -1173,11 +1173,11 @@ class TestRowBlockEvaluate:
         assert held <= 0.1, f"{held:.3f}x the split held"
 
     @pytest.mark.parametrize("batch_size,n_labels,rows,message", [
-        (-1, 4, None, "batch_size must be >= 1, got -1"),
-        (0, 4, None, "batch_size must be >= 1, got 0"),
-        (2.5, 4, None, "batch_size must be an integer, got 2.5"),
-        (float("nan"), 4, None, "batch_size must be an integer, got nan"),
-        (True, 4, None, "batch_size must be an integer, got True"),
+        (-1, 4, None, "batch_size must be an integer >= 1, got -1"),
+        (0, 4, None, "batch_size must be an integer >= 1, got 0"),
+        (2.5, 4, None, "batch_size must be an integer >= 1, got 2.5"),
+        (float("nan"), 4, None, "batch_size must be an integer >= 1, got nan"),
+        (True, 4, None, "batch_size must be an integer >= 1, got True"),
         (2, 6, None, "dataset has 4 rows but 6 labels"),
         (2, 3, None, "dataset has 4 rows but 3 labels"),
         (2, 4, np.array([], dtype=int), "rows selects no row of the dataset"),

@@ -169,7 +169,7 @@ class TestRng:
     def test_non_finite_parameters_rejected(self, kwargs, field):
         for draw in (lambda: RngState(0).normal(3, **kwargs),
                      lambda: randn([3], RngState(0), **kwargs)):
-            with pytest.raises(ValueError, match=f"{field} must be finite"):
+            with pytest.raises(ValueError, match=f"{field} must be a finite number"):
                 draw()
 
     def test_identical_state_bit_identical(self):
